@@ -12,19 +12,14 @@ ratings, discriminated by a ``kind`` field:
 
 Subcommands: design, equilibria, check, simulate, basin, sweep,
 validate.  Exit codes: 0 success (check: certified), 1 check not
-certified, 2 usage/parameter error, 3 numerical failure.  The
-SWINGCERT_THREADS environment variable caps parallelism for basin and
-sweep work items; outputs are ordered by input index regardless of
-execution order.
+certified, 2 usage/parameter error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,20 +56,6 @@ KIND_SPEC = "nominal_spec"
 
 class UsageError(Exception):
     pass
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SWINGCERT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"SWINGCERT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _maybe_executor():
-    n = _thread_count()
-    return ThreadPoolExecutor(max_workers=n) if n > 1 else None
 
 
 def load_config(path: str, overrides) -> dict:
@@ -204,13 +185,7 @@ def cmd_basin(args) -> int:
         config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=args.t_end,
                                   n_samples=int(min(20000, max(2000, 2000 * args.t_end))) + 1,
                                   seed=args.seed)
-    executor = _maybe_executor()
-    try:
-        stats = basin_sample(params, n=args.samples, seed=args.seed,
-                             config=config, executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    stats = basin_sample(params, n=args.samples, seed=args.seed, config=config)
     _emit(_dump(stats.to_dict()), args.out)
     return EXIT_OK
 
@@ -227,20 +202,9 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.min, args.max, args.points)
 
-    def work(value):
-        params = base.replace(**{args.param: float(value)})
-        report = check_certificate(params, n_points=args.grid)
-        return report
-
-    executor = _maybe_executor()
-    try:
-        if executor is None:
-            reports = [work(v) for v in values]
-        else:
-            reports = list(executor.map(work, values))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    reports = [check_certificate(base.replace(**{args.param: float(value)}),
+                                 n_points=args.grid)
+               for value in values]
 
     lines = [f"{args.param},verdict,margin,rel_margin,worst_d,band_ok_all"]
     for value, report in zip(values, reports):

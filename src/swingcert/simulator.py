@@ -1,20 +1,21 @@
 """Time integration and trajectory classification.
 
-Wraps an adaptive Runge-Kutta 4(5) integrator (scipy's embedded
-Dormand-Prince pair) and a fixed-step classic RK4, produces sampled
-trajectories, and classifies them as converged to an equilibrium
-(modulo 2*pi, with the integer sheet recorded), periodic, or undecided.
-Periodic orbits are detected on a Poincare section of the power angle.
-All operations are deterministic given their inputs and seeds.
+Provides an adaptive Dormand-Prince 5(4) integrator with dense output and
+a fixed-step classic RK4, produces sampled trajectories, and classifies
+them as converged to an equilibrium (modulo 2*pi, with the integer sheet
+recorded), periodic, or undecided.  Periodic orbits are detected on a
+Poincare section of the power angle.  All operations are deterministic
+given their inputs and seeds.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     NumericalError,
@@ -162,41 +163,248 @@ def _rk4_fixed(rhs, y0, t_eval, step):
     return out
 
 
+# Dormand-Prince 5(4): the tableau, error weights and dense-output matrix of
+# scipy's RK45 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.5).
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_N_STAGES = 7  # six stages plus the first-same-as-last derivative
+_DENSE_CHUNK = 1 << 16  # stage values gathered per pass of the dense output
+
+_C2, _C3, _C4, _C5 = _C[1:5]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = _A[1:]
+_B1, _, _B3, _B4, _B5, _B6 = _B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
+_A_ROWS = [np.array(row) for row in _A]
+_B_ROW = np.array(_B)
+_E_ROW = np.array(_E)
+
+
+def _float_stages(rhs, t, y, k1, h, rtol, atol):
+    """One Dormand-Prince attempt on lists of Python floats.
+
+    Returns the fifth-order state, the seven stage derivatives (the last is
+    rhs at the new state) and the RMS norm of the scaled error estimate.
+    """
+    k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
+    k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b)
+                           for u, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + _C4 * h, [u + h * (_A41 * a + _A42 * b + _A43 * c)
+                           for u, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + _C5 * h, [u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                           for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                     for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+             for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    err = math.hypot(*[
+        h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        / (atol + max(abs(u), abs(v)) * rtol)
+        for u, v, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+    ]) / math.sqrt(len(y))
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _array_stages(rhs, t, y, k1, h, rtol, atol):
+    """``_float_stages`` on numpy ``(n,)`` arrays; the stages are the rows of K."""
+    K = np.empty((_N_STAGES, y.size))
+    K[0] = k1
+    for s in range(1, 6):
+        K[s] = rhs(t + _C[s] * h, y + h * (_A_ROWS[s] @ K[:s]))
+    y_new = y + h * (_B_ROW @ K[:6])
+    K[6] = rhs(t + h, y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    err = float(np.linalg.norm(h * (_E_ROW @ K) / scale)) / math.sqrt(y.size)
+    return y_new, K, err
+
+
+def _rms(x) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def _initial_step(rhs, y0, f0, t_bound, max_step, rtol, atol, as_array) -> float:
+    """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy picks it.
+
+    NaN propagates, so a non-finite start is caught by the step floor.
+    """
+    f0 = np.asarray(f0, dtype=float)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(rhs(h0, y1 if as_array else y1.tolist()), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
+    return min(100 * h0, h1, t_bound, max_step)
+
+
+def _dense_samples(t_eval, t0, t1, y_old, K):
+    """Evaluate the DP5 interpolant of the recorded steps at ``t_eval``.
+
+    Sample t belongs to the first recorded step whose end is >= t.  The
+    stage values are gathered in chunks, so memory stays bounded for
+    large systems.
+    """
+    idx = np.searchsorted(t1, t_eval, side="left")
+    h = (t1 - t0)[idx]
+    x = (t_eval - t0[idx]) / h
+    powers = np.cumprod(np.repeat(x[:, None], _P.shape[1], axis=1), axis=1)
+    weights = h[:, None] * (powers @ _P.T)
+    out = np.empty((len(t_eval), y_old.shape[1]))
+    chunk = max(1, _DENSE_CHUNK // K[0].size)
+    for lo in range(0, len(t_eval), chunk):
+        j = idx[lo:lo + chunk]
+        out[lo:lo + chunk] = y_old[j] + np.einsum("js,jsn->jn", weights[lo:lo + chunk], K[j])
+    return out
+
+
+def _dopri5(rhs, y0, t_eval, rtol, atol, max_step) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
+
+    Step control is scipy's RK45: RMS error norm scaled by
+    atol + max(|y|, |y_new|)*rtol, factors SAFETY/MIN/MAX with no growth
+    right after a rejection, and a floor of 10 ulp(t) on the step, below
+    which StiffnessError is raised with the last accepted (t, y).  A step
+    whose arithmetic overflows is rejected.  Each step that covers a sample
+    time is recorded (float steps in flat buffers, array steps in arrays
+    preallocated for one record per sample); the samples are read from the
+    dense output in one vectorised pass at the end.
+    """
+    # scipy raises rtol to the same floor.
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    t_bound = float(t_eval[-1])
+    samples = t_eval.tolist()
+    try:
+        f = rhs(0.0, y0)
+        as_array = isinstance(f, np.ndarray)
+        h_abs = float(_initial_step(rhs, y0, f, t_bound, max_step, rtol, atol, as_array))
+    except OverflowError:
+        raise StiffnessError("overflow evaluating the initial derivative",
+                             t=0.0, state=y0.copy())
+    if as_array:
+        stages = _array_stages
+        y, f = y0, np.asarray(f, dtype=float)
+    else:
+        stages = _float_stages
+        y, f = y0.tolist(), [float(v) for v in f]
+
+    n = y0.size
+    rec_t = array("d")  # (t_old, t_new) of each recorded step
+    if as_array:
+        rec_y = np.empty((len(samples), n))
+        rec_k = np.empty((len(samples), _N_STAGES, n))
+    else:
+        rec_y, rec_k = array("d"), array("d")
+    t = 0.0
+    next_sample = 0
+    while t < t_bound:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also stops a NaN step size
+                raise StiffnessError(f"step size underflow at t={t!r}", t=t,
+                                     state=np.array(y, dtype=float))
+            t_new = min(t + h_abs, t_bound)
+            h_abs = t_new - t
+            try:
+                y_new, K, err = stages(rhs, t, y, f, h_abs, rtol, atol)
+            except OverflowError:
+                err = math.inf
+            if err < 1.0:
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+
+        if next_sample < len(samples) and samples[next_sample] <= t_new:
+            if as_array:
+                rec_y[len(rec_t) // 2] = y
+                rec_k[len(rec_t) // 2] = K
+            else:
+                rec_y.extend(y)
+                for k in K:
+                    rec_k.extend(k)
+            rec_t.append(t)
+            rec_t.append(t_new)
+            next_sample = bisect_right(samples, t_new, next_sample)
+        t, y, f = t_new, y_new, K[6]
+
+    m = len(rec_t) // 2
+    t01 = np.frombuffer(rec_t).reshape(m, 2)
+    return _dense_samples(t_eval, t01[:, 0], t01[:, 1],
+                          np.reshape(rec_y, (-1, n))[:m],
+                          np.reshape(rec_k, (-1, _N_STAGES, n))[:m])
+
+
 def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
               columns: tuple = FULL_COLUMNS) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
 
     Samples are taken at ``t_eval`` when given, else uniformly.  Raises
-    StiffnessError when the adaptive integrator underflows its step size.
+    StiffnessError, carrying the last accepted time and state, when the
+    adaptive integrator underflows its step size, including when the
+    derivative keeps coming back non-finite or overflowing.
+
+    ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
+    ndarray, and its result fixes the contract for the rest of the run:
+    when it returns an ndarray, ``y`` is always passed as an ndarray;
+    when it returns a tuple or list of floats, ``y`` is passed as a list
+    of Python floats and the stage arithmetic runs on floats, which is
+    much faster for small systems.
     """
     y0 = np.asarray(initial, dtype=float)
     if t_eval is None:
         t_eval = np.linspace(0.0, config.t_end, config.n_samples)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
+        if (t_eval.ndim != 1 or t_eval.size == 0 or not t_eval[0] >= 0.0
+                or not t_eval[-1] > 0.0 or not np.all(np.diff(t_eval) > 0.0)):
+            raise ValueError("t_eval must be strictly increasing times >= 0 "
+                             "that end after t = 0")
 
     if config.method == "rk4":
         step = config.max_step if math.isfinite(config.max_step) else config.t_end / 5000.0
         states = _rk4_fixed(rhs, y0, t_eval, step)
-        return Trajectory(times=t_eval.copy(), states=states, columns=columns)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_eval[-1])),
-        y0,
-        method="RK45",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        t_eval=t_eval,
-    )
-    if sol.status == -1:
-        raise StiffnessError(
-            f"integration failed at t={sol.t[-1] if len(sol.t) else 0.0}: {sol.message}",
-            t=float(sol.t[-1]) if len(sol.t) else 0.0,
-            state=sol.y[:, -1].copy() if sol.y.size else y0,
-        )
-    return Trajectory(times=sol.t.copy(), states=sol.y.T.copy(), columns=columns)
+    else:
+        states = _dopri5(rhs, y0, t_eval, config.rel_tol, config.abs_tol,
+                         config.max_step)
+    return Trajectory(times=t_eval.copy(), states=states, columns=columns)
 
 
 def simulate_full(params: SgParameters, initial: SgState,
@@ -384,12 +592,12 @@ def classify_initial_state(params, initial, equilibria, config, tol=1e-3):
 
 def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
                  config: IntegratorConfig | None = None,
-                 tol: float = 1e-3, executor=None) -> BasinStatistics:
+                 tol: float = 1e-3) -> BasinStatistics:
     """Classify ``n`` seeded-random initial states from ``box``.
 
-    Deterministic for a given seed.  ``executor`` may be a
-    concurrent.futures executor; aggregation is by index, so parallel
-    execution cannot change the statistics.
+    Deterministic for a given seed; each state is drawn from its own
+    (seed, index) stream, so the tally does not depend on the order in
+    which states are classified.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -405,15 +613,10 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
             t_end=t_end, n_samples=n_samples,
             seed=seed,
         )
-    initials = [sample_initial_state(box, seed, i) for i in range(n)]
-    work = lambda st: classify_initial_state(params, st, equilibria, config, tol)
-    if executor is None:
-        verdicts = [work(st) for st in initials]
-    else:
-        verdicts = list(executor.map(work, initials))
-
     stats = BasinStatistics(n=n, seed=seed)
-    for initial, verdict in zip(initials, verdicts):
+    for i in range(n):
+        initial = sample_initial_state(box, seed, i)
+        verdict = classify_initial_state(params, initial, equilibria, config, tol)
         if isinstance(verdict, ConvergedToEquilibrium):
             if verdict.equilibrium.classification is Stability.STABLE:
                 key = "converged_stable"

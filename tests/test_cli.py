@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import swingcert
 from swingcert import cli
 
 from conftest import LINE_V, OMEGA_G, agrees_with_printed
@@ -145,14 +149,12 @@ def test_simulate_deterministic_output(params_n30_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_basin_deterministic_under_threads(params_n30_config, tmp_path, monkeypatch):
+def test_basin_cli_deterministic(params_n30_config, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     args = ["basin", "--config", params_n30_config, "--samples", "4",
             "--seed", "5", "--t-end", "6"]
-    monkeypatch.delenv("SWINGCERT_THREADS", raising=False)
     assert cli.main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("SWINGCERT_THREADS", "3")
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
@@ -192,9 +194,12 @@ def test_validate_reports_numerical_failure(params_n30_config, capsys):
     assert rc == 3
 
 
-def test_threads_env_validation(params_n30_config, monkeypatch, capsys):
-    monkeypatch.setenv("SWINGCERT_THREADS", "soon")
-    rc = cli.main(["basin", "--config", params_n30_config, "--samples", "1",
-                   "--t-end", "1"])
-    assert rc == 2
-    assert "SWINGCERT_THREADS" in capsys.readouterr().err
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(swingcert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, swingcert, swingcert.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

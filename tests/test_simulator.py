@@ -1,5 +1,9 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import swingcert as sc
@@ -9,13 +13,42 @@ from swingcert.simulator import (
     IntegratorConfig,
     PeriodicOrbit,
     StiffnessError,
+    Trajectory,
     Undecided,
+    classify_initial_state,
     default_basin_box,
     default_horizon,
     integrate,
+    sample_initial_state,
     trajectory_csv,
     verdict_to_dict,
 )
+
+
+def _basin_config(params, equilibria):
+    """The configuration basin_sample builds when none is given."""
+    t_end = default_horizon(params, equilibria)
+    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end,
+                            n_samples=int(min(20000, max(2000, 2000.0 * t_end))) + 1)
+
+
+def _scipy_rk45(rhs, y0, config):
+    """Reference solution from scipy's RK45 on the same sample times."""
+    t_eval = np.linspace(0.0, config.t_end, config.n_samples)
+    sol = solve_ivp(rhs, (0.0, config.t_end), y0, method="RK45",
+                    rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval)
+    assert sol.status == 0
+    return sol
+
+
+def _counted(f):
+    """``f`` with a count of its calls in ``.calls``."""
+    def rhs(t, y):
+        rhs.calls += 1
+        return f(t, y)
+
+    rhs.calls = 0
+    return rhs
 
 
 def test_config_validation():
@@ -27,6 +60,14 @@ def test_config_validation():
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(n_samples=1)
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, 0.5, 0.3], [-0.1, 1.0], [0.0], [0.0, np.nan], []])
+def test_integrate_rejects_bad_sample_times(t_eval):
+    for method in ("rk45", "rk4"):
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: (-y[0],), [1.0], IntegratorConfig(method=method),
+                      t_eval=t_eval)
 
 
 def test_equilibrium_is_invariant(params_n30, equilibria_n30):
@@ -77,6 +118,93 @@ def test_stiffness_error_carries_state():
     assert excinfo.value.state is not None
 
 
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+@pytest.mark.parametrize("rel_tol, abs_tol", [(1e-6, 1e-8), (1e-9, 1e-11)])
+def test_rk45_matches_scipy(design, rel_tol, abs_tol, request):
+    params = request.getfixturevalue(design)
+    rhs = sc.full_rhs(params)
+    box = default_basin_box(params)
+    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=1.0,
+                              n_samples=1001)
+    for i in range(2):
+        y0 = sample_initial_state(box, 41, i).as_array()
+        ref = _scipy_rk45(rhs, y0, config)
+        scale = np.max(np.abs(ref.y), axis=1)
+        # Tuple-returning rhs (float stages) and ndarray rhs (array stages).
+        for f in (rhs, lambda t, y: np.array(rhs(t, y))):
+            counted = _counted(f)
+            states = integrate(counted, y0, config).states
+            assert np.all(np.abs(states - ref.y.T) <= 1e-6 * scale)
+            # Same initial step, controller and rejections: same rhs count.
+            assert counted.calls == ref.nfev
+
+
+@pytest.mark.parametrize("rel_tol, abs_tol", [(1e-6, 1e-8), (1e-9, 1e-11), (1e-16, 1e-18)])
+def test_rk45_step_control_matches_scipy(rel_tol, abs_tol):
+    # y' jumps from 0 to 1 at t = 0.3: the zero error estimate before the
+    # jump grows the step by the largest factor, the jump forces rejections
+    # at the smallest, and 1e-16 is below the relative tolerance floor.
+    f = lambda t, y: (0.0 if t < 0.3 else 1.0,)
+    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=1.0,
+                              n_samples=101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy: rtol too small
+        ref = _scipy_rk45(f, [1.0], config)
+    counted = _counted(f)
+    traj = integrate(counted, [1.0], config)
+    assert counted.calls == ref.nfev
+    assert np.allclose(traj.states[:, 0], ref.y[0], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_verdicts_match_scipy(design, request):
+    params = request.getfixturevalue(design)
+    equilibria = sc.solve_equilibria(params)
+    config = _basin_config(params, equilibria)
+    rhs = sc.full_rhs(params)
+    box = default_basin_box(params)
+    for i in range(12):
+        y0 = sample_initial_state(box, 5, i).as_array()
+        ours = sc.detect_convergence(integrate(rhs, y0, config), equilibria,
+                                     params=params)
+        sol = _scipy_rk45(rhs, y0, config)
+        ref = sc.detect_convergence(Trajectory(times=sol.t, states=sol.y.T),
+                                    equilibria, params=params)
+        assert ours.kind == ref.kind
+        assert getattr(ours, "sheet", None) == getattr(ref, "sheet", None)
+
+
+def _fails_from(t_fail, bad, as_array):
+    """rhs of y' = 1 that hits ``bad`` (a NaN or an overflow) from ``t_fail``.
+
+    From y(0) = 1 a NaN at t = 0 also makes the first step size NaN.
+    """
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        if calls[0] > 100000:
+            raise RuntimeError("integrator keeps retrying a failing step")
+        value = 1.0 if t < t_fail else bad()
+        return np.array([value]) if as_array else (value,)
+
+    return rhs
+
+
+@pytest.mark.parametrize("t_fail", [0.0, 0.5])
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("bad", [lambda: float("nan"), lambda: 10.0 ** 400],
+                         ids=["nan", "overflow"])
+def test_numerical_failure_keeps_last_finite_state(t_fail, bad, as_array):
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=1.0, n_samples=11)
+    with pytest.raises(StiffnessError) as excinfo:
+        integrate(_fails_from(t_fail, bad, as_array), [1.0], config)
+    t, state = excinfo.value.t, excinfo.value.state
+    assert t_fail - 0.1 < t <= t_fail
+    assert np.all(np.isfinite(state))
+    assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
+
+
 def test_detect_convergence_at_stable_point(params_n30, equilibria_n30):
     stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
     config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=5.0, n_samples=501)
@@ -108,6 +236,27 @@ def test_basin_sample_deterministic(params_rs216):
     a = sc.basin_sample(params_rs216, n=6, seed=9)
     b = sc.basin_sample(params_rs216, n=6, seed=9)
     assert a.to_dict() == b.to_dict()
+
+
+def test_basin_tally_independent_of_order(params_rs216):
+    stats = sc.basin_sample(params_rs216, n=6, seed=9)
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = _basin_config(params_rs216, equilibria)
+    box = default_basin_box(params_rs216)
+    tally, exemplars = Counter(), {}
+    for i in reversed(range(6)):
+        initial = sample_initial_state(box, 9, i)
+        verdict = classify_initial_state(params_rs216, initial, equilibria, config)
+        key = verdict.kind
+        if isinstance(verdict, ConvergedToEquilibrium):
+            stable = verdict.equilibrium.classification.value == "stable"
+            key = "converged_stable" if stable else "converged_unstable"
+        tally[key] += 1
+        exemplars[key] = list(initial.as_array())  # ends on the lowest index
+    doc = stats.to_dict()
+    assert {k: doc[k] for k in tally} == dict(tally)
+    assert sum(tally.values()) == 6
+    assert doc["exemplars"] == exemplars
 
 
 def test_basin_sample_rejects_bad_n(params_n30):
