@@ -16,6 +16,12 @@ bound contracts to zero: every trajectory converges to an equilibrium,
 and with all equilibria hyperbolic the model is almost globally
 asymptotically stable.
 
+Each envelope is described once, as a table of sine pieces
+(``_pieces``); evaluation, the closed-form integrals and the periods all
+read that table.  One grid pass (``_certificate_map``) computes the band,
+P_l, P_u and nscr with array arithmetic; ``check_certificate``, ``nscr``
+and ``p_bounds`` all go through it.
+
 A finite grid cannot literally check "for all d"; ``check_certificate``
 evaluates a dense log-spaced grid including d = Gamma, reports the worst
 margin, and refuses to certify when the relative margin is below a
@@ -120,125 +126,130 @@ def velocity_band(dc: DerivedConstants, d: float) -> VelocityBand:
     )
 
 
-def _check_band(omega_min: float, omega_max: float):
-    if not (0.0 < omega_min <= omega_max * (1.0 + _EDGE_EPS)):
+def _check_band(omega_min, omega_max):
+    if not np.all((0.0 < omega_min) & (omega_min <= omega_max * (1.0 + _EDGE_EPS))):
         raise ValueError(f"need 0 < omega_min <= omega_max, got {omega_min}, {omega_max}")
-    if omega_max > 2.0 * omega_min * (1.0 + _EDGE_EPS):
+    if np.any(omega_max > 2.0 * omega_min * (1.0 + _EDGE_EPS)):
         raise ValueError(
             f"band condition omega_max <= 2 omega_min violated: {omega_max} > 2*{omega_min}"
         )
 
 
-def envelope_g(tau, omega_min: float, omega_max: float):
-    """Upper envelope of the rotating phase sine over one fast period.
+def _pieces(omega_min, omega_max) -> tuple:
+    """Piece tables (g, h) of the two envelopes for the rate band.
 
-    Piecewise on [0, 2*pi/omega_max]: the fast sine up to its crest, the
-    plateau 1 until the slow sine crests, then the slow sine down to the
-    matching point 3*pi/(omega_min+omega_max), then the fast sine again.
-    Requires omega_min <= omega_max <= 2 omega_min.
+    Each piece (start, end, omega, phase) is sin(omega*tau + phase) on
+    [start, end); the plateaus +1 and -1 are omega = 0 with phase +-pi/2.
+    g covers one fast period [0, 2*pi/omega_max]: the fast sine up to its
+    crest, the plateau 1 until the slow sine crests, the slow sine down to
+    the matching point, then the fast sine again.  h covers one slow period
+    [0, 2*pi/omega_min]: the slow sine, the fast sine down to its trough,
+    the plateau -1, then the slow sine back to zero.  The band may be
+    scalars or arrays; requires omega_min <= omega_max <= 2 omega_min.
     """
     _check_band(omega_min, omega_max)
-    t = np.asarray(tau, dtype=float)
-    hi = _TWO_PI / omega_max
-    if np.any(t < -_EDGE_EPS * hi) or np.any(t > hi * (1.0 + _EDGE_EPS)):
-        raise ValueError(f"tau outside [0, {hi}]")
     b1 = math.pi / (2.0 * omega_max)
     b2 = math.pi / (2.0 * omega_min)
     b3 = 3.0 * math.pi / (omega_min + omega_max)
-    out = np.select(
-        [t < b1, t < b2, t < b3],
-        [np.sin(omega_max * t), np.ones_like(t), np.sin(omega_min * t)],
-        default=np.sin(omega_max * t),
-    )
-    return float(out) if np.ndim(tau) == 0 else out
-
-
-def envelope_h(tau, omega_min: float, omega_max: float):
-    """Lower envelope of the rotating phase sine over one slow period.
-
-    Piecewise on [0, 2*pi/omega_min]: the slow sine, the fast sine from
-    pi/(omega_min+omega_max) down to its trough, the plateau -1, then the
-    slow sine back to zero.  Requires omega_min <= omega_max <= 2 omega_min.
-    """
-    _check_band(omega_min, omega_max)
-    t = np.asarray(tau, dtype=float)
-    hi = _TWO_PI / omega_min
-    if np.any(t < -_EDGE_EPS * hi) or np.any(t > hi * (1.0 + _EDGE_EPS)):
-        raise ValueError(f"tau outside [0, {hi}]")
     c1 = math.pi / (omega_min + omega_max)
     c2 = 3.0 * math.pi / (2.0 * omega_max)
     c3 = 3.0 * math.pi / (2.0 * omega_min)
+    g = (
+        (0.0, b1, omega_max, 0.0),
+        (b1, b2, 0.0, _HALF_PI),
+        (b2, b3, omega_min, 0.0),
+        (b3, _TWO_PI / omega_max, omega_max, 0.0),
+    )
+    h = (
+        (0.0, c1, omega_min, 0.0),
+        (c1, c2, omega_max, 0.0),
+        (c2, c3, 0.0, -_HALF_PI),
+        (c3, _TWO_PI / omega_min, omega_min, 0.0),
+    )
+    return g, h
+
+
+def _evaluate(pieces, tau):
+    t = np.asarray(tau, dtype=float)
+    hi = pieces[-1][1]
+    if np.any(t < -_EDGE_EPS * hi) or np.any(t > hi * (1.0 + _EDGE_EPS)):
+        raise ValueError(f"tau outside [0, {hi}]")
+    *head, (_, _, omega, phase) = pieces
     out = np.select(
-        [t < c1, t < c2, t < c3],
-        [np.sin(omega_min * t), np.sin(omega_max * t), -np.ones_like(t)],
-        default=np.sin(omega_min * t),
+        [t < end for _, end, _, _ in head],
+        [np.sin(w * t + ph) for _, _, w, ph in head],
+        default=np.sin(omega * t + phase),
     )
     return float(out) if np.ndim(tau) == 0 else out
 
 
-def exp_sin_moment(a: float, omega: float, tau0: float, tau1: float, phase: float = 0.0) -> float:
+def envelope_g(tau, omega_min: float, omega_max: float):
+    """Upper envelope of the rotating phase sine over one fast period
+    [0, 2*pi/omega_max], evaluated from the g table of ``_pieces``."""
+    return _evaluate(_pieces(omega_min, omega_max)[0], tau)
+
+
+def envelope_h(tau, omega_min: float, omega_max: float):
+    """Lower envelope of the rotating phase sine over one slow period
+    [0, 2*pi/omega_min], evaluated from the h table of ``_pieces``."""
+    return _evaluate(_pieces(omega_min, omega_max)[1], tau)
+
+
+def exp_sin_moment(a, omega, tau0, tau1, phase=0.0):
     """Closed form of Int_{tau0}^{tau1} e^{-a tau} sin(omega tau + phase) dtau.
 
     The antiderivative is -e^{-a tau} (a sin(omega tau + phase) +
     omega cos(omega tau + phase)) / (a^2 + omega^2).  With omega = 0 and
-    phase = +-pi/2 this covers the constant pieces +-1.
+    phase = +-pi/2 this covers the constant pieces +-1.  Arguments may be
+    scalars or arrays.
     """
-    if not a > 0.0:
+    if not np.all(a > 0.0):
         raise ValueError(f"a must be > 0, got {a!r}")
     den = a * a + omega * omega
 
     def anti(tau):
         arg = omega * tau + phase
-        return -math.exp(-a * tau) * (a * math.sin(arg) + omega * math.cos(arg)) / den
+        return -np.exp(-a * tau) * (a * np.sin(arg) + omega * np.cos(arg)) / den
 
     return anti(tau1) - anti(tau0)
 
 
-def _integral_exp_envelope_g(a: float, omega_min: float, omega_max: float) -> float:
-    """Int_0^{2 pi / omega_max} e^{-a tau} g(tau) dtau, piecewise closed form."""
-    b1 = math.pi / (2.0 * omega_max)
-    b2 = math.pi / (2.0 * omega_min)
-    b3 = 3.0 * math.pi / (omega_min + omega_max)
-    b4 = _TWO_PI / omega_max
-    return (
-        exp_sin_moment(a, omega_max, 0.0, b1)
-        + exp_sin_moment(a, 0.0, b1, b2, phase=_HALF_PI)
-        + exp_sin_moment(a, omega_min, b2, b3)
-        + exp_sin_moment(a, omega_max, b3, b4)
-    )
-
-
-def _integral_exp_envelope_h(a: float, omega_min: float, omega_max: float) -> float:
-    """Int_0^{2 pi / omega_min} e^{-a tau} h(tau) dtau, piecewise closed form."""
-    c1 = math.pi / (omega_min + omega_max)
-    c2 = 3.0 * math.pi / (2.0 * omega_max)
-    c3 = 3.0 * math.pi / (2.0 * omega_min)
-    c4 = _TWO_PI / omega_min
-    return (
-        exp_sin_moment(a, omega_min, 0.0, c1)
-        + exp_sin_moment(a, omega_max, c1, c2)
-        + exp_sin_moment(a, 0.0, c2, c3, phase=-_HALF_PI)
-        + exp_sin_moment(a, omega_min, c3, c4)
-    )
-
-
-def p_bounds_for_band(p_rho: float, omega_min: float, omega_max: float) -> tuple:
+def p_bounds_for_band(p_rho, omega_min, omega_max) -> tuple:
     """(P_l, P_u) for an explicit admissible rate band in normalised time.
 
     P_u = p rho / (1 - e^{-p rho T_max}) * Int_0^{T_max} e^{-p rho tau} g;
     P_l likewise with h over [0, T_min], where the geometric-sum period T
-    is T_max when the h-integral is negative, T_min otherwise.
+    is T_max when the h-integral is negative, T_min otherwise.  The
+    integrals are summed piece by piece over the ``_pieces`` tables, whose
+    last ends are T_max and T_min.  The band may be scalars or arrays.
     """
-    _check_band(omega_min, omega_max)
-    T_max = _TWO_PI / omega_max
-    T_min = _TWO_PI / omega_min
-    ig = _integral_exp_envelope_g(p_rho, omega_min, omega_max)
-    ih = _integral_exp_envelope_h(p_rho, omega_min, omega_max)
+    g, h = _pieces(omega_min, omega_max)
+    ig = sum(exp_sin_moment(p_rho, w, t0, t1, ph) for t0, t1, w, ph in g)
+    ih = sum(exp_sin_moment(p_rho, w, t0, t1, ph) for t0, t1, w, ph in h)
+    T_max, T_min = g[-1][1], h[-1][1]
     # -expm1(-x) = 1 - e^{-x}, stable when p rho T is small.
-    P_u = p_rho * ig / -math.expm1(-p_rho * T_max)
-    T = T_max if ih < 0.0 else T_min
-    P_l = p_rho * ih / -math.expm1(-p_rho * T)
+    P_u = p_rho * ig / -np.expm1(-p_rho * T_max)
+    T = np.where(ih < 0.0, T_max, T_min)
+    P_l = p_rho * ih / -np.expm1(-p_rho * T)
     return P_l, P_u
+
+
+def _certificate_map(dc: DerivedConstants, grid) -> tuple:
+    """The certificate over a d grid: (nscr, P_l, P_u, omega_min_d,
+    omega_max_d, band_ok), one array each.
+
+    The band comes from ``velocity_band`` point by point; where it does not
+    apply (P_l, P_u) = (0, 1), elsewhere one array call of
+    ``p_bounds_for_band`` gives the bounds.
+    """
+    bands = [velocity_band(dc, float(d)) for d in grid]
+    w_min = np.array([b.omega_min_d for b in bands])
+    w_max = np.array([b.omega_max_d for b in bands])
+    ok = np.array([b.band_ok for b in bands], dtype=bool)
+    P_l, P_u = np.zeros(len(bands)), np.ones(len(bands))
+    P_l[ok], P_u[ok] = p_bounds_for_band(dc.p * dc.rho, w_min[ok], w_max[ok])
+    values = dc.V_r * np.maximum(P_u - dc.P_inf, dc.P_inf - P_l)
+    return values, P_l, P_u, w_min, w_max, ok
 
 
 def p_bounds(dc: DerivedConstants, d: float) -> tuple:
@@ -249,10 +260,8 @@ def p_bounds(dc: DerivedConstants, d: float) -> tuple:
     As d -> 0 the band collapses onto rho*omega_g and both bounds converge
     to P_inf.
     """
-    band = velocity_band(dc, d)
-    if not band.band_ok:
-        return 0.0, 1.0
-    return p_bounds_for_band(dc.p * dc.rho, band.omega_min_d, band.omega_max_d)
+    _, P_l, P_u, _, _, _ = _certificate_map(dc, (d,))
+    return float(P_l[0]), float(P_u[0])
 
 
 def nscr(dc: DerivedConstants, d: float) -> float:
@@ -263,8 +272,8 @@ def nscr(dc: DerivedConstants, d: float) -> float:
     """
     if not 0.0 < d <= dc.Gamma * (1.0 + _EDGE_EPS):
         raise ValueError(f"d must lie in (0, Gamma={dc.Gamma}], got {d!r}")
-    P_l, P_u = p_bounds(dc, d)
-    return dc.V_r * max(P_u - dc.P_inf, dc.P_inf - P_l)
+    values, *_ = _certificate_map(dc, (d,))
+    return float(values[0])
 
 
 @dataclass
@@ -319,17 +328,11 @@ class CertificateReport:
         return out
 
 
-def certificate_grid(Gamma: float, n_points: int = DEFAULT_GRID_POINTS,
-                     spacing: str = "log") -> np.ndarray:
-    """d grid over (0, Gamma], always ending exactly at Gamma."""
+def certificate_grid(Gamma: float, n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Log-spaced d grid from Gamma * DEFAULT_GRID_FLOOR up to exactly Gamma."""
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
-    if spacing == "log":
-        grid = np.geomspace(Gamma * DEFAULT_GRID_FLOOR, Gamma, n_points)
-    elif spacing == "linear":
-        grid = np.linspace(Gamma / n_points, Gamma, n_points)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    grid = np.geomspace(Gamma * DEFAULT_GRID_FLOOR, Gamma, n_points)
     grid[-1] = Gamma
     return grid
 
@@ -337,7 +340,6 @@ def certificate_grid(Gamma: float, n_points: int = DEFAULT_GRID_POINTS,
 def check_certificate(
     params: SgParameters,
     n_points: int = DEFAULT_GRID_POINTS,
-    spacing: str = "log",
     rel_margin_threshold: float = DEFAULT_REL_MARGIN_THRESHOLD,
 ) -> CertificateReport:
     """Evaluate the certificate on a d grid and issue a verdict.
@@ -347,22 +349,8 @@ def check_certificate(
     ``rel_margin_threshold``.
     """
     dc = derive_constants(params)
-    grid = certificate_grid(dc.Gamma, n_points, spacing)
-
-    values = np.empty_like(grid)
-    w_min = np.empty_like(grid)
-    w_max = np.empty_like(grid)
-    ok = np.empty(len(grid), dtype=bool)
-    for i, d in enumerate(grid):
-        band = velocity_band(dc, float(d))
-        w_min[i] = band.omega_min_d
-        w_max[i] = band.omega_max_d
-        ok[i] = band.band_ok
-        if band.band_ok:
-            P_l, P_u = p_bounds_for_band(dc.p * dc.rho, band.omega_min_d, band.omega_max_d)
-        else:
-            P_l, P_u = 0.0, 1.0
-        values[i] = dc.V_r * max(P_u - dc.P_inf, dc.P_inf - P_l)
+    grid = certificate_grid(dc.Gamma, n_points)
+    values, _, _, w_min, w_max, ok = _certificate_map(dc, grid)
 
     margins = grid - values
     i_worst = int(np.argmin(margins / grid))

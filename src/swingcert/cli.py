@@ -35,6 +35,7 @@ from .certificate import certificate_csv, check_certificate
 from .equilibria import solve_equilibria
 from .simulator import (
     IntegratorConfig,
+    basin_config,
     basin_sample,
     cross_validate,
     detect_convergence,
@@ -157,6 +158,8 @@ def _parse_initial(text, params) -> SgState:
         values = [float(v) for v in parts]
     except ValueError:
         raise UsageError(f"--initial has a non-numeric component: {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"--initial has a non-finite component: {text!r}")
     return SgState(*values)
 
 
@@ -165,7 +168,7 @@ def cmd_simulate(args) -> int:
     initial = _parse_initial(args.initial, params)
     config = IntegratorConfig(
         method=args.method, rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-        t_end=args.t_end, n_samples=args.samples, seed=args.seed,
+        t_end=args.t_end, n_samples=args.samples,
     )
     if args.ese:
         traj = simulate_ese(params, initial, config)
@@ -180,11 +183,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_basin(args) -> int:
     params = params_from_config(load_config(args.config, args.set))
-    config = None
-    if args.t_end is not None:
-        config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=args.t_end,
-                                  n_samples=int(min(20000, max(2000, 2000 * args.t_end))) + 1,
-                                  seed=args.seed)
+    config = None if args.t_end is None else basin_config(args.t_end)
     stats = basin_sample(params, n=args.samples, seed=args.seed, config=config)
     _emit(_dump(stats.to_dict()), args.out)
     return EXIT_OK
@@ -195,6 +194,8 @@ def cmd_sweep(args) -> int:
     base = params_from_config(data)
     if args.param not in base.to_dict():
         raise UsageError(f"unknown sweep parameter {args.param!r}")
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     if args.log:
         if args.min <= 0:
             raise UsageError("--log sweep needs --min > 0")
@@ -218,6 +219,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     params = params_from_config(load_config(args.config, args.set))
     box = default_basin_box(params)
     deviations = []
@@ -284,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=1e-11)
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=2001, help="output samples")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("basin", help="sample initial states and tally outcomes")

@@ -49,8 +49,7 @@ class IntegratorConfig:
     method is "rk45" (adaptive, embedded error control) or "rk4"
     (fixed step; the step is ``max_step`` when finite, else t_end/5000).
     ``n_samples`` output samples are placed uniformly on [0, t_end] unless
-    explicit sample times are passed to ``integrate``.  ``seed`` only
-    matters for sampling-based drivers built on top.
+    explicit sample times are passed to ``integrate``.
     """
 
     method: str = "rk45"
@@ -59,7 +58,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     t_end: float = 10.0
     n_samples: int = 2001
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -424,6 +422,10 @@ def simulate_ese(params: SgParameters, initial: SgState,
 
 # Classification ------------------------------------------------------------
 
+# Share of a trajectory's final samples that must stay near one equilibrium.
+WINDOW_FRACTION = 0.1
+
+
 def _convergence_scales(equilibria) -> np.ndarray:
     cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
     omega = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
@@ -431,17 +433,16 @@ def _convergence_scales(equilibria) -> np.ndarray:
 
 
 def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
-                       params: SgParameters | None = None,
-                       window_fraction: float = 0.1):
+                       params: SgParameters | None = None):
     """Classify a full-model trajectory.
 
-    ConvergedToEquilibrium when the last ``window_fraction`` of samples
+    ConvergedToEquilibrium when the last ``WINDOW_FRACTION`` of samples
     stays within ``tol`` of one equilibrium (per-component scaled; delta
     compared modulo 2*pi, winding sheet recorded); otherwise defers to
     ``detect_periodic``; otherwise Undecided.
     """
     n = len(traj.times)
-    window = traj.states[max(0, n - max(2, int(math.ceil(window_fraction * n)))):]
+    window = traj.states[max(0, n - max(2, int(math.ceil(WINDOW_FRACTION * n)))):]
     scales = _convergence_scales(equilibria)
     for pt in equilibria:
         target = pt.state.as_array()
@@ -548,6 +549,16 @@ def default_horizon(params: SgParameters, equilibria=None) -> float:
     return 60.0
 
 
+def basin_config(t_end: float) -> IntegratorConfig:
+    """Integration settings for basin sampling over a horizon of ``t_end`` s.
+
+    Sampled at 2000 per second, clamped to 2000..20000 intervals: enough
+    samples to resolve pole-slip orbits in the classifier.
+    """
+    n_samples = int(min(20000, max(2000, 2000.0 * t_end))) + 1
+    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end, n_samples=n_samples)
+
+
 @dataclass
 class BasinStatistics:
     """Monte-Carlo classification counts over sampled initial states."""
@@ -605,14 +616,7 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
         box = default_basin_box(params)
     equilibria = solve_equilibria(params)
     if config is None:
-        t_end = default_horizon(params, equilibria)
-        # Enough samples to resolve pole-slip orbits in the classifier.
-        n_samples = int(min(20000, max(2000, 2000.0 * t_end))) + 1
-        config = IntegratorConfig(
-            rel_tol=1e-6, abs_tol=1e-8,
-            t_end=t_end, n_samples=n_samples,
-            seed=seed,
-        )
+        config = basin_config(default_horizon(params, equilibria))
     stats = BasinStatistics(n=n, seed=seed)
     for i in range(n):
         initial = sample_initial_state(box, seed, i)

@@ -342,15 +342,36 @@ def test_certificate_report_dict(params_n30):
 
 
 def test_certificate_grid_spacing():
-    grid = certificate_grid(2.0, 100, spacing="log")
+    grid = certificate_grid(2.0, 100)
     assert grid[0] == pytest.approx(2e-6)
     assert grid[-1] == 2.0
-    lin = certificate_grid(2.0, 100, spacing="linear")
-    assert lin[-1] == 2.0
     with pytest.raises(ValueError):
         certificate_grid(2.0, 1)
+
+
+@pytest.mark.parametrize("design", ["params_n1", "params_n30"])
+def test_check_certificate_equals_pointwise_nscr(design, request):
+    # n=1 takes the (0, 1) fallback on part of the grid, n=30 the closed
+    # form everywhere; the grid pass and nscr(d) must be one computation.
+    params = request.getfixturevalue(design)
+    dc = sc.derive_constants(params)
+    report = sc.check_certificate(params)
+    assert (not np.all(report.band_ok)) == (design == "params_n1")
+    for d, value in zip(report.d_grid, report.nscr_values):
+        assert value == sc.nscr(dc, float(d))
+
+
+def test_p_bounds_for_band_arrays_equal_scalar_calls():
+    rng = np.random.default_rng(36)
+    p_rho = 1.3
+    w_min = rng.uniform(0.2, 30.0, size=50)
+    w_max = w_min * rng.uniform(1.0, 2.0, size=50)
+    P_l, P_u = p_bounds_for_band(p_rho, w_min, w_max)
+    for k in range(len(w_min)):
+        assert (P_l[k], P_u[k]) == p_bounds_for_band(p_rho, float(w_min[k]), float(w_max[k]))
+    w_max[17] = 2.5 * w_min[17]
     with pytest.raises(ValueError):
-        certificate_grid(2.0, 10, spacing="cubic")
+        p_bounds_for_band(p_rho, w_min, w_max)
 
 
 def test_certificate_soundness_against_simulation(params_n1):

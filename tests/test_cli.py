@@ -139,11 +139,26 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     assert "i_d,i_q,omega,delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--param", "D_p", "--min", "100", "--max", "200", "--points", "0"],
+     "--points must be >= 1"),
+    (["validate", "--samples", "0"], "--samples must be >= 1"),
+    (["simulate", "--initial", "nan,0,314,0"], "non-finite component"),
+    (["simulate", "--initial", "0,0,inf,0"], "non-finite component"),
+])
+def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
+    rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",
+                              str(tmp_path / "out")] + argv[1:])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_deterministic_output(params_n30_config, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     base = ["simulate", "--config", params_n30_config, "--t-end", "2",
-            "--samples", "201", "--initial", "5,-5,320,0.3", "--seed", "1"]
+            "--samples", "201", "--initial", "5,-5,320,0.3"]
     assert cli.main(base + ["--out", str(a)]) == 0
     assert cli.main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -15,6 +15,7 @@ from swingcert.simulator import (
     StiffnessError,
     Trajectory,
     Undecided,
+    basin_config,
     classify_initial_state,
     default_basin_box,
     default_horizon,
@@ -23,13 +24,6 @@ from swingcert.simulator import (
     trajectory_csv,
     verdict_to_dict,
 )
-
-
-def _basin_config(params, equilibria):
-    """The configuration basin_sample builds when none is given."""
-    t_end = default_horizon(params, equilibria)
-    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end,
-                            n_samples=int(min(20000, max(2000, 2000.0 * t_end))) + 1)
 
 
 def _scipy_rk45(rhs, y0, config):
@@ -160,7 +154,7 @@ def test_rk45_step_control_matches_scipy(rel_tol, abs_tol):
 def test_verdicts_match_scipy(design, request):
     params = request.getfixturevalue(design)
     equilibria = sc.solve_equilibria(params)
-    config = _basin_config(params, equilibria)
+    config = basin_config(default_horizon(params, equilibria))
     rhs = sc.full_rhs(params)
     box = default_basin_box(params)
     for i in range(12):
@@ -241,7 +235,7 @@ def test_basin_sample_deterministic(params_rs216):
 def test_basin_tally_independent_of_order(params_rs216):
     stats = sc.basin_sample(params_rs216, n=6, seed=9)
     equilibria = sc.solve_equilibria(params_rs216)
-    config = _basin_config(params_rs216, equilibria)
+    config = basin_config(default_horizon(params_rs216, equilibria))
     box = default_basin_box(params_rs216)
     tally, exemplars = Counter(), {}
     for i in reversed(range(6)):
