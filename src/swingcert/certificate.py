@@ -67,11 +67,13 @@ def rest_angles(beta: float, d: float):
 class VelocityBand:
     """Eventual bounds on the normalised rotor rate for a forcing bound d.
 
-    When the rest angles exist and the damping clears the capture
-    threshold (alpha > 2 sin(|psi_i|/2)), the refined envelope angles
-    phi1, phi2 apply; otherwise the fallback S_n = -1, S_p = 1 is used and
-    psi/phi fields are None.  Always omega_n < omega_p and hence
-    omega_min_d < omega_max_d.
+    When the rest angles exist (|beta| + d < 1) they are psi1, psi2; when
+    the damping also clears the capture threshold (alpha > 2 sin(|psi_i|/2))
+    the refined envelope angles phi1, phi2 apply; otherwise the fallback
+    S_n = -1, S_p = 1 is used.  For a float d the fields are floats and an
+    undefined angle is None; for an array d they are arrays and an undefined
+    angle is NaN.  Always omega_n < omega_p and hence omega_min_d <
+    omega_max_d.
     """
 
     d: float
@@ -90,40 +92,42 @@ class VelocityBand:
     @property
     def band_ok(self) -> bool:
         """Envelope applicability: positive band with omega_max <= 2 omega_min."""
-        return self.omega_min_d > 0.0 and self.omega_max_d <= 2.0 * self.omega_min_d
+        return (self.omega_min_d > 0.0) & (self.omega_max_d <= 2.0 * self.omega_min_d)
 
 
-def velocity_band(dc: DerivedConstants, d: float) -> VelocityBand:
-    """Velocity trap for forcing bound d (see ``VelocityBand``)."""
-    if not d > 0.0:
+def velocity_band(dc: DerivedConstants, d) -> VelocityBand:
+    """Velocity trap for forcing bound d, a float or an array (see
+    ``VelocityBand``); every d must be > 0."""
+    d = np.asarray(d, dtype=float)
+    if not (d > 0.0).all():
         raise ValueError(f"d must be > 0, got {d!r}")
     alpha, beta = dc.alpha, dc.beta
-    pair = rest_angles(beta, d)
-    psi1 = psi2 = phi1 = phi2 = None
-    refined = False
-    if pair is not None:
-        psi1, psi2 = pair
-        if alpha > 2.0 * math.sin(abs(psi1) / 2.0) and alpha > 2.0 * math.sin(
-            abs(psi2) / 2.0
-        ):
-            refined = True
-    if refined:
-        slack = 4.0 * d / alpha**2
-        phi1 = min(_HALF_PI, psi1 + slack)
-        phi2 = max(-_HALF_PI, psi2 - slack)
-        S_n = -math.sin(phi1)
-        S_p = -math.sin(phi2)
-    else:
-        S_n, S_p = -1.0, 1.0
+    rest = abs(beta) + d < 1.0
+    # arcsin(NaN) is NaN, and NaN compares false, so points without rest
+    # angles get NaN angles and are not refined.
+    psi1 = np.arcsin(np.where(rest, beta + d, np.nan))
+    psi2 = np.arcsin(np.where(rest, beta - d, np.nan))
+    refined = (alpha > 2.0 * np.sin(np.abs(psi1) / 2.0)) & (
+        alpha > 2.0 * np.sin(np.abs(psi2) / 2.0)
+    )
+    slack = 4.0 * d / alpha**2
+    phi1 = np.where(refined, np.minimum(_HALF_PI, psi1 + slack), np.nan)
+    phi2 = np.where(refined, np.maximum(-_HALF_PI, psi2 - slack), np.nan)
+    S_n = np.where(refined, -np.sin(phi1), -1.0)
+    S_p = np.where(refined, -np.sin(phi2), 1.0)
     omega_n = (S_n + beta - d) / alpha
     omega_p = (S_p + beta + d) / alpha
     shift = dc.rho * dc.omega_g
-    return VelocityBand(
+    fields = dict(
         d=d, psi1=psi1, psi2=psi2, phi1=phi1, phi2=phi2, S_n=S_n, S_p=S_p,
         omega_n=omega_n, omega_p=omega_p,
         omega_min_d=omega_n + shift, omega_max_d=omega_p + shift,
         refined=refined,
     )
+    if d.ndim == 0:
+        fields = {key: None if math.isnan(value) else value.item()
+                  for key, value in fields.items()}
+    return VelocityBand(**fields)
 
 
 def _check_band(omega_min, omega_max):
@@ -238,15 +242,13 @@ def _certificate_map(dc: DerivedConstants, grid) -> tuple:
     """The certificate over a d grid: (nscr, P_l, P_u, omega_min_d,
     omega_max_d, band_ok), one array each.
 
-    The band comes from ``velocity_band`` point by point; where it does not
+    One array call of ``velocity_band`` gives the band; where it does not
     apply (P_l, P_u) = (0, 1), elsewhere one array call of
     ``p_bounds_for_band`` gives the bounds.
     """
-    bands = [velocity_band(dc, float(d)) for d in grid]
-    w_min = np.array([b.omega_min_d for b in bands])
-    w_max = np.array([b.omega_max_d for b in bands])
-    ok = np.array([b.band_ok for b in bands], dtype=bool)
-    P_l, P_u = np.zeros(len(bands)), np.ones(len(bands))
+    band = velocity_band(dc, grid)
+    w_min, w_max, ok = band.omega_min_d, band.omega_max_d, band.band_ok
+    P_l, P_u = np.zeros(len(ok)), np.ones(len(ok))
     P_l[ok], P_u[ok] = p_bounds_for_band(dc.p * dc.rho, w_min[ok], w_max[ok])
     values = dc.V_r * np.maximum(P_u - dc.P_inf, dc.P_inf - P_l)
     return values, P_l, P_u, w_min, w_max, ok
@@ -396,10 +398,11 @@ def certificate_csv(report: CertificateReport) -> str:
     Floats carry 17 significant digits so downstream plots reproduce the
     certificate exactly.
     """
-    lines = ["d,nscr,omega_min_d,omega_max_d,band_ok"]
-    for d, v, lo, hi, ok in zip(
-        report.d_grid, report.nscr_values, report.omega_min_d,
-        report.omega_max_d, report.band_ok,
-    ):
-        lines.append(f"{d:.17g},{v:.17g},{lo:.17g},{hi:.17g},{int(ok)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(
+        report.d_grid.tolist(), report.nscr_values.tolist(),
+        report.omega_min_d.tolist(), report.omega_max_d.tolist(),
+        report.band_ok.tolist(),
+    )
+    return "d,nscr,omega_min_d,omega_max_d,band_ok\n" + "".join(
+        ["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in rows]
+    )

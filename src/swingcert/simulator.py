@@ -62,10 +62,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # Written as "not x > 0" so that NaN fails too.
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be > 0")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be finite and > 0")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
 
@@ -679,8 +680,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     """
     import json
 
-    lines = ["t," + ",".join(traj.columns)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
-    lines.append("# verdict: " + json.dumps(verdict_to_dict(traj.verdict), sort_keys=True))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * (1 + len(traj.columns))) + "\n"
+    return (
+        "t," + ",".join(traj.columns) + "\n"
+        + "".join([row % (t, *y) for t, y in zip(traj.times.tolist(), traj.states.tolist())])
+        + "# verdict: " + json.dumps(verdict_to_dict(traj.verdict), sort_keys=True) + "\n"
+    )

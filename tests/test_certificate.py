@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +100,52 @@ def test_velocity_band_rejects_nonpositive_d(dc_n30):
         sc.velocity_band(dc_n30, 0.0)
     with pytest.raises(ValueError):
         sc.velocity_band(dc_n30, -0.1)
+    for bad in (0.0, -1e-3, math.nan):
+        grid = certificate_grid(dc_n30.Gamma, 20)
+        grid[7] = bad
+        with pytest.raises(ValueError):
+            velocity_band(dc_n30, grid)
+
+
+def _reference_band(dc, d):
+    """(refined, omega_min_d, omega_max_d) for one d, in scalar math."""
+    alpha, beta = dc.alpha, dc.beta
+    pair = sc.rest_angles(beta, d)
+    refined = pair is not None and all(alpha > 2.0 * math.sin(abs(psi) / 2.0) for psi in pair)
+    S_n, S_p = -1.0, 1.0
+    if refined:
+        slack = 4.0 * d / alpha**2
+        S_n = -math.sin(min(math.pi / 2, pair[0] + slack))
+        S_p = -math.sin(max(-math.pi / 2, pair[1] - slack))
+    shift = dc.rho * dc.omega_g
+    return refined, (S_n + beta - d) / alpha + shift, (S_p + beta + d) / alpha + shift
+
+
+@pytest.mark.parametrize("design", ["params_n1", "params_n30"])
+def test_velocity_band_array_equals_scalar_calls(design, request):
+    # Both grids mix refined points, fallback points with rest angles and
+    # points without them; n=1 also has points where the band fails.
+    dc = sc.derive_constants(request.getfixturevalue(design))
+    grid = certificate_grid(dc.Gamma)
+    band = velocity_band(dc, grid)
+    assert (not np.all(band.band_ok)) == (design == "params_n1")
+    assert np.any(band.refined) and np.any(np.isnan(band.psi1))
+    assert np.any(~band.refined & ~np.isnan(band.psi1))
+    for k, d in enumerate(grid):
+        # numpy's arcsin/sin may differ from math's in the last bits.
+        refined, w_min, w_max = _reference_band(dc, float(d))
+        assert band.refined[k] == refined
+        assert band.omega_min_d[k] == pytest.approx(w_min, rel=1e-12)
+        assert band.omega_max_d[k] == pytest.approx(w_max, rel=1e-12)
+        point = velocity_band(dc, float(d))
+        for f in dataclasses.fields(point):
+            value = getattr(point, f.name)
+            if value is None:
+                assert np.isnan(getattr(band, f.name)[k])
+            else:
+                assert type(value) is (bool if f.name == "refined" else float)
+                assert value == getattr(band, f.name)[k]
+        assert point.band_ok is bool(band.band_ok[k])
 
 
 def test_velocity_band_fallback_is_exact_when_assumption_fails():
@@ -330,6 +380,33 @@ def test_certificate_csv_format(params_n30):
     assert len(first) == 5
     assert float(first[0]) > 0.0
     assert first[4] in ("0", "1")
+
+
+def _reference_certificate_csv(report):
+    """Row-by-row formatting of every numpy scalar, as a reference."""
+    lines = ["d,nscr,omega_min_d,omega_max_d,band_ok"]
+    for d, v, lo, hi, ok in zip(report.d_grid, report.nscr_values, report.omega_min_d,
+                                report.omega_max_d, report.band_ok):
+        lines.append(f"{d:.17g},{v:.17g},{lo:.17g},{hi:.17g},{int(ok)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("design", ["params_n1", "params_n30"])
+def test_certificate_csv_equals_reference_formatter(design, request):
+    report = sc.check_certificate(request.getfixturevalue(design))
+    assert sc.certificate_csv(report) == _reference_certificate_csv(report)
+
+
+def test_demo_certificate_writes_csv(params_n1, params_n30, tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ, MPLBACKEND="Agg")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, os.path.join(root, "demos", "demo_certificate.py")],
+                   cwd=tmp_path, env=env, check=True, capture_output=True)
+    for n, params in ((1, params_n1), (30, params_n30)):
+        expected = sc.certificate_csv(sc.check_certificate(params))
+        assert (tmp_path / f"certificate_n{n}.csv").read_text() == expected
 
 
 def test_certificate_report_dict(params_n30):

@@ -145,6 +145,10 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["validate", "--samples", "0"], "--samples must be >= 1"),
     (["simulate", "--initial", "nan,0,314,0"], "non-finite component"),
     (["simulate", "--initial", "0,0,inf,0"], "non-finite component"),
+    (["simulate", "--t-end", "nan"], "t_end must be finite and > 0"),
+    (["simulate", "--rel-tol", "nan"], "tolerances must be > 0"),
+    (["basin", "--t-end", "nan", "--samples", "1"], "t_end must be finite and > 0"),
+    (["validate", "--t-end", "inf", "--samples", "1"], "t_end must be finite and > 0"),
 ])
 def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
     rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",

@@ -1,3 +1,4 @@
+import json
 import warnings
 from collections import Counter
 
@@ -54,6 +55,10 @@ def test_config_validation():
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(n_samples=1)
+    for setting in ({"t_end": np.nan}, {"t_end": np.inf}, {"rel_tol": np.nan},
+                    {"abs_tol": np.nan}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**setting)
 
 
 @pytest.mark.parametrize("t_eval", [[0.0, 0.5, 0.3], [-0.1, 1.0], [0.0], [0.0, np.nan], []])
@@ -345,6 +350,26 @@ def test_trajectory_csv_round_trip(params_n30, equilibria_n30):
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
     assert np.array_equal(parsed[:, 0], traj.times)
     assert np.array_equal(parsed[:, 1:], traj.states)
+
+
+def _reference_trajectory_csv(traj):
+    """Row-by-row formatting of every numpy scalar, as a reference."""
+    lines = ["t," + ",".join(traj.columns)]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
+    lines.append("# verdict: " + json.dumps(verdict_to_dict(traj.verdict), sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_equals_reference_formatter(params_n30, equilibria_n30):
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=1.0, n_samples=2001)
+    traj = sc.simulate_full(params_n30, sc.SgState(5.0, -5.0, 320.0, 0.3), config)
+    traj.verdict = sc.detect_convergence(traj, equilibria_n30, params=params_n30)
+    assert trajectory_csv(traj) == _reference_trajectory_csv(traj)
+    special = Trajectory(times=np.array([0.0, 1e-300]),
+                         states=np.array([[np.nan, np.inf, -0.0, 1.0 / 3.0],
+                                          [-np.inf, 5e-324, 1e300, -2.5]]))
+    assert trajectory_csv(special) == _reference_trajectory_csv(special)
 
 
 def test_verdict_serialisation(equilibria_n30):
