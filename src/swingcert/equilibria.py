@@ -262,6 +262,75 @@ def solve_equilibria(params: SgParameters) -> list:
     return points
 
 
+# The proven level of the local basin is multiplied by this factor, so
+# rounding in P and in the bound cannot carry the set past it.
+_BASIN_LEVEL_SHRINK = 0.5
+
+# Log grid of Lyapunov weights on omega and delta (the currents weigh 1),
+# each relative to the state's scale; every pair is tried in one pass.
+_BASIN_WEIGHTS = np.logspace(1.0, 7.0, 13)
+
+
+def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
+    """Lyapunov ellipsoid ``x^T P x < c`` proven to lie in the basin of ``eq``.
+
+    ``x = y - y_e`` with the delta component wrapped by ``math.remainder``.
+    P solves ``A^T P + P A = -Q`` for the Jacobian A of ``linearize`` (a
+    16x16 Kronecker solve).  Along the model,
+    ``dV/dt = -x^T Q' x + 2 (Px)_1 r_1 + 2 (Px)_2 r_2`` with
+    ``Q' = -(A^T P + P A)`` as computed and the remainders
+    ``|r_1| <= |x_w x_iq| + V/L_s x_delta^2/2`` and
+    ``|r_2| <= |x_w x_id| + V/L_s x_delta^2/2`` (the other two equations
+    are linear).  On ``V = v``, ``|x_i| <= sqrt(v (P^-1)_ii)`` and
+    ``|(Px)_k| <= sqrt(v P_kk)``, so
+    ``dV/dt <= -lam v + 2 v^(3/2) sum_k sqrt(P_kk) G_k`` with
+    ``lam = min eig(P^-1 Q')`` and ``G_k`` the remainder coefficients.
+    That is negative for ``0 < v < c* = (lam / (2 sum_k sqrt(P_kk) G_k))^2``;
+    c is ``c*`` times ``_BASIN_LEVEL_SHRINK``.  Every sublevel set below c
+    is therefore invariant and every trajectory in it converges to ``eq``
+    (Khalil, Nonlinear Systems, Sec. 8.2).
+
+    Q is ``diag(1, 1, w_omega, w_delta) / scales^2`` over the
+    ``_BASIN_WEIGHTS`` grid; the P kept has the largest smallest half-extent
+    ``sqrt(c (P^-1)_ii)`` relative to the state scales.  Returns ``(P, c)``.
+    """
+    if eq.classification is not Stability.STABLE:
+        raise ValueError("a local basin needs a stable equilibrium")
+    A = linearize(params, eq)
+    s = eq.state
+    cur = max(1.0, abs(s.i_d), abs(s.i_q))
+    scales = np.array([cur, cur, max(1.0, abs(s.omega)), 1.0])
+    outer = np.outer(scales, scales)
+
+    # Solved in the scaled coordinates x / scales, where Q is diag(w).
+    A_z = A * scales / scales[:, None]
+    lyap = np.kron(A_z.T, np.eye(4)) + np.kron(np.eye(4), A_z.T)
+    w_omega, w_delta = np.meshgrid(_BASIN_WEIGHTS, _BASIN_WEIGHTS, indexing="ij")
+    weights = np.stack([np.ones(w_omega.size), np.ones(w_omega.size),
+                        w_omega.ravel(), w_delta.ravel()], axis=1)
+    Q_z = weights[:, :, None] * np.eye(4)
+    P_z = np.linalg.solve(lyap, -Q_z.reshape(-1, 16).T).T.reshape(-1, 4, 4)
+    P = 0.5 * (P_z + P_z.transpose(0, 2, 1)) / outer
+
+    Q = -(A.T @ P + P @ A)
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(P))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lyapunov solution is not positive definite: {exc}")
+    lam = np.linalg.eigvalsh(L_inv @ Q @ L_inv.transpose(0, 2, 1))[:, 0]
+    P_inv = np.einsum("nki,nki->ni", L_inv, L_inv)  # diagonal of P^-1
+    half_VL = 0.5 * params.V / params.L_s
+    G_1 = np.sqrt(P_inv[:, 2] * P_inv[:, 1]) + half_VL * P_inv[:, 3]
+    G_2 = np.sqrt(P_inv[:, 2] * P_inv[:, 0]) + half_VL * P_inv[:, 3]
+    S = np.sqrt(P[:, 0, 0]) * G_1 + np.sqrt(P[:, 1, 1]) * G_2
+    c = _BASIN_LEVEL_SHRINK * (np.maximum(lam, 0.0) / (2.0 * S)) ** 2
+    extent = np.min(np.sqrt(c[:, None] * P_inv) / scales, axis=1)
+    best = int(np.argmax(extent))
+    if not extent[best] > 0.0:
+        raise NumericalError("no Lyapunov weight gives a proven local basin")
+    return P[best], float(c[best])
+
+
 def a0_closed_form(params: SgParameters, delta_e: float) -> float:
     """Constant characteristic coefficient at an equilibrium angle.
 

@@ -1,10 +1,12 @@
 """Time integration and trajectory classification.
 
-Provides an adaptive Dormand-Prince 5(4) integrator with dense output and
-a fixed-step classic RK4, produces sampled trajectories, and classifies
-them as converged to an equilibrium (modulo 2*pi, with the integer sheet
-recorded), periodic, or undecided.  Periodic orbits are detected on a
-Poincare section of the power angle.  All operations are deterministic
+Provides an adaptive Dormand-Prince 5(4) integrator with dense output, a
+stop rule and an rhs-call budget, and a fixed-step classic RK4; produces
+sampled trajectories, and classifies them as converged to an equilibrium
+(modulo 2*pi, with the integer sheet recorded), periodic, or undecided.
+Convergence to the stable equilibrium is decided by its proven local
+basin, which also ends basin runs early; periodic orbits are detected on
+a Poincare section of the power angle.  All operations are deterministic
 given their inputs and seeds.
 """
 
@@ -26,7 +28,7 @@ from .core import (
     full_rhs,
     wrap_angle,
 )
-from .equilibria import EquilibriumPoint, Stability, solve_equilibria
+from .equilibria import EquilibriumPoint, Stability, local_basin, solve_equilibria
 from .swing import ese_from_full, ese_rhs_fn
 
 FULL_COLUMNS = ("i_d", "i_q", "omega", "delta")
@@ -34,7 +36,8 @@ ESE_COLUMNS = ("eta", "eta_dot", "w_re", "w_im")
 
 
 class StiffnessError(NumericalError):
-    """Adaptive step size underflowed; carries the last reached state."""
+    """Adaptive step size underflowed or the rhs-call budget ran out;
+    carries the last reached state."""
 
     def __init__(self, message, t=None, state=None):
         super().__init__(message)
@@ -49,7 +52,10 @@ class IntegratorConfig:
     method is "rk45" (adaptive, embedded error control) or "rk4"
     (fixed step; the step is ``max_step`` when finite, else t_end/5000).
     ``n_samples`` output samples are placed uniformly on [0, t_end] unless
-    explicit sample times are passed to ``integrate``.
+    explicit sample times are passed to ``integrate``.  ``max_rhs_calls``
+    caps the right-hand-side evaluations of one run; the default is more
+    than ten times the largest run the CLI, tests and demos make (about
+    8e5 calls, the 60 s weak-droop orbit).
     """
 
     method: str = "rk45"
@@ -58,6 +64,7 @@ class IntegratorConfig:
     max_step: float = math.inf
     t_end: float = 10.0
     n_samples: int = 2001
+    max_rhs_calls: int = 10_000_000
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -69,14 +76,22 @@ class IntegratorConfig:
             raise ValueError("t_end must be finite and > 0")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
+        if not self.max_rhs_calls >= 1:
+            raise ValueError("max_rhs_calls must be >= 1")
 
 
 # Verdicts ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConvergedToEquilibrium:
+    """``decided_by`` is "local_basin" (the state entered the proven local
+    basin) or "window" (the tolerance window test); ``t_decided`` is the
+    time at which an early-stopped run entered the local basin."""
+
     equilibrium: EquilibriumPoint
     sheet: int
+    decided_by: str = "window"
+    t_decided: float | None = None
 
     kind = "converged"
 
@@ -104,6 +119,8 @@ def verdict_to_dict(verdict) -> dict:
         out["delta_e"] = verdict.equilibrium.state.delta
         out["sheet"] = verdict.sheet
         out["classification"] = verdict.equilibrium.classification.value
+        out["decided_by"] = verdict.decided_by
+        out["t_decided"] = verdict.t_decided
     elif isinstance(verdict, PeriodicOrbit):
         out["period"] = verdict.period
         out["mean_omega"] = verdict.mean_omega
@@ -115,12 +132,17 @@ def verdict_to_dict(verdict) -> dict:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: strictly increasing times, one state per row."""
+    """Sampled solution: strictly increasing times, one state per row.
+
+    ``stopped`` is set when a stop rule ended the run early; the last row
+    is then the state at which it fired.
+    """
 
     times: np.ndarray
     states: np.ndarray
     verdict: object = field(default_factory=Undecided)
     columns: tuple = FULL_COLUMNS
+    stopped: bool = False
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.columns.index(name)]
@@ -132,13 +154,20 @@ class Trajectory:
 
 # Integration ---------------------------------------------------------------
 
-def _rk4_fixed(rhs, y0, t_eval, step):
+def _rk4_fixed(rhs, y0, t_eval, step, max_rhs_calls, stop=None):
     """Classic fourth-order steps between consecutive sample times.
 
     The initial state is taken at t = 0; a leading segment is integrated
-    when the first sample time is positive.
+    when the first sample time is positive.  ``stop`` is read at each
+    sample; when it fires the samples end there.  A run that would need
+    more than ``max_rhs_calls`` evaluations is refused before any step.
     """
     y = np.asarray(y0, dtype=float).copy()
+    lengths = np.diff(t_eval, prepend=0.0)
+    n_calls = 4.0 * float(np.sum(np.maximum(1.0, np.ceil(lengths / step - 1e-12))[lengths > 0]))
+    if n_calls > max_rhs_calls:
+        raise StiffnessError(f"rhs-call budget of {max_rhs_calls} is below the "
+                             f"{n_calls:.3g} fixed steps need", t=0.0, state=y)
     out = np.empty((len(t_eval), len(y)))
 
     def advance(y, t0, t1):
@@ -157,9 +186,12 @@ def _rk4_fixed(rhs, y0, t_eval, step):
         return y
 
     out[0] = advance(y, 0.0, t_eval[0])
-    for i in range(len(t_eval) - 1):
-        out[i + 1] = advance(out[i], t_eval[i], t_eval[i + 1])
-    return out
+    for i in range(len(t_eval)):
+        if stop is not None and stop(out[i]):
+            return t_eval[:i + 1], out[:i + 1], True
+        if i + 1 < len(t_eval):
+            out[i + 1] = advance(out[i], t_eval[i], t_eval[i + 1])
+    return t_eval, out, False
 
 
 # Dormand-Prince 5(4): the tableau, error weights and dense-output matrix of
@@ -283,17 +315,24 @@ def _dense_samples(t_eval, t0, t1, y_old, K):
     return out
 
 
-def _dopri5(rhs, y0, t_eval, rtol, atol, max_step) -> np.ndarray:
+def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, max_rhs_calls, stop=None):
     """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
 
     Step control is scipy's RK45: RMS error norm scaled by
     atol + max(|y|, |y_new|)*rtol, factors SAFETY/MIN/MAX with no growth
     right after a rejection, and a floor of 10 ulp(t) on the step, below
-    which StiffnessError is raised with the last accepted (t, y).  A step
-    whose arithmetic overflows is rejected.  Each step that covers a sample
-    time is recorded (float steps in flat buffers, array steps in arrays
-    preallocated for one record per sample); the samples are read from the
-    dense output in one vectorised pass at the end.
+    which StiffnessError is raised with the last accepted (t, y).  The
+    same error is raised when a step attempt would take the rhs calls past
+    ``max_rhs_calls``.  A step whose arithmetic overflows is rejected.
+    Each step that covers a sample time is recorded (float steps in flat
+    buffers, array steps in arrays preallocated for one record per sample);
+    the samples are read from the dense output in one vectorised pass at
+    the end.
+
+    ``stop(y)`` is read on the end state of each accepted step; when it
+    fires the run ends there, and the output is the samples before that
+    time followed by the stop time and state.  Returns
+    ``(times, states, stopped)``.
     """
     # scipy raises rtol to the same floor.
     rtol = max(rtol, 100 * np.finfo(float).eps)
@@ -322,6 +361,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step) -> np.ndarray:
         rec_y, rec_k = array("d"), array("d")
     t = 0.0
     next_sample = 0
+    n_calls = 2  # the initial derivative and the initial-step probe
+    stopped = False
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -333,6 +374,10 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step) -> np.ndarray:
             if not h_abs >= min_step:  # also stops a NaN step size
                 raise StiffnessError(f"step size underflow at t={t!r}", t=t,
                                      state=np.array(y, dtype=float))
+            if n_calls + _N_STAGES - 1 > max_rhs_calls:
+                raise StiffnessError(f"rhs-call budget of {max_rhs_calls} exhausted "
+                                     f"at t={t!r}", t=t, state=np.array(y, dtype=float))
+            n_calls += _N_STAGES - 1
             t_new = min(t + h_abs, t_bound)
             h_abs = t_new - t
             try:
@@ -363,22 +408,37 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step) -> np.ndarray:
             rec_t.append(t_new)
             next_sample = bisect_right(samples, t_new, next_sample)
         t, y, f = t_new, y_new, K[6]
+        if stop is not None and stop(y):
+            stopped = True
+            break
 
+    times = t_eval[t_eval < t] if stopped else t_eval
     m = len(rec_t) // 2
     t01 = np.frombuffer(rec_t).reshape(m, 2)
-    return _dense_samples(t_eval, t01[:, 0], t01[:, 1],
-                          np.reshape(rec_y, (-1, n))[:m],
-                          np.reshape(rec_k, (-1, _N_STAGES, n))[:m])
+    states = _dense_samples(times, t01[:, 0], t01[:, 1],
+                            np.reshape(rec_y, (-1, n))[:m],
+                            np.reshape(rec_k, (-1, _N_STAGES, n))[:m])
+    if stopped:
+        times = np.append(times, t)
+        states = np.vstack([states, np.asarray(y, dtype=float)])
+    return times, states, stopped
 
 
 def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
-              columns: tuple = FULL_COLUMNS) -> Trajectory:
+              columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
 
     Samples are taken at ``t_eval`` when given, else uniformly.  Raises
     StiffnessError, carrying the last accepted time and state, when the
     adaptive integrator underflows its step size, including when the
-    derivative keeps coming back non-finite or overflowing.
+    derivative keeps coming back non-finite or overflowing, and when the
+    run would need more than ``config.max_rhs_calls`` rhs evaluations.
+
+    ``stop(y)`` is an optional predicate on the end state of each accepted
+    step (each sample for "rk4").  When it fires the run ends: the
+    trajectory holds the samples before that time and then the stop time
+    and state, and ``Trajectory.stopped`` is set.  Without it the output
+    and the rhs calls do not depend on the hook existing.
 
     ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
     ndarray, and its result fixes the contract for the rest of the run:
@@ -399,11 +459,14 @@ def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
 
     if config.method == "rk4":
         step = config.max_step if math.isfinite(config.max_step) else config.t_end / 5000.0
-        states = _rk4_fixed(rhs, y0, t_eval, step)
+        times, states, stopped = _rk4_fixed(rhs, y0, t_eval, step,
+                                            config.max_rhs_calls, stop)
     else:
-        states = _dopri5(rhs, y0, t_eval, config.rel_tol, config.abs_tol,
-                         config.max_step)
-    return Trajectory(times=t_eval.copy(), states=states, columns=columns)
+        times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
+                                         config.abs_tol, config.max_step,
+                                         config.max_rhs_calls, stop)
+    return Trajectory(times=times.copy(), states=states, columns=columns,
+                      stopped=stopped)
 
 
 def simulate_full(params: SgParameters, initial: SgState,
@@ -427,6 +490,46 @@ def simulate_ese(params: SgParameters, initial: SgState,
 WINDOW_FRACTION = 0.1
 
 
+class LocalBasin:
+    """Membership test of the proven local basin ``x^T P x < c`` of a
+    stable equilibrium (``equilibria.local_basin``), delta taken modulo
+    2*pi.  ``contains(y)`` takes a state as a sequence of four floats and
+    serves as the integrator's stop rule.
+    """
+
+    def __init__(self, point: EquilibriumPoint, P: np.ndarray, c: float):
+        self.point = point
+        e0, e1, e2, e3 = point.state.as_array().tolist()
+        (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = \
+            P.tolist()
+        q01, q02, q03, q12, q13, q23 = (2.0 * v for v in (p01, p02, p03, p12, p13, p23))
+        remainder = math.remainder
+
+        def contains(y) -> bool:
+            a, b, w = y[0] - e0, y[1] - e1, y[2] - e2
+            d = remainder(y[3] - e3, TWO_PI)
+            return (a * (p00 * a + q01 * b + q02 * w + q03 * d)
+                    + b * (p11 * b + q12 * w + q13 * d)
+                    + w * (p22 * w + q23 * d) + p33 * d * d) < c
+
+        self.contains = contains
+
+
+def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
+    """The proven local basin of the stable equilibrium in ``equilibria``.
+
+    None when there is no stable equilibrium or no level can be proven;
+    classification then rests on the window test alone.
+    """
+    for pt in equilibria:
+        if pt.classification is Stability.STABLE:
+            try:
+                return LocalBasin(pt, *local_basin(params, pt))
+            except NumericalError:
+                return None
+    return None
+
+
 def _convergence_scales(equilibria) -> np.ndarray:
     cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
     omega = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
@@ -434,14 +537,28 @@ def _convergence_scales(equilibria) -> np.ndarray:
 
 
 def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
-                       params: SgParameters | None = None):
+                       params: SgParameters | None = None,
+                       basin: LocalBasin | None = None):
     """Classify a full-model trajectory.
 
-    ConvergedToEquilibrium when the last ``WINDOW_FRACTION`` of samples
-    stays within ``tol`` of one equilibrium (per-component scaled; delta
-    compared modulo 2*pi, winding sheet recorded); otherwise defers to
-    ``detect_periodic``; otherwise Undecided.
+    First the proof: when the final state lies in the stable equilibrium's
+    proven local basin (``basin``, built from ``params`` when not given),
+    the run converges there, on sheet ``round((delta - delta_e) / 2 pi)``;
+    the basin is invariant and attracting, so no tolerance is involved.
+    Then the window test: ConvergedToEquilibrium when the last
+    ``WINDOW_FRACTION`` of samples stays within ``tol`` of one equilibrium
+    (per-component scaled; delta compared modulo 2*pi, winding sheet
+    recorded), the only route to convergence at an unstable point.
+    Otherwise defers to ``detect_periodic``; otherwise Undecided.
     """
+    if basin is None and params is not None:
+        basin = stable_basin(params, equilibria)
+    final = traj.final_state
+    if basin is not None and basin.contains(final):
+        sheet = int(round((float(final[3]) - basin.point.state.delta) / TWO_PI))
+        return ConvergedToEquilibrium(
+            equilibrium=basin.point, sheet=sheet, decided_by="local_basin",
+            t_decided=float(traj.times[-1]) if traj.stopped else None)
     n = len(traj.times)
     window = traj.states[max(0, n - max(2, int(math.ceil(WINDOW_FRACTION * n)))):]
     scales = _convergence_scales(equilibria)
@@ -571,6 +688,7 @@ class BasinStatistics:
     periodic: int = 0
     undecided: int = 0
     exemplars: dict = field(default_factory=dict)
+    decided_by: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -581,6 +699,7 @@ class BasinStatistics:
             "periodic": self.periodic,
             "undecided": self.undecided,
             "exemplars": {k: list(v) for k, v in self.exemplars.items()},
+            "decided_by": dict(sorted(self.decided_by.items())),
         }
 
 
@@ -595,10 +714,21 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
     return SgState(*draws)
 
 
-def classify_initial_state(params, initial, equilibria, config, tol=1e-3):
-    """Simulate one initial state and classify the outcome."""
-    traj = simulate_full(params, initial, config)
-    traj.verdict = detect_convergence(traj, equilibria, tol=tol, params=params)
+def classify_initial_state(params, initial, equilibria, config, tol=1e-3,
+                           basin: LocalBasin | None = None):
+    """Simulate one initial state and classify the outcome.
+
+    The run stops as soon as it enters the stable equilibrium's proven
+    local basin (``basin``, built here when not given), and
+    ``detect_convergence`` classifies it, the same function that
+    classifies a full-horizon run.
+    """
+    if basin is None:
+        basin = stable_basin(params, equilibria)
+    traj = integrate(full_rhs(params), initial.as_array(), config,
+                     stop=None if basin is None else basin.contains)
+    traj.verdict = detect_convergence(traj, equilibria, tol=tol, params=params,
+                                      basin=basin)
     return traj.verdict
 
 
@@ -609,7 +739,10 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
 
     Deterministic for a given seed; each state is drawn from its own
     (seed, index) stream, so the tally does not depend on the order in
-    which states are classified.
+    which states are classified.  The stable equilibrium's proven local
+    basin is built once per call; each run stops when it enters it (see
+    ``classify_initial_state``), and ``decided_by`` counts the converged
+    runs by the rule that decided them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -618,11 +751,13 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
     equilibria = solve_equilibria(params)
     if config is None:
         config = basin_config(default_horizon(params, equilibria))
+    basin = stable_basin(params, equilibria)
     stats = BasinStatistics(n=n, seed=seed)
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
-        verdict = classify_initial_state(params, initial, equilibria, config, tol)
+        verdict = classify_initial_state(params, initial, equilibria, config, tol, basin)
         if isinstance(verdict, ConvergedToEquilibrium):
+            stats.decided_by[verdict.decided_by] = stats.decided_by.get(verdict.decided_by, 0) + 1
             if verdict.equilibrium.classification is Stability.STABLE:
                 key = "converged_stable"
                 stats.converged_stable += 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -196,6 +197,18 @@ def test_sweep_rejects_unknown_param(params_n30_config, capsys):
                    "--min", "1", "--max", "2"])
     assert rc == 2
     assert "X" in capsys.readouterr().err
+
+
+def test_simulate_huge_horizon_exits_numerical(params_n30_config, tmp_path,
+                                               monkeypatch, capsys):
+    # A finite but huge horizon runs out of rhs calls and exits 3; the
+    # budget is lowered so the test ends quickly.
+    monkeypatch.setattr(cli, "IntegratorConfig",
+                        partial(cli.IntegratorConfig, max_rhs_calls=10_000))
+    rc = cli.main(["simulate", "--config", params_n30_config, "--t-end", "1e300",
+                   "--out", str(tmp_path / "traj.csv")])
+    assert rc == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_validate(params_n30_config, capsys):

@@ -8,6 +8,7 @@ from swingcert.core import TWO_PI, scaled_residual
 from swingcert.equilibria import (
     Stability,
     classify_matrix,
+    local_basin,
     quartic_eigenvalues,
     routh_hurwitz_unstable_count,
 )
@@ -187,3 +188,41 @@ def test_equilibrium_report_serialization(equilibria_n30):
                         "eigenvalues"}
     assert len(doc["eigenvalues"]) == 4
     assert all(set(z) == {"re", "im"} for z in doc["eigenvalues"])
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_local_basin_decreases_lyapunov_function(design, request):
+    # dV/dt from the exact model is negative on and inside the proven level
+    # set, on the equilibrium's own sheet and one sheet either side.
+    params = request.getfixturevalue(design)
+    stable = [pt for pt in sc.solve_equilibria(params)
+              if pt.classification is Stability.STABLE][0]
+    P, c = local_basin(params, stable)
+    assert c > 0.0
+    assert np.allclose(P, P.T, rtol=0.0, atol=0.0)
+    P_inv = np.linalg.inv(P)
+    assert math.sqrt(c * P_inv[3, 3]) < 0.1  # far below pi: sheets stay apart
+
+    rng = np.random.default_rng(2016)
+    n = 10_000
+    u = rng.standard_normal((n, 4))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    r = np.where(np.arange(n) < n // 4, 1.0, rng.uniform(0.1, 1.0, n))
+    L = np.linalg.cholesky(P)
+    x = math.sqrt(c) * r[:, None] * np.linalg.solve(L.T, u.T).T  # x^T P x = r^2 c
+    y = stable.state.as_array() + x
+    y[:, 3] += TWO_PI * rng.integers(-1, 2, n)
+    rhs = sc.full_rhs(params)
+    e = stable.state.as_array()
+    rates = []
+    for row in y:
+        dx = row - e
+        dx[3] = math.remainder(dx[3], TWO_PI)
+        rates.append(2.0 * float(dx @ P @ np.array(rhs(0.0, row))))
+    assert max(rates) < 0.0
+
+
+def test_local_basin_needs_stable_point(params_n30, equilibria_n30):
+    unstable = [pt for pt in equilibria_n30 if pt.classification is Stability.UNSTABLE][0]
+    with pytest.raises(ValueError):
+        local_basin(params_n30, unstable)

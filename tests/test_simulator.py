@@ -22,6 +22,7 @@ from swingcert.simulator import (
     default_horizon,
     integrate,
     sample_initial_state,
+    stable_basin,
     trajectory_csv,
     verdict_to_dict,
 )
@@ -381,3 +382,135 @@ def test_verdict_serialisation(equilibria_n30):
                                       omega_below_grid=True))
     assert d["kind"] == "periodic"
     assert verdict_to_dict(Undecided())["kind"] == "undecided"
+
+
+# Early stop in the proven local basin and the rhs-call budget --------------
+
+def _key(verdict):
+    equilibrium = getattr(verdict, "equilibrium", None)
+    return (verdict.kind, getattr(equilibrium, "branch", None),
+            getattr(verdict, "sheet", None))
+
+
+@pytest.mark.parametrize("rhs_kind", ["float", "array"])
+def test_rhs_call_budget_stops_huge_horizon(rhs_kind, params_n30, equilibria_n30):
+    rhs = sc.full_rhs(params_n30)
+    if rhs_kind == "array":
+        rhs = (lambda f: lambda t, y: np.array(f(t, y)))(rhs)
+    counted = _counted(rhs)
+    config = IntegratorConfig(t_end=1e300, max_rhs_calls=10_000)
+    with pytest.raises(StiffnessError, match="budget") as excinfo:
+        integrate(counted, [5.0, -5.0, 320.0, 0.3], config)
+    assert counted.calls <= 10_000
+    assert 0.0 < excinfo.value.t < 1e300
+    assert np.all(np.isfinite(excinfo.value.state))
+
+
+def test_rhs_call_budget_rk4_refused_up_front():
+    config = IntegratorConfig(method="rk4", max_step=1e-3, t_end=1e300,
+                              max_rhs_calls=10_000)
+    counted = _counted(lambda t, y: (-y[0],))
+    with pytest.raises(StiffnessError, match="budget") as excinfo:
+        integrate(counted, [1.0], config)
+    assert counted.calls == 0
+    assert excinfo.value.state.tolist() == [1.0]
+
+
+def test_rhs_call_budget_validation_and_default():
+    for bad in (0, -1, np.nan):
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_rhs_calls=bad)
+    # Ten times the longest run in the suite (803,354 calls for the 60 s
+    # weak-droop orbit of test_periodic_orbit_dp15).
+    assert IntegratorConfig().max_rhs_calls >= 10 * 803_354
+
+
+def test_stop_hook_that_never_fires_changes_nothing(params_n30):
+    rhs = sc.full_rhs(params_n30)
+    config = basin_config(default_horizon(params_n30))
+    y0 = sample_initial_state(default_basin_box(params_n30), 3, 0).as_array()
+    for f in (rhs, lambda t, y: np.array(rhs(t, y))):
+        plain, hooked = _counted(f), _counted(f)
+        a = integrate(plain, y0, config)
+        b = integrate(hooked, y0, config, stop=lambda y: False)
+        assert plain.calls == hooked.calls
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+        assert not a.stopped and not b.stopped
+
+
+def test_stopped_trajectory(params_n30, equilibria_n30):
+    basin = stable_basin(params_n30, equilibria_n30)
+    config = basin_config(default_horizon(params_n30, equilibria_n30))
+    rhs = sc.full_rhs(params_n30)
+    y0 = sample_initial_state(default_basin_box(params_n30), 3, 1).as_array()
+    for f in (rhs, lambda t, y: np.array(rhs(t, y))):
+        full = integrate(f, y0, config)
+        traj = integrate(f, y0, config, stop=basin.contains)
+        assert traj.stopped
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[-1] < config.t_end
+        assert basin.contains(traj.final_state)
+        # Same steps as the full run: the samples before the stop agree.
+        k = len(traj.times) - 1
+        assert np.array_equal(traj.times[:k], full.times[:k])
+        assert np.array_equal(traj.states[:k], full.states[:k])
+    rk4 = IntegratorConfig(method="rk4", t_end=config.t_end, n_samples=2001)
+    traj = integrate(rhs, y0, rk4, stop=basin.contains)
+    assert traj.stopped and basin.contains(traj.final_state)
+    assert np.all(np.diff(traj.times) > 0)
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_early_stop_verdicts_equal_full_horizon(design, request):
+    params = request.getfixturevalue(design)
+    equilibria = sc.solve_equilibria(params)
+    config = basin_config(default_horizon(params, equilibria))
+    box = default_basin_box(params)
+    rhs = sc.full_rhs(params)
+    tally, first = Counter(), None
+    for i in range(40):
+        if i == 8:
+            first = dict(tally)  # basin_sample below classifies the first 8
+        initial = sample_initial_state(box, 17, i)
+        early = classify_initial_state(params, initial, equilibria, config)
+        full = sc.detect_convergence(integrate(rhs, initial.as_array(), config),
+                                     equilibria, params=params)
+        assert _key(early) == _key(full), i
+        if early.kind == "converged":
+            stable = early.equilibrium.classification.value == "stable"
+            tally["converged_stable" if stable else "converged_unstable"] += 1
+            assert early.decided_by == "local_basin"
+            assert 0.0 < early.t_decided < config.t_end
+            assert full.t_decided is None
+        else:
+            tally[early.kind] += 1
+    stats = sc.basin_sample(params, n=8, seed=17).to_dict()
+    assert {k: stats[k] for k in first} == first
+    assert stats["decided_by"] == {"local_basin": first.get("converged_stable", 0)}
+    assert tally["converged_stable"] > 0
+
+
+def test_early_stop_verdict_independent_of_sampling(params_n30, equilibria_n30):
+    t_end = default_horizon(params_n30, equilibria_n30)
+    box = default_basin_box(params_n30)
+    for i in range(3):
+        initial = sample_initial_state(box, 23, i)
+        verdicts = [classify_initial_state(params_n30, initial, equilibria_n30,
+                                           IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8,
+                                                            t_end=t_end, n_samples=n))
+                    for n in (2001, 20001)]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].t_decided is not None
+
+
+def test_converged_verdict_explains_itself(params_n30, equilibria_n30):
+    stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
+    d = verdict_to_dict(ConvergedToEquilibrium(stable, sheet=0, decided_by="local_basin",
+                                               t_decided=1.25))
+    assert d["decided_by"] == "local_basin" and d["t_decided"] == 1.25
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=5.0, n_samples=501)
+    traj = sc.simulate_full(params_n30, stable.state, config)
+    d = verdict_to_dict(sc.detect_convergence(traj, equilibria_n30, params=params_n30))
+    assert d["decided_by"] == "local_basin" and d["t_decided"] is None
+    d = verdict_to_dict(sc.detect_convergence(traj, equilibria_n30))  # no params, no proof
+    assert d["decided_by"] == "window" and d["t_decided"] is None
