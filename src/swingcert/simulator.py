@@ -524,9 +524,10 @@ def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
     for pt in equilibria:
         if pt.classification is Stability.STABLE:
             try:
-                return LocalBasin(pt, *local_basin(params, pt))
+                P, c = local_basin(params, pt)
             except NumericalError:
                 return None
+            return LocalBasin(pt, P, c)
     return None
 
 
