@@ -16,6 +16,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +53,7 @@ class IntegratorConfig:
     method is "rk45" (adaptive, embedded error control) or "rk4"
     (fixed step; the step is ``max_step`` when finite, else t_end/5000).
     ``n_samples`` output samples are placed uniformly on [0, t_end] unless
-    explicit sample times are passed to ``integrate``.  ``max_rhs_calls``
-    caps the right-hand-side evaluations of one run; the default is more
-    than ten times the largest run the CLI, tests and demos make (about
-    8e5 calls, the 60 s weak-droop orbit).
+    explicit sample times are passed to ``integrate``.
     """
 
     method: str = "rk45"
@@ -64,7 +62,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     t_end: float = 10.0
     n_samples: int = 2001
-    max_rhs_calls: int = 10_000_000
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -76,8 +73,6 @@ class IntegratorConfig:
             raise ValueError("t_end must be finite and > 0")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        if not self.max_rhs_calls >= 1:
-            raise ValueError("max_rhs_calls must be >= 1")
 
 
 # Verdicts ------------------------------------------------------------------
@@ -154,20 +149,13 @@ class Trajectory:
 
 # Integration ---------------------------------------------------------------
 
-def _rk4_fixed(rhs, y0, t_eval, step, max_rhs_calls, stop=None):
+def _rk4_fixed(rhs, y0, t_eval, step):
     """Classic fourth-order steps between consecutive sample times.
 
     The initial state is taken at t = 0; a leading segment is integrated
-    when the first sample time is positive.  ``stop`` is read at each
-    sample; when it fires the samples end there.  A run that would need
-    more than ``max_rhs_calls`` evaluations is refused before any step.
+    when the first sample time is positive.
     """
     y = np.asarray(y0, dtype=float).copy()
-    lengths = np.diff(t_eval, prepend=0.0)
-    n_calls = 4.0 * float(np.sum(np.maximum(1.0, np.ceil(lengths / step - 1e-12))[lengths > 0]))
-    if n_calls > max_rhs_calls:
-        raise StiffnessError(f"rhs-call budget of {max_rhs_calls} is below the "
-                             f"{n_calls:.3g} fixed steps need", t=0.0, state=y)
     out = np.empty((len(t_eval), len(y)))
 
     def advance(y, t0, t1):
@@ -186,13 +174,16 @@ def _rk4_fixed(rhs, y0, t_eval, step, max_rhs_calls, stop=None):
         return y
 
     out[0] = advance(y, 0.0, t_eval[0])
-    for i in range(len(t_eval)):
-        if stop is not None and stop(out[i]):
-            return t_eval[:i + 1], out[:i + 1], True
-        if i + 1 < len(t_eval):
-            out[i + 1] = advance(out[i], t_eval[i], t_eval[i + 1])
-    return t_eval, out, False
+    for i in range(len(t_eval) - 1):
+        out[i + 1] = advance(out[i], t_eval[i], t_eval[i + 1])
+    return out
 
+
+# Right-hand-side evaluations allowed in one Dormand-Prince run, more than
+# ten times the largest run the CLI, tests and demos make (about 8e5 calls,
+# the 60 s weak-droop orbit).  Running out raises StiffnessError, so a huge
+# finite horizon ends instead of running on.
+MAX_RHS_CALLS = 10_000_000
 
 # Dormand-Prince 5(4): the tableau, error weights and dense-output matrix of
 # scipy's RK45 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.5).
@@ -315,7 +306,7 @@ def _dense_samples(t_eval, t0, t1, y_old, K):
     return out
 
 
-def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, max_rhs_calls, stop=None):
+def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
     """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
 
     Step control is scipy's RK45: RMS error norm scaled by
@@ -323,7 +314,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, max_rhs_calls, stop=None):
     right after a rejection, and a floor of 10 ulp(t) on the step, below
     which StiffnessError is raised with the last accepted (t, y).  The
     same error is raised when a step attempt would take the rhs calls past
-    ``max_rhs_calls``.  A step whose arithmetic overflows is rejected.
+    ``MAX_RHS_CALLS``.  A step whose arithmetic overflows is rejected.
     Each step that covers a sample time is recorded (float steps in flat
     buffers, array steps in arrays preallocated for one record per sample);
     the samples are read from the dense output in one vectorised pass at
@@ -374,8 +365,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, max_rhs_calls, stop=None):
             if not h_abs >= min_step:  # also stops a NaN step size
                 raise StiffnessError(f"step size underflow at t={t!r}", t=t,
                                      state=np.array(y, dtype=float))
-            if n_calls + _N_STAGES - 1 > max_rhs_calls:
-                raise StiffnessError(f"rhs-call budget of {max_rhs_calls} exhausted "
+            if n_calls + _N_STAGES - 1 > MAX_RHS_CALLS:
+                raise StiffnessError(f"rhs-call budget of {MAX_RHS_CALLS} exhausted "
                                      f"at t={t!r}", t=t, state=np.array(y, dtype=float))
             n_calls += _N_STAGES - 1
             t_new = min(t + h_abs, t_bound)
@@ -432,13 +423,14 @@ def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
     StiffnessError, carrying the last accepted time and state, when the
     adaptive integrator underflows its step size, including when the
     derivative keeps coming back non-finite or overflowing, and when the
-    run would need more than ``config.max_rhs_calls`` rhs evaluations.
+    run would need more than ``MAX_RHS_CALLS`` rhs evaluations.
 
     ``stop(y)`` is an optional predicate on the end state of each accepted
-    step (each sample for "rk4").  When it fires the run ends: the
-    trajectory holds the samples before that time and then the stop time
-    and state, and ``Trajectory.stopped`` is set.  Without it the output
-    and the rhs calls do not depend on the hook existing.
+    adaptive step.  When it fires the run ends: the trajectory holds the
+    samples before that time and then the stop time and state, and
+    ``Trajectory.stopped`` is set.  Without it the output and the rhs calls
+    do not depend on the hook existing.  The fixed-step "rk4" method
+    ignores ``stop`` and always reaches t_end.
 
     ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
     ndarray, and its result fixes the contract for the rest of the run:
@@ -459,12 +451,10 @@ def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
 
     if config.method == "rk4":
         step = config.max_step if math.isfinite(config.max_step) else config.t_end / 5000.0
-        times, states, stopped = _rk4_fixed(rhs, y0, t_eval, step,
-                                            config.max_rhs_calls, stop)
+        times, states, stopped = t_eval, _rk4_fixed(rhs, y0, t_eval, step), False
     else:
         times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
-                                         config.abs_tol, config.max_step,
-                                         config.max_rhs_calls, stop)
+                                         config.abs_tol, config.max_step, stop)
     return Trajectory(times=times.copy(), states=states, columns=columns,
                       stopped=stopped)
 
@@ -519,16 +509,23 @@ def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
     """The proven local basin of the stable equilibrium in ``equilibria``.
 
     None when there is no stable equilibrium or no level can be proven;
-    classification then rests on the window test alone.
+    classification then rests on the window test alone.  Each basin is
+    built once per (params, point) and then served from a cache, so asking
+    for it per trajectory costs a dictionary lookup.
     """
     for pt in equilibria:
         if pt.classification is Stability.STABLE:
-            try:
-                P, c = local_basin(params, pt)
-            except NumericalError:
-                return None
-            return LocalBasin(pt, P, c)
+            return _basin_of(params, pt)
     return None
+
+
+@lru_cache(maxsize=32)
+def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | None:
+    try:
+        P, c = local_basin(params, point)
+    except NumericalError:
+        return None
+    return LocalBasin(point, P, c)
 
 
 def _convergence_scales(equilibria) -> np.ndarray:
@@ -538,12 +535,11 @@ def _convergence_scales(equilibria) -> np.ndarray:
 
 
 def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
-                       params: SgParameters | None = None,
-                       basin: LocalBasin | None = None):
+                       params: SgParameters | None = None):
     """Classify a full-model trajectory.
 
     First the proof: when the final state lies in the stable equilibrium's
-    proven local basin (``basin``, built from ``params`` when not given),
+    proven local basin (``stable_basin``; needs ``params``),
     the run converges there, on sheet ``round((delta - delta_e) / 2 pi)``;
     the basin is invariant and attracting, so no tolerance is involved.
     Then the window test: ConvergedToEquilibrium when the last
@@ -552,8 +548,7 @@ def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
     recorded), the only route to convergence at an unstable point.
     Otherwise defers to ``detect_periodic``; otherwise Undecided.
     """
-    if basin is None and params is not None:
-        basin = stable_basin(params, equilibria)
+    basin = None if params is None else stable_basin(params, equilibria)
     final = traj.final_state
     if basin is not None and basin.contains(final):
         sheet = int(round((float(final[3]) - basin.point.state.delta) / TWO_PI))
@@ -715,21 +710,17 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
     return SgState(*draws)
 
 
-def classify_initial_state(params, initial, equilibria, config, tol=1e-3,
-                           basin: LocalBasin | None = None):
+def classify_initial_state(params, initial, equilibria, config, tol=1e-3):
     """Simulate one initial state and classify the outcome.
 
     The run stops as soon as it enters the stable equilibrium's proven
-    local basin (``basin``, built here when not given), and
-    ``detect_convergence`` classifies it, the same function that
-    classifies a full-horizon run.
+    local basin (``stable_basin``), and ``detect_convergence`` classifies
+    it, the same function that classifies a full-horizon run.
     """
-    if basin is None:
-        basin = stable_basin(params, equilibria)
+    basin = stable_basin(params, equilibria)
     traj = integrate(full_rhs(params), initial.as_array(), config,
                      stop=None if basin is None else basin.contains)
-    traj.verdict = detect_convergence(traj, equilibria, tol=tol, params=params,
-                                      basin=basin)
+    traj.verdict = detect_convergence(traj, equilibria, tol=tol, params=params)
     return traj.verdict
 
 
@@ -740,8 +731,8 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
 
     Deterministic for a given seed; each state is drawn from its own
     (seed, index) stream, so the tally does not depend on the order in
-    which states are classified.  The stable equilibrium's proven local
-    basin is built once per call; each run stops when it enters it (see
+    which states are classified.  Each run stops when it enters the stable
+    equilibrium's proven local basin, built at most once (see
     ``classify_initial_state``), and ``decided_by`` counts the converged
     runs by the rule that decided them.
     """
@@ -752,11 +743,10 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
     equilibria = solve_equilibria(params)
     if config is None:
         config = basin_config(default_horizon(params, equilibria))
-    basin = stable_basin(params, equilibria)
     stats = BasinStatistics(n=n, seed=seed)
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
-        verdict = classify_initial_state(params, initial, equilibria, config, tol, basin)
+        verdict = classify_initial_state(params, initial, equilibria, config, tol)
         if isinstance(verdict, ConvergedToEquilibrium):
             stats.decided_by[verdict.decided_by] = stats.decided_by.get(verdict.decided_by, 0) + 1
             if verdict.equilibrium.classification is Stability.STABLE:

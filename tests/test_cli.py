@@ -2,12 +2,11 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 
 import swingcert
-from swingcert import cli
+from swingcert import cli, simulator
 
 from conftest import LINE_V, OMEGA_G, agrees_with_printed
 
@@ -203,8 +202,7 @@ def test_simulate_huge_horizon_exits_numerical(params_n30_config, tmp_path,
                                                monkeypatch, capsys):
     # A finite but huge horizon runs out of rhs calls and exits 3; the
     # budget is lowered so the test ends quickly.
-    monkeypatch.setattr(cli, "IntegratorConfig",
-                        partial(cli.IntegratorConfig, max_rhs_calls=10_000))
+    monkeypatch.setattr(simulator, "MAX_RHS_CALLS", 10_000)
     rc = cli.main(["simulate", "--config", params_n30_config, "--t-end", "1e300",
                    "--out", str(tmp_path / "traj.csv")])
     assert rc == 3
