@@ -6,11 +6,13 @@ finds and classifies its equilibria, evaluates a computable sufficient
 condition for almost global asymptotic stability, and cross-validates the
 certificate by direct simulation of the full fourth-order model, its
 exact swing-equation reduction, and the underlying forced pendulum.
+
+The package root re-exports the names the command line, tests, demos and
+benchmark use; everything else is imported from its module.
 """
 
 from .core import (
     DerivedConstants,
-    NumericalError,
     ParameterError,
     SgParameters,
     SgState,
@@ -31,7 +33,6 @@ from .design import (
     size_parameters,
 )
 from .equilibria import (
-    EquilibriumPoint,
     Stability,
     a0_closed_form,
     char_poly,
@@ -40,12 +41,8 @@ from .equilibria import (
     solve_equilibria,
 )
 from .certificate import (
-    CertificateReport,
-    VelocityBand,
     certificate_csv,
     check_certificate,
-    envelope_g,
-    envelope_h,
     exp_sin_moment,
     nscr,
     p_bounds,
@@ -53,13 +50,9 @@ from .certificate import (
     velocity_band,
 )
 from .simulator import (
-    BasinStatistics,
     ConvergedToEquilibrium,
     IntegratorConfig,
     PeriodicOrbit,
-    StiffnessError,
-    Trajectory,
-    Undecided,
     basin_sample,
     cross_validate,
     detect_convergence,
@@ -67,21 +60,13 @@ from .simulator import (
     integrate,
     simulate_ese,
     simulate_full,
-    trajectory_csv,
 )
 from .swing import (
-    EseState,
     PendulumParams,
     ese_from_full,
-    ese_rhs,
     ese_rhs_fn,
-    forcing_gamma,
     from_pendulum_coords,
-    gamma_along,
     pendulum_energy,
-    pendulum_rhs,
-    pendulum_rhs_fn,
-    reconstruct_iq,
     to_pendulum_coords,
 )
 

@@ -46,7 +46,8 @@ _EDGE_EPS = 1e-9
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_GRID_FLOOR = 1e-6          # grid starts at Gamma * this
-DEFAULT_REL_MARGIN_THRESHOLD = 1e-3
+# Smallest relative margin min (d - nscr(d))/d that certifies.
+REL_MARGIN_THRESHOLD = 1e-3
 
 VERDICT_CERTIFIED = "certified-agas"
 VERDICT_NOT_CERTIFIED = "not-certified"
@@ -339,16 +340,13 @@ def certificate_grid(Gamma: float, n_points: int = DEFAULT_GRID_POINTS) -> np.nd
     return grid
 
 
-def check_certificate(
-    params: SgParameters,
-    n_points: int = DEFAULT_GRID_POINTS,
-    rel_margin_threshold: float = DEFAULT_REL_MARGIN_THRESHOLD,
-) -> CertificateReport:
+def check_certificate(params: SgParameters,
+                      n_points: int = DEFAULT_GRID_POINTS) -> CertificateReport:
     """Evaluate the certificate on a d grid and issue a verdict.
 
     Certified iff nscr(d) < d and the rate band applies at every grid
     point, all equilibria are hyperbolic, and the relative margin clears
-    ``rel_margin_threshold``.
+    ``REL_MARGIN_THRESHOLD``.
     """
     dc = derive_constants(params)
     grid = certificate_grid(dc.Gamma, n_points)
@@ -367,15 +365,15 @@ def check_certificate(
 
     notes = []
     condition_holds = bool(np.all(values < grid) and np.all(ok))
-    if condition_holds and hyperbolic and rel_margin < rel_margin_threshold:
+    if condition_holds and hyperbolic and rel_margin < REL_MARGIN_THRESHOLD:
         notes.append(
             f"grid-resolution: relative margin {rel_margin:.3e} below threshold "
-            f"{rel_margin_threshold:.1e}; condition may fail between grid points"
+            f"{REL_MARGIN_THRESHOLD:.1e}; condition may fail between grid points"
         )
     if not hyperbolic:
         notes.append("equilibria missing or not all hyperbolic")
 
-    certified = condition_holds and hyperbolic and rel_margin >= rel_margin_threshold
+    certified = condition_holds and hyperbolic and rel_margin >= REL_MARGIN_THRESHOLD
     return CertificateReport(
         d_grid=grid,
         nscr_values=values,

@@ -221,6 +221,8 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if not 0 < args.tol < np.inf:  # NaN fails too
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     params = params_from_config(load_config(args.config, args.set))
     box = default_basin_box(params)
     deviations = []

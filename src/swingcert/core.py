@@ -19,7 +19,6 @@ mod-2*pi helpers where a computation needs a representative angle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -90,13 +89,6 @@ class SgParameters:
             raise ParameterError(f"missing parameter key {sorted(missing)[0]!r}")
         return cls(**{name: float(data[name]) for name in PARAM_KEYS})
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SgParameters":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class SgState:
@@ -109,11 +101,6 @@ class SgState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i_d, self.i_q, self.omega, self.delta])
-
-    @classmethod
-    def from_array(cls, y) -> "SgState":
-        i_d, i_q, omega, delta = (float(v) for v in y)
-        return cls(i_d, i_q, omega, delta)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ then commands g = ((n-1) v + e) / n per phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -45,9 +45,7 @@ class NominalSpec:
     n: float = 1.0
 
     def __post_init__(self):
-        for name in ("P_n", "V", "omega_g", "d_p", "H_seconds",
-                     "L_drop_pct", "R_drop_pct", "n"):
-            value = getattr(self, name)
+        for name, value in self.to_dict().items():
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterError(
                     f"spec field {name!r} must be finite and > 0, got {value!r}"
@@ -64,23 +62,14 @@ class NominalSpec:
         return self.P_n / (3.0 * self.V_rms)
 
     def to_dict(self) -> dict:
-        return {
-            "P_n": self.P_n, "V": self.V, "omega_g": self.omega_g,
-            "d_p": self.d_p, "H_seconds": self.H_seconds,
-            "L_drop_pct": self.L_drop_pct, "R_drop_pct": self.R_drop_pct,
-            "n": self.n,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NominalSpec":
-        fields = {
-            "P_n", "V", "omega_g", "d_p", "H_seconds",
-            "L_drop_pct", "R_drop_pct", "n",
-        }
-        unknown = set(data) - fields
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown spec key {sorted(unknown)[0]!r}")
-        missing = {"P_n", "V", "omega_g"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ParameterError(f"missing spec key {sorted(missing)[0]!r}")
         return cls(**{k: float(v) for k, v in data.items()})

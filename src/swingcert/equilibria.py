@@ -57,18 +57,6 @@ class EquilibriumPoint:
     eigenvalues: tuple
     char_coeffs: tuple
 
-    @property
-    def delta_e(self) -> float:
-        return self.state.delta
-
-    @property
-    def i_d_e(self) -> float:
-        return self.state.i_d
-
-    @property
-    def i_q_e(self) -> float:
-        return self.state.i_q
-
     def to_dict(self) -> dict:
         return {
             "delta_e": self.state.delta,
@@ -177,15 +165,21 @@ def routh_hurwitz_unstable_count(coeffs):
 
 
 def classify_matrix(matrix) -> tuple:
-    """Classification and eigenvalues of a 4x4 linearisation.
+    """Classification and eigenvalues of a 4x4 linearisation (see
+    ``classify_char_poly``)."""
+    return classify_char_poly(char_poly(matrix))
+
+
+def classify_char_poly(coeffs) -> tuple:
+    """Classification and eigenvalues from characteristic coefficients
+    (a3, a2, a1, a0), as ``char_poly`` returns them.
 
     Stable and unstable verdicts require every eigenvalue to sit clearly
     outside a relative band around the imaginary axis; anything inside the
-    band is non-hyperbolic.  A Routh-Hurwitz count on the characteristic
-    coefficients serves as an independent cross-check; disagreement on an
-    unambiguous (hyperbolic) spectrum raises NumericalError.
+    band is non-hyperbolic.  A Routh-Hurwitz count on the coefficients
+    serves as an independent cross-check; disagreement on an unambiguous
+    (hyperbolic) spectrum raises NumericalError.
     """
-    coeffs = char_poly(matrix)
     eig = quartic_eigenvalues(coeffs)
     spectral_scale = float(np.max(np.abs(eig)))
     band = HYPERBOLICITY_REL_BAND * max(spectral_scale, 1e-300)
@@ -247,9 +241,8 @@ def solve_equilibria(params: SgParameters) -> list:
             + params.V * math.sin(delta_e) / params.R_s
         )
         state = SgState(i_d_e, i_q_e, params.omega_g, delta_e)
-        matrix = _linearize_at(params, state)
-        coeffs = char_poly(matrix)
-        verdict, eig = classify_matrix(matrix)
+        coeffs = char_poly(_linearize_at(params, state))
+        verdict, eig = classify_char_poly(coeffs)
         points.append(
             EquilibriumPoint(
                 state=state,

@@ -30,7 +30,7 @@ from .core import (
     wrap_angle,
 )
 from .equilibria import EquilibriumPoint, Stability, local_basin, solve_equilibria
-from .swing import ese_from_full, ese_rhs_fn
+from .swing import delta_from_eta, ese_from_full, ese_rhs_fn
 
 FULL_COLUMNS = ("i_d", "i_q", "omega", "delta")
 ESE_COLUMNS = ("eta", "eta_dot", "w_re", "w_im")
@@ -66,9 +66,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        # Written as "not x > 0" so that NaN fails too.
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be > 0")
+        # Written as "not 0 < x < inf" so that NaN fails too.
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be > 0 and finite")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be finite and > 0")
         if self.n_samples < 2:
@@ -460,24 +460,30 @@ def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
 
 
 def simulate_full(params: SgParameters, initial: SgState,
-                  config: IntegratorConfig, t_eval=None) -> Trajectory:
+                  config: IntegratorConfig) -> Trajectory:
     """Full-model trajectory from an initial state."""
-    return integrate(full_rhs(params), initial.as_array(), config, t_eval,
-                     columns=FULL_COLUMNS)
+    return integrate(full_rhs(params), initial.as_array(), config)
 
 
 def simulate_ese(params: SgParameters, initial: SgState,
-                 config: IntegratorConfig, t_eval=None) -> Trajectory:
+                 config: IntegratorConfig) -> Trajectory:
     """ESE trajectory matched to a full-model initial state."""
     ese0, init_currents = ese_from_full(initial, params)
     rhs = ese_rhs_fn(params, init_currents)
-    return integrate(rhs, ese0.as_array(), config, t_eval, columns=ESE_COLUMNS)
+    return integrate(rhs, ese0.as_array(), config, columns=ESE_COLUMNS)
 
 
 # Classification ------------------------------------------------------------
 
-# Share of a trajectory's final samples that must stay near one equilibrium.
+# Share of a trajectory's final samples that must stay within the scaled
+# distance CONVERGENCE_TOL of one equilibrium (``detect_convergence``).
 WINDOW_FRACTION = 0.1
+CONVERGENCE_TOL = 1e-3
+
+# Section-crossing agreement required of a periodic orbit (``detect_periodic``).
+PERIODIC_INTERVAL_TOL = 0.01
+PERIODIC_STATE_TOL = 0.02
+PERIODIC_MAX_CROSSINGS = 12
 
 
 class LocalBasin:
@@ -534,7 +540,7 @@ def _convergence_scales(equilibria) -> np.ndarray:
     return np.array([cur, cur, omega, 1.0])
 
 
-def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
+def detect_convergence(traj: Trajectory, equilibria, tol: float = CONVERGENCE_TOL,
                        params: SgParameters | None = None):
     """Classify a full-model trajectory.
 
@@ -569,16 +575,14 @@ def detect_convergence(traj: Trajectory, equilibria, tol: float = 1e-3,
     return verdict
 
 
-def detect_periodic(traj: Trajectory, params: SgParameters | None = None,
-                    interval_tol: float = 0.01, state_tol: float = 0.02,
-                    max_crossings: int = 12):
+def detect_periodic(traj: Trajectory, params: SgParameters | None = None):
     """Periodic-orbit detection on a Poincare section of the power angle.
 
     The section is delta mod 2*pi = delta(t_end) mod 2*pi, crossed in the
     decreasing-delta direction.  PeriodicOrbit when the states (i_d, i_q,
-    omega) at successive crossings agree within ``state_tol`` (relative)
-    and the crossing intervals agree within ``interval_tol``; fewer than 3
-    crossings gives Undecided.
+    omega) at the last ``PERIODIC_MAX_CROSSINGS`` crossings agree within
+    ``PERIODIC_STATE_TOL`` (relative) and the crossing intervals agree
+    within ``PERIODIC_INTERVAL_TOL``; fewer than 3 crossings gives Undecided.
     """
     t = traj.times
     delta = traj.column("delta")
@@ -608,12 +612,12 @@ def detect_periodic(traj: Trajectory, params: SgParameters | None = None,
     if len(crossings) < 3:
         return Undecided(reason="fewer than 3 section crossings")
 
-    crossings = crossings[-max_crossings:]
+    crossings = crossings[-PERIODIC_MAX_CROSSINGS:]
     times = np.array([c[0] for c in crossings])
     states = np.array([c[1] for c in crossings])
     intervals = np.diff(times)
     period = float(np.mean(intervals))
-    if period <= 0 or np.any(np.abs(intervals - period) > interval_tol * period):
+    if period <= 0 or np.any(np.abs(intervals - period) > PERIODIC_INTERVAL_TOL * period):
         return Undecided(reason="section crossing intervals not repeating")
 
     # Crossing-state agreement is judged against the orbit's own excursion,
@@ -621,7 +625,7 @@ def detect_periodic(traj: Trajectory, params: SgParameters | None = None,
     segment = traj.states[traj.times >= times[0]]
     scales = np.maximum(1.0, np.ptp(segment[:, :3], axis=0))
     spread = np.abs(states[:, :3] - states[0, :3]) / scales
-    if float(spread.max()) > state_tol:
+    if float(spread.max()) > PERIODIC_STATE_TOL:
         return Undecided(reason="section states not repeating")
 
     mask = t >= times[-2]
@@ -710,7 +714,7 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
     return SgState(*draws)
 
 
-def classify_initial_state(params, initial, equilibria, config, tol=1e-3):
+def classify_initial_state(params, initial, equilibria, config):
     """Simulate one initial state and classify the outcome.
 
     The run stops as soon as it enters the stable equilibrium's proven
@@ -720,13 +724,12 @@ def classify_initial_state(params, initial, equilibria, config, tol=1e-3):
     basin = stable_basin(params, equilibria)
     traj = integrate(full_rhs(params), initial.as_array(), config,
                      stop=None if basin is None else basin.contains)
-    traj.verdict = detect_convergence(traj, equilibria, tol=tol, params=params)
+    traj.verdict = detect_convergence(traj, equilibria, params=params)
     return traj.verdict
 
 
 def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
-                 config: IntegratorConfig | None = None,
-                 tol: float = 1e-3) -> BasinStatistics:
+                 config: IntegratorConfig | None = None) -> BasinStatistics:
     """Classify ``n`` seeded-random initial states from ``box``.
 
     Deterministic for a given seed; each state is drawn from its own
@@ -746,7 +749,7 @@ def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
     stats = BasinStatistics(n=n, seed=seed)
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
-        verdict = classify_initial_state(params, initial, equilibria, config, tol)
+        verdict = classify_initial_state(params, initial, equilibria, config)
         if isinstance(verdict, ConvergedToEquilibrium):
             stats.decided_by[verdict.decided_by] = stats.decided_by.get(verdict.decided_by, 0) + 1
             if verdict.equilibrium.classification is Stability.STABLE:
@@ -782,20 +785,18 @@ def combined_full_ese_rhs(params: SgParameters, initial: SgState):
 
 def cross_validate(params: SgParameters, initial: SgState,
                    t_end: float = 10.0, rel_tol: float = 1e-9,
-                   abs_tol: float = 1e-11, n_samples: int = 2001) -> float:
-    """Max |delta_full - delta_ese| over the horizon for matched initial data.
+                   abs_tol: float = 1e-11) -> float:
+    """Max |delta_full - delta_ese| over the horizon for matched initial data,
+    taken at ``IntegratorConfig``'s default number of uniform samples.
 
     The two formulations are mathematically equivalent, so the deviation
     measures integration error only.
     """
-    dc = derive_constants(params)
     rhs, y0 = combined_full_ese_rhs(params, initial)
-    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=t_end,
-                              n_samples=n_samples)
+    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=t_end)
     traj = integrate(rhs, y0, config, columns=FULL_COLUMNS + ESE_COLUMNS)
-    delta_full = traj.states[:, 3]
-    delta_ese = traj.states[:, 4] - 1.5 * math.pi - dc.phi
-    return float(np.max(np.abs(delta_full - delta_ese)))
+    delta_ese = delta_from_eta(traj.states[:, 4], derive_constants(params))
+    return float(np.max(np.abs(traj.states[:, 3] - delta_ese)))
 
 
 # Serialisation --------------------------------------------------------------

@@ -55,28 +55,31 @@ class EseState:
     def as_array(self) -> np.ndarray:
         return np.array([self.eta, self.eta_dot, self.w_re, self.w_im])
 
-    @classmethod
-    def from_array(cls, y) -> "EseState":
-        eta, eta_dot, w_re, w_im = (float(v) for v in y)
-        return cls(eta, eta_dot, w_re, w_im)
-
 
 @dataclass(frozen=True)
 class PendulumParams:
     """Forced pendulum psi'' + alpha psi' + sin(psi) = beta + gamma(t).
 
-    ``forcing`` is the time function gamma (None means zero) and ``d`` its
-    declared bound, sup |gamma| < d.
+    ``forcing`` is the time function gamma (None means zero).
     """
 
     alpha: float
     beta: float
     forcing: object = None
-    d: float = 0.0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
+
+
+def eta_from_delta(delta, dc: DerivedConstants):
+    """Shifted angle eta = 3*pi/2 + delta + phi of a power angle (float or array)."""
+    return 1.5 * math.pi + delta + dc.phi
+
+
+def delta_from_eta(eta, dc: DerivedConstants):
+    """Invert ``eta_from_delta``."""
+    return eta - 1.5 * math.pi - dc.phi
 
 
 def ese_from_full(state: SgState, params: SgParameters) -> tuple:
@@ -85,26 +88,19 @@ def ese_from_full(state: SgState, params: SgParameters) -> tuple:
     Returns (EseState, init_currents) with init_currents = (i_d0, i_q0,
     delta0); the memory state starts at zero.
     """
-    dc = derive_constants(params)
-    eta0 = 1.5 * math.pi + state.delta + dc.phi
+    eta0 = eta_from_delta(state.delta, derive_constants(params))
     ese = EseState(eta0, state.omega - params.omega_g, 0.0, 0.0)
     return ese, (state.i_d, state.i_q, state.delta)
 
 
-def delta_from_eta(eta: float, dc: DerivedConstants) -> float:
-    """Invert eta = 3*pi/2 + delta + phi."""
-    return eta - 1.5 * math.pi - dc.phi
-
-
-def _f_closure(params: SgParameters, init_currents):
+def _f_closure(params: SgParameters, dc: DerivedConstants, init_currents):
     """The bounded forcing function f(t) for given initial data.
 
     Evaluated from the accumulated rotor phase Theta(t) = eta(t) - eta(0)
     + omega_g t, which the ESE state carries implicitly.
     """
-    dc = derive_constants(params)
     i_d0, i_q0, delta0 = (float(v) for v in init_currents)
-    eta0 = 1.5 * math.pi + delta0 + dc.phi
+    eta0 = eta_from_delta(delta0, dc)
     m_over_L = params.m_if / params.L_s
     shift = delta0 + dc.phi
     omega_g = params.omega_g
@@ -129,7 +125,7 @@ def ese_rhs_fn(params: SgParameters, init_currents):
     delta0) fixes the forcing term f for this trajectory.
     """
     dc = derive_constants(params)
-    f = _f_closure(params, init_currents)
+    f = _f_closure(params, dc, init_currents)
     p = dc.p
     omega_g = params.omega_g
     m = params.m_if
@@ -159,67 +155,53 @@ def ese_rhs_fn(params: SgParameters, init_currents):
     return rhs
 
 
-def ese_rhs(t: float, x: EseState, params: SgParameters, init_currents) -> EseState:
-    """Time derivative of the ESE state (see ``ese_rhs_fn``)."""
-    d = ese_rhs_fn(params, init_currents)(t, x.as_array())
-    return EseState(*d)
-
-
-def forcing_gamma(t: float, x: EseState, params: SgParameters, init_currents) -> tuple:
-    """Pendulum forcing gamma and memory term P at physical time t.
-
-    P(s) = p * Im w carries the convolution of the stator dynamics; along
-    any trajectory |P| < 1 and, at steady rotor speed omega_g, P -> P_inf.
-    gamma = e^{-p t} f(t)/i_v + V_r (P_inf - P).
-    """
+def _decaying_forcing(times, states, params: SgParameters, init_currents) -> tuple:
+    """(dc, states, e^{-p t} f(t)) along a sampled ESE trajectory, with
+    ``derive_constants`` and f built once for the whole trajectory."""
     dc = derive_constants(params)
-    f = _f_closure(params, init_currents)
-    P = dc.p * x.w_im
-    gamma = math.exp(-dc.p * t) * f(t, x.eta) / dc.i_v + dc.V_r * (dc.P_inf - P)
-    return gamma, P
+    f = _f_closure(params, dc, init_currents)
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    fvals = np.array([f(t, eta) for t, eta in zip(times, states[:, 0])])
+    return dc, states, np.exp(-dc.p * times) * fvals
 
 
 def gamma_along(times, states, params: SgParameters, init_currents) -> tuple:
-    """Vectorised (gamma, P) along a sampled ESE trajectory.
+    """Pendulum forcing gamma and memory term P along a sampled ESE trajectory.
 
-    ``states`` has rows (eta, eta_dot, w_re, w_im).
+    ``states`` has rows (eta, eta_dot, w_re, w_im).  P(s) = p * Im w
+    carries the convolution of the stator dynamics; along any trajectory
+    |P| < 1 and, at steady rotor speed omega_g, P -> P_inf.
+    gamma = e^{-p t} f(t)/i_v + V_r (P_inf - P).
     """
-    dc = derive_constants(params)
-    f = _f_closure(params, init_currents)
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
+    dc, states, forced = _decaying_forcing(times, states, params, init_currents)
     P = dc.p * states[:, 3]
-    fvals = np.array([f(t, eta) for t, eta in zip(times, states[:, 0])])
-    gamma = np.exp(-dc.p * times) * fvals / dc.i_v + dc.V_r * (dc.P_inf - P)
+    gamma = forced / dc.i_v + dc.V_r * (dc.P_inf - P)
     return gamma, P
 
 
-def reconstruct_iq(t: float, x: EseState, params: SgParameters, init_currents) -> float:
-    """Quadrature stator current implied by the ESE state.
+def reconstruct_iq(times, states, params: SgParameters, init_currents) -> np.ndarray:
+    """Quadrature stator current implied by a sampled ESE trajectory.
 
     i_q = -i_v sin(eta) - (m_if p / L_s) Im w + e^{-p t} f(t); matches the
     full-model i_q for matched initial data.
     """
-    dc = derive_constants(params)
-    f = _f_closure(params, init_currents)
+    dc, states, forced = _decaying_forcing(times, states, params, init_currents)
     return (
-        -dc.i_v * math.sin(x.eta)
-        - params.m_if * dc.p / params.L_s * x.w_im
-        + math.exp(-dc.p * t) * f(t, x.eta)
+        -dc.i_v * np.sin(states[:, 0])
+        - params.m_if * dc.p / params.L_s * states[:, 3]
+        + forced
     )
 
 
-def pendulum_rhs(psi: float, psi_dot: float, pparams: PendulumParams, t: float = 0.0) -> tuple:
-    """(psi', psi'') for the forced pendulum."""
-    gamma = pparams.forcing(t) if pparams.forcing is not None else 0.0
-    return psi_dot, -pparams.alpha * psi_dot - math.sin(psi) + pparams.beta + gamma
-
-
 def pendulum_rhs_fn(pparams: PendulumParams):
-    """Pendulum right-hand side as an ``f(t, y)`` closure, y = (psi, psi')."""
+    """(psi', psi'') of the forced pendulum as an ``f(t, y)`` closure, y = (psi, psi')."""
+    alpha, beta, forcing = pparams.alpha, pparams.beta, pparams.forcing
 
     def rhs(t, y):
-        return pendulum_rhs(y[0], y[1], pparams, t)
+        psi, psi_dot = y
+        gamma = forcing(t) if forcing is not None else 0.0
+        return psi_dot, -alpha * psi_dot - math.sin(psi) + beta + gamma
 
     return rhs
 
@@ -232,16 +214,12 @@ def pendulum_energy(psi, psi_dot):
 def to_pendulum_coords(state: SgState, dc: DerivedConstants) -> tuple:
     """Normalised pendulum coordinates (psi, psi') for a full-model state.
 
-    psi = 3*pi/2 + delta + phi and psi' = rho (omega - omega_g), the angle
-    rate with respect to normalised time s = t / rho.
+    psi = eta, the shifted angle, and psi' = rho (omega - omega_g), the
+    angle rate with respect to normalised time s = t / rho.
     """
-    psi = 1.5 * math.pi + state.delta + dc.phi
-    psi_prime = dc.rho * (state.omega - dc.omega_g)
-    return psi, psi_prime
+    return eta_from_delta(state.delta, dc), dc.rho * (state.omega - dc.omega_g)
 
 
 def from_pendulum_coords(psi: float, psi_prime: float, dc: DerivedConstants) -> tuple:
     """Invert ``to_pendulum_coords``; returns (delta, omega)."""
-    delta = psi - 1.5 * math.pi - dc.phi
-    omega = psi_prime / dc.rho + dc.omega_g
-    return delta, omega
+    return delta_from_eta(psi, dc), psi_prime / dc.rho + dc.omega_g

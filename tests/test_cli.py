@@ -149,6 +149,12 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["simulate", "--rel-tol", "nan"], "tolerances must be > 0"),
     (["basin", "--t-end", "nan", "--samples", "1"], "t_end must be finite and > 0"),
     (["validate", "--t-end", "inf", "--samples", "1"], "t_end must be finite and > 0"),
+    (["validate", "--tol", "nan", "--samples", "1"], "--tol must be finite and > 0"),
+    (["validate", "--tol", "inf", "--samples", "1"], "--tol must be finite and > 0"),
+    (["validate", "--tol", "-1", "--samples", "1"], "--tol must be finite and > 0"),
+    (["validate", "--tol", "0", "--samples", "1"], "--tol must be finite and > 0"),
+    (["simulate", "--abs-tol", "inf"], "tolerances must be > 0"),
+    (["simulate", "--rel-tol", "inf"], "tolerances must be > 0"),
 ])
 def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
     rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",

@@ -26,7 +26,7 @@ def test_parameter_validation_names_field(field, bad):
 
 def test_parameter_dict_round_trip():
     params = sc.SgParameters(**_valid_kwargs())
-    again = sc.SgParameters.from_dict(json.loads(params.to_json()))
+    again = sc.SgParameters.from_dict(json.loads(json.dumps(params.to_dict())))
     assert again == params
 
 

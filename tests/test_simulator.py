@@ -58,7 +58,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(n_samples=1)
     for setting in ({"t_end": np.nan}, {"t_end": np.inf}, {"rel_tol": np.nan},
-                    {"abs_tol": np.nan}):
+                    {"abs_tol": np.nan}, {"rel_tol": np.inf}, {"abs_tol": np.inf}):
         with pytest.raises(ValueError):
             IntegratorConfig(**setting)
 

@@ -6,12 +6,7 @@ from scipy.integrate import simpson
 
 import swingcert as sc
 from swingcert.simulator import IntegratorConfig, combined_full_ese_rhs, integrate
-from swingcert.swing import (
-    _f_closure,
-    gamma_along,
-    pendulum_rhs_fn,
-    reconstruct_iq,
-)
+from swingcert.swing import gamma_along, pendulum_rhs_fn, reconstruct_iq
 
 
 def _random_states(params, n, seed):
@@ -24,7 +19,7 @@ def test_ese_rhs_at_time_zero(params_n30):
     dc = sc.derive_constants(params_n30)
     state0 = sc.SgState(14.0, -30.0, 320.0, 0.6)
     ese0, init = sc.ese_from_full(state0, params_n30)
-    d = sc.ese_rhs(0.0, ese0, params_n30, init)
+    d = sc.ese_rhs_fn(params_n30, init)(0.0, ese0.as_array().tolist())
     # Empty memory: the convolution term contributes nothing at t=0 and
     # f(0) = i_q(0) - i_v cos(delta(0) + phi).
     f0 = state0.i_q - dc.i_v * math.cos(state0.delta + dc.phi)
@@ -35,10 +30,10 @@ def test_ese_rhs_at_time_zero(params_n30):
         - params_n30.D_p * ese0.eta_dot
         - params_n30.m_if * dc.i_v * math.sin(ese0.eta)
     ) / params_n30.J
-    assert d.eta == ese0.eta_dot
-    assert d.w_re == 1.0
-    assert d.w_im == 0.0
-    assert abs(d.eta_dot - expected) < 1e-9 * max(1.0, abs(expected))
+    assert d[0] == ese0.eta_dot
+    assert d[2] == 1.0
+    assert d[3] == 0.0
+    assert abs(d[1] - expected) < 1e-9 * max(1.0, abs(expected))
 
 
 def test_full_ese_equivalence_tight(params_n30):
@@ -60,10 +55,7 @@ def test_iq_reconstruction(params_n30):
                                                t_end=2.0, n_samples=801))
     init = (state0.i_d, state0.i_q, state0.delta)
     iq_sim = traj.states[:, 1]
-    iq_rec = np.array([
-        reconstruct_iq(t, sc.EseState(*row[4:]), params_n30, init)
-        for t, row in zip(traj.times, traj.states)
-    ])
+    iq_rec = reconstruct_iq(traj.times, traj.states[:, 4:], params_n30, init)
     assert np.max(np.abs(iq_rec - iq_sim)) < 1e-5 * np.max(np.abs(iq_sim))
 
 
@@ -99,10 +91,11 @@ def test_forcing_gamma_at_time_zero(params_n30):
     dc = sc.derive_constants(params_n30)
     state0 = sc.SgState(5.0, 10.0, 300.0, -0.4)
     ese0, init = sc.ese_from_full(state0, params_n30)
-    gamma, P = sc.forcing_gamma(0.0, ese0, params_n30, init)
+    (gamma,), (P,) = gamma_along([0.0], [ese0.as_array()], params_n30, init)
     assert P == 0.0
-    f = _f_closure(params_n30, init)
-    expected = f(0.0, ese0.eta) / dc.i_v + dc.V_r * dc.P_inf
+    # At t = 0 the accumulated phase is zero, so f(0) = i_q(0) - i_v cos(delta(0) + phi).
+    f0 = state0.i_q - dc.i_v * math.cos(state0.delta + dc.phi)
+    expected = f0 / dc.i_v + dc.V_r * dc.P_inf
     assert abs(gamma - expected) < 1e-12 * max(1.0, abs(expected))
 
 
@@ -142,7 +135,7 @@ def test_memory_term_settles_to_p_inf(params_n30, equilibria_n30):
 def test_pendulum_equilibrium(params_n30):
     lam = 0.6
     pp = sc.PendulumParams(alpha=1.0, beta=math.sin(lam))
-    psi_dot, psi_dd = sc.pendulum_rhs(lam, 0.0, pp)
+    psi_dot, psi_dd = pendulum_rhs_fn(pp)(0.0, (lam, 0.0))
     assert psi_dot == 0.0
     assert abs(psi_dd) < 1e-15
 
@@ -159,7 +152,7 @@ def test_pendulum_velocity_bound():
         beta = rng.uniform(-0.8, 0.8)
         d = rng.uniform(0.05, 0.5)
         pp = sc.PendulumParams(alpha=alpha, beta=beta,
-                               forcing=lambda t, d=d: 0.99 * d * math.sin(t), d=d)
+                               forcing=lambda t, d=d: 0.99 * d * math.sin(t))
         y0 = [rng.uniform(-math.pi, math.pi), rng.uniform(-3, 3)]
         traj = integrate(pendulum_rhs_fn(pp), y0,
                          IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=60.0,
@@ -171,7 +164,7 @@ def test_pendulum_velocity_bound():
 def test_pendulum_energy_derivative():
     alpha, beta, d = 0.8, 0.2, 0.3
     pp = sc.PendulumParams(alpha=alpha, beta=beta,
-                           forcing=lambda t: 0.99 * d * math.sin(t), d=d)
+                           forcing=lambda t: 0.99 * d * math.sin(t))
     traj = integrate(pendulum_rhs_fn(pp), [1.0, 0.5],
                      IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0,
                                       n_samples=20001))
