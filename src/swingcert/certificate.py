@@ -31,7 +31,7 @@ disclosed threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def envelope_h(tau, omega_min: float, omega_max: float):
     return _evaluate(_pieces(omega_min, omega_max)[1], tau)
 
 
-def exp_sin_moment(a, omega, tau0, tau1, phase=0.0):
+def exp_sin_moment(a, omega, tau0, tau1, phase):
     """Closed form of Int_{tau0}^{tau1} e^{-a tau} sin(omega tau + phase) dtau.
 
     The antiderivative is -e^{-a tau} (a sin(omega tau + phase) +
@@ -302,14 +302,15 @@ class CertificateReport:
     hyperbolicity_ok: bool
     equilibrium_classifications: tuple
     verdict: str
-    notes: list = field(default_factory=list)
+    notes: list
 
     @property
     def certified(self) -> bool:
         return self.verdict == VERDICT_CERTIFIED
 
-    def to_dict(self, include_grid: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The summary without the per-d arrays (``certificate_csv`` has those)."""
+        return {
             "verdict": self.verdict,
             "n_grid": int(len(self.d_grid)),
             "d_min": float(self.d_grid[0]),
@@ -322,16 +323,9 @@ class CertificateReport:
             "equilibrium_classifications": list(self.equilibrium_classifications),
             "notes": list(self.notes),
         }
-        if include_grid:
-            out["d_grid"] = self.d_grid.tolist()
-            out["nscr"] = self.nscr_values.tolist()
-            out["omega_min_d"] = self.omega_min_d.tolist()
-            out["omega_max_d"] = self.omega_max_d.tolist()
-            out["band_ok"] = [bool(b) for b in self.band_ok]
-        return out
 
 
-def certificate_grid(Gamma: float, n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def certificate_grid(Gamma: float, n_points: int) -> np.ndarray:
     """Log-spaced d grid from Gamma * DEFAULT_GRID_FLOOR up to exactly Gamma."""
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")

@@ -31,7 +31,7 @@ from .core import (
     derive_constants,
 )
 from .design import NominalSpec, apply_virtual_inductor, size_parameters
-from .certificate import certificate_csv, check_certificate
+from .certificate import DEFAULT_GRID_POINTS, certificate_csv, check_certificate
 from .equilibria import solve_equilibria
 from .simulator import (
     IntegratorConfig,
@@ -140,11 +140,7 @@ def cmd_check(args) -> int:
     params = params_from_config(load_config(args.config, args.set))
     report = check_certificate(params, n_points=args.grid)
     sys.stdout.write(_dump(report.to_dict()))
-    csv_text = certificate_csv(report)
-    if args.out:
-        _emit(csv_text, args.out)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(certificate_csv(report), args.out)
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
 
@@ -174,9 +170,7 @@ def cmd_simulate(args) -> int:
         traj = simulate_ese(params, initial, config)
     else:
         traj = simulate_full(params, initial, config)
-        traj.verdict = detect_convergence(
-            traj, solve_equilibria(params), params=params
-        )
+        traj.verdict = detect_convergence(traj, solve_equilibria(params), params)
     _emit(trajectory_csv(traj), args.out)
     return EXIT_OK
 
@@ -275,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate the stability certificate")
     common(p)
-    p.add_argument("--grid", type=int, default=2000, help="number of d grid points")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                   help="number of d grid points")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="integrate the model and classify the run")
@@ -284,11 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: 0,0,omega_g,0)")
     p.add_argument("--ese", action="store_true",
                    help="simulate the reduced swing formulation instead")
-    p.add_argument("--method", choices=("rk45", "rk4"), default="rk45")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-11)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=2001, help="output samples")
+    p.add_argument("--method", choices=("rk45", "rk4"), default=IntegratorConfig.method)
+    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
+    p.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
+    p.add_argument("--samples", type=int, default=IntegratorConfig.n_samples,
+                   help="output samples")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("basin", help="sample initial states and tally outcomes")
@@ -306,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--log", action="store_true", help="log-spaced values")
-    p.add_argument("--grid", type=int, default=2000, help="d grid points per check")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                   help="d grid points per check")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="cross-validate the swing reduction "
@@ -314,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--samples", type=int, default=20, help="number of initial states")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-end", type=float, default=10.0)
+    p.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
     p.add_argument("--tol", type=float, default=1e-4,
                    help="max acceptable angle deviation (rad)")
     p.set_defaults(func=cmd_validate)

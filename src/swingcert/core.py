@@ -37,9 +37,9 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or cross-checks disagree."""
 
 
-def wrap_angle(angle, center=0.0):
-    """Reduce an angle to the half-open interval [center - pi, center + pi)."""
-    return (angle - center + math.pi) % TWO_PI + center - math.pi
+def wrap_angle(angle):
+    """Reduce an angle to the half-open interval [-pi, pi)."""
+    return (angle + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True)

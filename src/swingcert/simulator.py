@@ -37,10 +37,11 @@ ESE_COLUMNS = ("eta", "eta_dot", "w_re", "w_im")
 
 
 class StiffnessError(NumericalError):
-    """Adaptive step size underflowed or the rhs-call budget ran out;
-    carries the last reached state."""
+    """Integration failed: the adaptive step size underflowed, the rhs-call
+    budget ran out or a fixed step came out non-finite; carries the last
+    finite time and state."""
 
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t, state):
         super().__init__(message)
         self.t = t
         self.state = state
@@ -50,16 +51,15 @@ class StiffnessError(NumericalError):
 class IntegratorConfig:
     """Integration settings.
 
-    method is "rk45" (adaptive, embedded error control) or "rk4"
-    (fixed step; the step is ``max_step`` when finite, else t_end/5000).
-    ``n_samples`` output samples are placed uniformly on [0, t_end] unless
-    explicit sample times are passed to ``integrate``.
+    method is "rk45" (adaptive, embedded error control) or "rk4" (fixed
+    step of at most t_end / ``RK4_STEPS``, shortened so that it divides
+    each sampling interval).  ``n_samples`` output samples are placed
+    uniformly on [0, t_end], the first at t = 0.
     """
 
     method: str = "rk45"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = math.inf
     t_end: float = 10.0
     n_samples: int = 2001
 
@@ -95,14 +95,14 @@ class ConvergedToEquilibrium:
 class PeriodicOrbit:
     period: float
     mean_omega: float
-    omega_below_grid: bool | None = None
+    omega_below_grid: bool
 
     kind = "periodic"
 
 
 @dataclass(frozen=True)
 class Undecided:
-    reason: str = ""
+    reason: str
 
     kind = "undecided"
 
@@ -120,7 +120,7 @@ def verdict_to_dict(verdict) -> dict:
         out["period"] = verdict.period
         out["mean_omega"] = verdict.mean_omega
         out["omega_below_grid"] = verdict.omega_below_grid
-    elif isinstance(verdict, Undecided) and verdict.reason:
+    elif isinstance(verdict, Undecided):
         out["reason"] = verdict.reason
     return out
 
@@ -130,12 +130,13 @@ class Trajectory:
     """Sampled solution: strictly increasing times, one state per row.
 
     ``stopped`` is set when a stop rule ended the run early; the last row
-    is then the state at which it fired.
+    is then the state at which it fired.  ``verdict`` stays "not
+    classified" until a classifier sets it.
     """
 
     times: np.ndarray
     states: np.ndarray
-    verdict: object = field(default_factory=Undecided)
+    verdict: object = Undecided(reason="not classified")
     columns: tuple = FULL_COLUMNS
     stopped: bool = False
 
@@ -149,34 +150,43 @@ class Trajectory:
 
 # Integration ---------------------------------------------------------------
 
+# The fixed-step RK4's longest step is t_end / RK4_STEPS.
+RK4_STEPS = 5000
+
+
 def _rk4_fixed(rhs, y0, t_eval, step):
-    """Classic fourth-order steps between consecutive sample times.
+    """Classic fourth-order steps from y0 at t_eval[0] = 0, each sampling
+    interval cut into the fewest equal steps no longer than ``step``.
 
-    The initial state is taken at t = 0; a leading segment is integrated
-    when the first sample time is positive.
+    A step that comes out non-finite, or whose rhs calls raise
+    OverflowError or ValueError, raises StiffnessError with the last
+    finite (t, y).
     """
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((len(t_eval), len(y)))
-
-    def advance(y, t0, t1):
-        if t1 <= t0:
-            return y
-        n_sub = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
-        h = (t1 - t0) / n_sub
-        t = t0
-        for _ in range(n_sub):
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        return y
-
-    out[0] = advance(y, 0.0, t_eval[0])
-    for i in range(len(t_eval) - 1):
-        out[i + 1] = advance(out[i], t_eval[i], t_eval[i + 1])
-    return out
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    times = t_eval.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1 in zip(times, times[1:]):
+            n_sub = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
+            h = (t1 - t0) / n_sub
+            t = t0
+            for _ in range(n_sub):
+                try:
+                    k1 = np.asarray(rhs(t, y))
+                    k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+                    k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
+                    k4 = np.asarray(rhs(t + h, y + h * k3))
+                    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    finite = np.all(np.isfinite(y_new))
+                except (OverflowError, ValueError):
+                    finite = False
+                if not finite:
+                    raise StiffnessError(f"non-finite rk4 step at t={t!r}", t=t,
+                                         state=y.copy())
+                y = y_new
+                t += h
+            out.append(y)
+    return np.array(out)
 
 
 # Right-hand-side evaluations allowed in one Dormand-Prince run, more than
@@ -266,7 +276,7 @@ def _rms(x) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def _initial_step(rhs, y0, f0, t_bound, max_step, rtol, atol, as_array) -> float:
+def _initial_step(rhs, y0, f0, t_bound, rtol, atol, as_array) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy picks it.
 
     NaN propagates, so a non-finite start is caught by the step floor.
@@ -283,7 +293,7 @@ def _initial_step(rhs, y0, f0, t_bound, max_step, rtol, atol, as_array) -> float
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
-    return min(100 * h0, h1, t_bound, max_step)
+    return min(100 * h0, h1, t_bound)
 
 
 def _dense_samples(t_eval, t0, t1, y_old, K):
@@ -306,7 +316,7 @@ def _dense_samples(t_eval, t0, t1, y_old, K):
     return out
 
 
-def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
+def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
 
     Step control is scipy's RK45: RMS error norm scaled by
@@ -320,8 +330,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
     the samples are read from the dense output in one vectorised pass at
     the end.
 
-    ``stop(y)`` is read on the end state of each accepted step; when it
-    fires the run ends there, and the output is the samples before that
+    ``stop(y)``, unless None, is read on the end state of each accepted
+    step; when it fires the run ends there, and the output is the samples before that
     time followed by the stop time and state.  Returns
     ``(times, states, stopped)``.
     """
@@ -332,7 +342,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
     try:
         f = rhs(0.0, y0)
         as_array = isinstance(f, np.ndarray)
-        h_abs = float(_initial_step(rhs, y0, f, t_bound, max_step, rtol, atol, as_array))
+        h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol, as_array))
     except OverflowError:
         raise StiffnessError("overflow evaluating the initial derivative",
                              t=0.0, state=y0.copy())
@@ -356,9 +366,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
     stopped = False
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -415,15 +423,17 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, max_step, stop=None):
     return times, states, stopped
 
 
-def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
+def integrate(rhs, initial, config: IntegratorConfig,
               columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
 
-    Samples are taken at ``t_eval`` when given, else uniformly.  Raises
+    Samples are taken at ``config.n_samples`` uniform times on [0, t_end];
+    "rk4" steps at most t_end / ``RK4_STEPS`` at a time.  Raises
     StiffnessError, carrying the last accepted time and state, when the
     adaptive integrator underflows its step size, including when the
-    derivative keeps coming back non-finite or overflowing, and when the
-    run would need more than ``MAX_RHS_CALLS`` rhs evaluations.
+    derivative keeps coming back non-finite or overflowing, when the run
+    would need more than ``MAX_RHS_CALLS`` rhs evaluations, and when an
+    rk4 step comes out non-finite.
 
     ``stop(y)`` is an optional predicate on the end state of each accepted
     adaptive step.  When it fires the run ends: the trajectory holds the
@@ -440,22 +450,14 @@ def integrate(rhs, initial, config: IntegratorConfig, t_eval=None,
     much faster for small systems.
     """
     y0 = np.asarray(initial, dtype=float)
-    if t_eval is None:
-        t_eval = np.linspace(0.0, config.t_end, config.n_samples)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if (t_eval.ndim != 1 or t_eval.size == 0 or not t_eval[0] >= 0.0
-                or not t_eval[-1] > 0.0 or not np.all(np.diff(t_eval) > 0.0)):
-            raise ValueError("t_eval must be strictly increasing times >= 0 "
-                             "that end after t = 0")
-
+    t_eval = np.linspace(0.0, config.t_end, config.n_samples)
     if config.method == "rk4":
-        step = config.max_step if math.isfinite(config.max_step) else config.t_end / 5000.0
+        step = config.t_end / RK4_STEPS
         times, states, stopped = t_eval, _rk4_fixed(rhs, y0, t_eval, step), False
     else:
         times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
-                                         config.abs_tol, config.max_step, stop)
-    return Trajectory(times=times.copy(), states=states, columns=columns,
+                                         config.abs_tol, stop)
+    return Trajectory(times=times, states=states, columns=columns,
                       stopped=stopped)
 
 
@@ -540,21 +542,21 @@ def _convergence_scales(equilibria) -> np.ndarray:
     return np.array([cur, cur, omega, 1.0])
 
 
-def detect_convergence(traj: Trajectory, equilibria, tol: float = CONVERGENCE_TOL,
-                       params: SgParameters | None = None):
-    """Classify a full-model trajectory.
+def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
+                       tol: float = CONVERGENCE_TOL):
+    """Classify a full-model trajectory of the design ``params``.
 
     First the proof: when the final state lies in the stable equilibrium's
-    proven local basin (``stable_basin``; needs ``params``),
-    the run converges there, on sheet ``round((delta - delta_e) / 2 pi)``;
-    the basin is invariant and attracting, so no tolerance is involved.
+    proven local basin (``stable_basin``), the run converges there, on
+    sheet ``round((delta - delta_e) / 2 pi)``; the basin is invariant and
+    attracting, so no tolerance is involved.
     Then the window test: ConvergedToEquilibrium when the last
     ``WINDOW_FRACTION`` of samples stays within ``tol`` of one equilibrium
     (per-component scaled; delta compared modulo 2*pi, winding sheet
     recorded), the only route to convergence at an unstable point.
     Otherwise defers to ``detect_periodic``; otherwise Undecided.
     """
-    basin = None if params is None else stable_basin(params, equilibria)
+    basin = stable_basin(params, equilibria)
     final = traj.final_state
     if basin is not None and basin.contains(final):
         sheet = int(round((float(final[3]) - basin.point.state.delta) / TWO_PI))
@@ -571,11 +573,10 @@ def detect_convergence(traj: Trajectory, equilibria, tol: float = CONVERGENCE_TO
         if float(err.max()) < tol:
             sheet = int(round((float(np.mean(window[:, 3])) - target[3]) / TWO_PI))
             return ConvergedToEquilibrium(equilibrium=pt, sheet=sheet)
-    verdict = detect_periodic(traj, params=params)
-    return verdict
+    return detect_periodic(traj, params)
 
 
-def detect_periodic(traj: Trajectory, params: SgParameters | None = None):
+def detect_periodic(traj: Trajectory, params: SgParameters):
     """Periodic-orbit detection on a Poincare section of the power angle.
 
     The section is delta mod 2*pi = delta(t_end) mod 2*pi, crossed in the
@@ -583,6 +584,8 @@ def detect_periodic(traj: Trajectory, params: SgParameters | None = None):
     omega) at the last ``PERIODIC_MAX_CROSSINGS`` crossings agree within
     ``PERIODIC_STATE_TOL`` (relative) and the crossing intervals agree
     within ``PERIODIC_INTERVAL_TOL``; fewer than 3 crossings gives Undecided.
+    ``omega_below_grid`` says whether the rotor stays slower than the grid
+    frequency of ``params`` over the last turn.
     """
     t = traj.times
     delta = traj.column("delta")
@@ -630,11 +633,8 @@ def detect_periodic(traj: Trajectory, params: SgParameters | None = None):
 
     mask = t >= times[-2]
     omega_orbit = traj.column("omega")[mask]
-    mean_omega = float(np.mean(omega_orbit))
-    below = None
-    if params is not None:
-        below = bool(np.max(omega_orbit) < params.omega_g)
-    return PeriodicOrbit(period=period, mean_omega=mean_omega, omega_below_grid=below)
+    return PeriodicOrbit(period=period, mean_omega=float(np.mean(omega_orbit)),
+                         omega_below_grid=bool(np.max(omega_orbit) < params.omega_g))
 
 
 # Sampling ------------------------------------------------------------------
@@ -651,14 +651,13 @@ def default_basin_box(params: SgParameters) -> tuple:
     )
 
 
-def default_horizon(params: SgParameters, equilibria=None) -> float:
-    """Simulation horizon tied to the slowest stable linear mode.
+def default_horizon(params: SgParameters, equilibria) -> float:
+    """Simulation horizon of the design ``params``, tied to the slowest
+    stable linear mode of its ``equilibria`` (from ``solve_equilibria``).
 
     20 / min|Re eigenvalue| of the stable equilibrium when one exists,
-    otherwise 60 s.
+    otherwise 60 s; only the equilibria are read.
     """
-    if equilibria is None:
-        equilibria = solve_equilibria(params)
     for pt in equilibria:
         if pt.classification is Stability.STABLE:
             rate = min(abs(z.real) for z in pt.eigenvalues)
@@ -728,7 +727,7 @@ def classify_initial_state(params, initial, equilibria, config):
     return traj.verdict
 
 
-def basin_sample(params: SgParameters, n: int, box=None, seed: int = 0,
+def basin_sample(params: SgParameters, n: int, seed: int, box=None,
                  config: IntegratorConfig | None = None) -> BasinStatistics:
     """Classify ``n`` seeded-random initial states from ``box``.
 
@@ -784,8 +783,9 @@ def combined_full_ese_rhs(params: SgParameters, initial: SgState):
 
 
 def cross_validate(params: SgParameters, initial: SgState,
-                   t_end: float = 10.0, rel_tol: float = 1e-9,
-                   abs_tol: float = 1e-11) -> float:
+                   t_end: float = IntegratorConfig.t_end,
+                   rel_tol: float = IntegratorConfig.rel_tol,
+                   abs_tol: float = IntegratorConfig.abs_tol) -> float:
     """Max |delta_full - delta_ese| over the horizon for matched initial data,
     taken at ``IntegratorConfig``'s default number of uniform samples.
 

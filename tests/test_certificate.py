@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import swingcert as sc
 from swingcert.certificate import (
+    DEFAULT_GRID_POINTS,
     certificate_grid,
     envelope_g,
     envelope_h,
@@ -126,7 +127,7 @@ def test_velocity_band_array_equals_scalar_calls(design, request):
     # Both grids mix refined points, fallback points with rest angles and
     # points without them; n=1 also has points where the band fails.
     dc = sc.derive_constants(request.getfixturevalue(design))
-    grid = certificate_grid(dc.Gamma)
+    grid = certificate_grid(dc.Gamma, DEFAULT_GRID_POINTS)
     band = velocity_band(dc, grid)
     assert (not np.all(band.band_ok)) == (design == "params_n1")
     assert np.any(band.refined) and np.any(np.isnan(band.psi1))
@@ -226,12 +227,12 @@ def test_exp_sin_moment_constant_piece():
 
 
 def test_exp_sin_moment_empty_interval():
-    assert sc.exp_sin_moment(2.0, 3.0, 1.1, 1.1) == 0.0
+    assert sc.exp_sin_moment(2.0, 3.0, 1.1, 1.1, 0.0) == 0.0
 
 
 def test_exp_sin_moment_requires_positive_decay():
     with pytest.raises(ValueError):
-        sc.exp_sin_moment(0.0, 1.0, 0.0, 1.0)
+        sc.exp_sin_moment(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_exp_sin_moment_against_adaptive_simpson():
@@ -414,8 +415,9 @@ def test_certificate_report_dict(params_n30):
     doc = report.to_dict()
     assert doc["verdict"] == report.verdict
     assert doc["n_grid"] == 50
-    full = report.to_dict(include_grid=True)
-    assert len(full["nscr"]) == 50
+    # The per-d arrays go to the CSV, one row per grid point.
+    assert "nscr" not in doc
+    assert len(sc.certificate_csv(report).splitlines()) == 1 + 50
 
 
 def test_certificate_grid_spacing():

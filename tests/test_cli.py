@@ -67,6 +67,30 @@ def test_design_output_feeds_check(params_n30_config, tmp_path, capsys):
     assert len(lines) == 401
 
 
+def test_check_prints_report_then_csv(params_n30_config, capsys):
+    rc = cli.main(["check", "--config", params_n30_config, "--grid", "50"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report_text, _, csv_text = out.partition("d,nscr,")
+    assert json.loads(report_text)["n_grid"] == 50
+    params = cli.params_from_config(cli.load_config(params_n30_config, None))
+    expected = swingcert.certificate_csv(swingcert.check_certificate(params, n_points=50))
+    assert "d,nscr," + csv_text == expected
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    config = simulator.IntegratorConfig()
+    args = parser.parse_args(["simulate", "--config", "x.json"])
+    assert (args.method, args.rel_tol, args.abs_tol, args.t_end, args.samples) == (
+        config.method, config.rel_tol, config.abs_tol, config.t_end, config.n_samples)
+    assert parser.parse_args(["validate", "--config", "x.json"]).t_end == config.t_end
+    for argv in (["check", "--config", "x.json"],
+                 ["sweep", "--config", "x.json", "--param", "D_p", "--min", "1",
+                  "--max", "2"]):
+        assert parser.parse_args(argv).grid == swingcert.certificate.DEFAULT_GRID_POINTS
+
+
 def test_check_not_certified_exit_code(nominal_config, tmp_path, capsys):
     rc = cli.main(["check", "--config", nominal_config, "--grid", "300",
                    "--out", str(tmp_path / "n1.csv")])
@@ -129,7 +153,13 @@ def test_simulate_ese_csv(params_n30_config, tmp_path):
     rc = cli.main(["simulate", "--config", params_n30_config, "--ese",
                    "--t-end", "1", "--samples", "11", "--out", str(out)])
     assert rc == 0
-    assert out.read_text().startswith("t,eta,eta_dot,w_re,w_im")
+    text = out.read_text()
+    assert text.startswith("t,eta,eta_dot,w_re,w_im")
+    # The swing formulation is not classified, and the trailer says so.
+    trailer = text.splitlines()[-1]
+    assert trailer.startswith("# verdict: ")
+    assert json.loads(trailer[len("# verdict: "):]) == {"kind": "undecided",
+                                                        "reason": "not classified"}
 
 
 def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
@@ -213,6 +243,16 @@ def test_simulate_huge_horizon_exits_numerical(params_n30_config, tmp_path,
                    "--out", str(tmp_path / "traj.csv")])
     assert rc == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_simulate_rk4_blow_up_exits_numerical(params_n30_config, tmp_path, capsys):
+    # The fixed step of t_end / 5000 is too long for the stator modes over
+    # 200 s; the run blows up and exits 3 instead of failing inside the rhs.
+    rc = cli.main(["simulate", "--config", params_n30_config, "--method", "rk4",
+                   "--t-end", "200", "--samples", "3",
+                   "--out", str(tmp_path / "traj.csv")])
+    assert rc == 3
+    assert "non-finite rk4 step" in capsys.readouterr().err
 
 
 def test_validate(params_n30_config, capsys):

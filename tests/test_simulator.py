@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from collections import Counter
 
@@ -63,14 +64,6 @@ def test_config_validation():
             IntegratorConfig(**setting)
 
 
-@pytest.mark.parametrize("t_eval", [[0.0, 0.5, 0.3], [-0.1, 1.0], [0.0], [0.0, np.nan], []])
-def test_integrate_rejects_bad_sample_times(t_eval):
-    for method in ("rk45", "rk4"):
-        with pytest.raises(ValueError):
-            integrate(lambda t, y: (-y[0],), [1.0], IntegratorConfig(method=method),
-                      t_eval=t_eval)
-
-
 def test_equilibrium_is_invariant(params_n30, equilibria_n30):
     stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
     config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=10.0, n_samples=501)
@@ -85,11 +78,11 @@ def test_rk4_fourth_order_convergence(params_n30):
     y0 = np.array([10.0, -25.0, 330.0, 0.8])
     ref = integrate(rhs, y0, IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
                                               t_end=0.5, n_samples=3)).states[-1]
+    t_eval = np.linspace(0.0, 0.5, 3)
     errors = []
     for h in (2e-4, 1e-4):
-        traj = integrate(rhs, y0, IntegratorConfig(method="rk4", max_step=h,
-                                                   t_end=0.5, n_samples=3))
-        errors.append(np.linalg.norm(traj.states[-1] - ref))
+        states = simulator._rk4_fixed(rhs, y0, t_eval, h)
+        errors.append(np.linalg.norm(states[-1] - ref))
     ratio = errors[0] / errors[1]
     assert 10.0 < ratio < 24.0  # halving the step cuts the error ~2^4
 
@@ -117,6 +110,18 @@ def test_stiffness_error_carries_state():
         integrate(lambda t, y: [y[0] ** 2], [1.0], config)
     assert excinfo.value.t is not None
     assert excinfo.value.state is not None
+
+
+def test_rk4_blow_up_raises_with_last_finite_state():
+    # y' = y^2 from y(0) = 1 blows up at t = 1 (the fixed steps of 4e-4 s
+    # lag it slightly); the fixed-step method used to return rows of inf.
+    config = IntegratorConfig(method="rk4", t_end=2.0, n_samples=11)
+    with pytest.raises(StiffnessError, match="rk4") as excinfo:
+        integrate(lambda t, y: (y[0] ** 2,), [1.0], config)
+    t, state = excinfo.value.t, excinfo.value.state
+    assert 0.99 < t < 1.01
+    assert np.all(np.isfinite(state))
+    assert state[0] > 1e100
 
 
 @pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
@@ -176,7 +181,8 @@ def test_verdicts_match_scipy(design, request):
 
 
 def _fails_from(t_fail, bad, as_array):
-    """rhs of y' = 1 that hits ``bad`` (a NaN or an overflow) from ``t_fail``.
+    """rhs of y' = 1 that hits ``bad`` (a NaN, an overflow or a domain error) from
+    ``t_fail``.
 
     From y(0) = 1 a NaN at t = 0 also makes the first step size NaN.
     """
@@ -197,12 +203,27 @@ def _fails_from(t_fail, bad, as_array):
 @pytest.mark.parametrize("bad", [lambda: float("nan"), lambda: 10.0 ** 400],
                          ids=["nan", "overflow"])
 def test_numerical_failure_keeps_last_finite_state(t_fail, bad, as_array):
-    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=1.0, n_samples=11)
+    for method in ("rk45", "rk4"):
+        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-10,
+                                  t_end=1.0, n_samples=11)
+        with pytest.raises(StiffnessError) as excinfo:
+            integrate(_fails_from(t_fail, bad, as_array), [1.0], config)
+        t, state = excinfo.value.t, excinfo.value.state
+        assert t_fail - 0.1 < t <= t_fail
+        assert np.all(np.isfinite(state))
+        assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_rk4_rhs_domain_error_keeps_last_finite_state(as_array):
+    # A domain error inside the rhs, such as math.remainder of an angle that
+    # overflowed, is a numerical failure too.
+    config = IntegratorConfig(method="rk4", t_end=1.0, n_samples=11)
+    domain_error = _fails_from(0.5, lambda: math.remainder(math.inf, 1.0), as_array)
     with pytest.raises(StiffnessError) as excinfo:
-        integrate(_fails_from(t_fail, bad, as_array), [1.0], config)
+        integrate(domain_error, [1.0], config)
     t, state = excinfo.value.t, excinfo.value.state
-    assert t_fail - 0.1 < t <= t_fail
-    assert np.all(np.isfinite(state))
+    assert 0.4 < t <= 0.5
     assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
 
 
@@ -262,7 +283,7 @@ def test_basin_tally_independent_of_order(params_rs216):
 
 def test_basin_sample_rejects_bad_n(params_n30):
     with pytest.raises(ValueError):
-        sc.basin_sample(params_n30, n=0)
+        sc.basin_sample(params_n30, n=0, seed=0)
 
 
 def test_periodic_orbit_rs216(params_rs216):
@@ -329,8 +350,9 @@ def test_energy_rate_bounded_along_trajectory(params_n30):
 
 
 def test_default_horizon(params_n30, params_dp15):
-    assert 1.0 < default_horizon(params_n30) < 30.0
-    assert default_horizon(params_dp15) == 60.0  # no stable equilibrium
+    assert 1.0 < default_horizon(params_n30, sc.solve_equilibria(params_n30)) < 30.0
+    # No stable equilibrium.
+    assert default_horizon(params_dp15, sc.solve_equilibria(params_dp15)) == 60.0
 
 
 def test_default_box_scales_with_iv(params_n30):
@@ -382,7 +404,11 @@ def test_verdict_serialisation(equilibria_n30):
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
                                       omega_below_grid=True))
     assert d["kind"] == "periodic"
-    assert verdict_to_dict(Undecided())["kind"] == "undecided"
+    d = verdict_to_dict(Undecided(reason="section states not repeating"))
+    assert d == {"kind": "undecided", "reason": "section states not repeating"}
+    unclassified = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 4)))
+    assert verdict_to_dict(unclassified.verdict) == {"kind": "undecided",
+                                                     "reason": "not classified"}
 
 
 # Early stop in the proven local basin and the rhs-call budget --------------
@@ -416,7 +442,7 @@ def test_rhs_call_budget_default():
 
 def test_stop_hook_that_never_fires_changes_nothing(params_n30):
     rhs = sc.full_rhs(params_n30)
-    config = basin_config(default_horizon(params_n30))
+    config = basin_config(default_horizon(params_n30, sc.solve_equilibria(params_n30)))
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 0).as_array()
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         plain, hooked = _counted(f), _counted(f)
@@ -508,5 +534,11 @@ def test_converged_verdict_explains_itself(params_n30, equilibria_n30):
     traj = sc.simulate_full(params_n30, stable.state, config)
     d = verdict_to_dict(sc.detect_convergence(traj, equilibria_n30, params=params_n30))
     assert d["decided_by"] == "local_basin" and d["t_decided"] is None
-    d = verdict_to_dict(sc.detect_convergence(traj, equilibria_n30))  # no params, no proof
+    # A run that sits at the unstable point never enters the stable point's
+    # basin: only the window test can decide it.
+    unstable = [pt for pt in equilibria_n30 if pt.classification.value == "unstable"][0]
+    still = Trajectory(times=np.linspace(0.0, 1.0, 11),
+                       states=np.tile(unstable.state.as_array(), (11, 1)))
+    d = verdict_to_dict(sc.detect_convergence(still, equilibria_n30, params=params_n30))
     assert d["decided_by"] == "window" and d["t_decided"] is None
+    assert d["classification"] == "unstable" and d["branch"] == unstable.branch
