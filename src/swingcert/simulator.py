@@ -6,7 +6,8 @@ sampled trajectories, and classifies them as converged to an equilibrium
 (modulo 2*pi, with the integer sheet recorded), periodic, or undecided.
 Convergence to the stable equilibrium is decided by its proven local
 basin, which also ends basin runs early; periodic orbits are detected on
-a Poincare section of the power angle.  All operations are deterministic
+a fixed Poincare section of the power angle, on which slipping basin runs
+end as soon as their crossings repeat.  All operations are deterministic
 given their inputs and seeds.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,9 +95,13 @@ class ConvergedToEquilibrium:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
+    """``t_decided`` is the section time at which an early-stopped run
+    passed the periodic test, None for a run classified at its horizon."""
+
     period: float
     mean_omega: float
     omega_below_grid: bool
+    t_decided: float | None = None
 
     kind = "periodic"
 
@@ -120,6 +126,7 @@ def verdict_to_dict(verdict) -> dict:
         out["period"] = verdict.period
         out["mean_omega"] = verdict.mean_omega
         out["omega_below_grid"] = verdict.omega_below_grid
+        out["t_decided"] = verdict.t_decided
     elif isinstance(verdict, Undecided):
         out["reason"] = verdict.reason
     return out
@@ -279,12 +286,16 @@ def _rms(x) -> float:
 def _initial_step(rhs, y0, f0, t_bound, rtol, atol, as_array) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy picks it.
 
-    NaN propagates, so a non-finite start is caught by the step floor.
+    NaN propagates, so a non-finite start is caught by the step floor.  A
+    derivative so large that the first trial step comes out 0 raises
+    StiffnessError with the initial state.
     """
     f0 = np.asarray(f0, dtype=float)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        raise StiffnessError("step size underflow at t=0.0", t=0.0, state=y0.copy())
     h0 = min(h0, t_bound)
     y1 = y0 + h0 * f0
     f1 = np.asarray(rhs(h0, y1 if as_array else y1.tolist()), dtype=float)
@@ -316,6 +327,50 @@ def _dense_samples(t_eval, t0, t1, y_old, K):
     return out
 
 
+_P_ROWS = _P.tolist()
+
+
+def _step_state(h, y_old, K, x):
+    """An accepted step's DP5 interpolant at fraction ``x`` of the step, on
+    Python floats."""
+    w = [h * x * (p0 + x * (p1 + x * (p2 + x * p3))) for p0, p1, p2, p3 in _P_ROWS]
+    return [y_old[c] + sum([ws * k[c] for ws, k in zip(w, K)]) for c in range(len(y_old))]
+
+
+def _delta_fraction(h, y_old, K, level) -> float:
+    """Fraction of an accepted full-model step at which delta (component 3)
+    of its DP5 interpolant falls to ``level``; the step starts above the
+    level and ends at or below it.
+
+    Illinois false position (Dahlquist & Bjorck, *Numerical Methods*,
+    Sec. 6.2.2) on the quartic, until no new point lies strictly inside
+    the bracket; returns its upper end.
+    """
+    a0, a1, a2, a3 = [h * sum([row[j] * k[3] for row, k in zip(_P_ROWS, K)])
+                      for j in range(4)]
+    above = y_old[3] - level
+    lo, hi, f_lo, f_hi = 0.0, 1.0, above, above + a0 + a1 + a2 + a3
+    side = 0
+    for _ in range(100):
+        if not f_lo > 0.0 >= f_hi:
+            break
+        x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        if not lo < x < hi:
+            break
+        fx = above + x * (a0 + x * (a1 + x * (a2 + x * a3)))
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = x, fx
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
+    return hi
+
+
 def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
 
@@ -330,8 +385,10 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     the samples are read from the dense output in one vectorised pass at
     the end.
 
-    ``stop(y)``, unless None, is read on the end state of each accepted
-    step; when it fires the run ends there, and the output is the samples before that
+    ``stop(t, h, y_old, K, y)``, unless None, is read after each accepted
+    step from (t, y_old) to (t + h, y), K being its stage derivatives
+    (``_step_state`` evaluates the step's interpolant from them); when it
+    fires the run ends there, and the output is the samples before that
     time followed by the stop time and state.  Returns
     ``(times, states, stopped)``.
     """
@@ -340,9 +397,11 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     t_bound = float(t_eval[-1])
     samples = t_eval.tolist()
     try:
-        f = rhs(0.0, y0)
-        as_array = isinstance(f, np.ndarray)
-        h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol, as_array))
+        # A failure here is reported, so overflow warnings are not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = rhs(0.0, y0)
+            as_array = isinstance(f, np.ndarray)
+            h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol, as_array))
     except OverflowError:
         raise StiffnessError("overflow evaluating the initial derivative",
                              t=0.0, state=y0.copy())
@@ -378,9 +437,9 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
                                      f"at t={t!r}", t=t, state=np.array(y, dtype=float))
             n_calls += _N_STAGES - 1
             t_new = min(t + h_abs, t_bound)
-            h_abs = t_new - t
+            h = t_new - t
             try:
-                y_new, K, err = stages(rhs, t, y, f, h_abs, rtol, atol)
+                y_new, K, err = stages(rhs, t, y, f, h, rtol, atol)
             except OverflowError:
                 err = math.inf
             if err < 1.0:
@@ -390,9 +449,9 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
                     factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1.0, factor)
-                h_abs *= factor
+                h_abs = h * factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
         if next_sample < len(samples) and samples[next_sample] <= t_new:
@@ -406,8 +465,9 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             rec_t.append(t)
             rec_t.append(t_new)
             next_sample = bisect_right(samples, t_new, next_sample)
+        t_old, y_old = t, y
         t, y, f = t_new, y_new, K[6]
-        if stop is not None and stop(y):
+        if stop is not None and stop(t_old, h, y_old, K, y):
             stopped = True
             break
 
@@ -435,11 +495,12 @@ def integrate(rhs, initial, config: IntegratorConfig,
     would need more than ``MAX_RHS_CALLS`` rhs evaluations, and when an
     rk4 step comes out non-finite.
 
-    ``stop(y)`` is an optional predicate on the end state of each accepted
-    adaptive step.  When it fires the run ends: the trajectory holds the
+    ``stop(t, h, y_old, K, y)`` is an optional predicate on each accepted
+    adaptive step: from time t to t + h, from state y_old to y, with stage
+    derivatives K.  When it fires the run ends: the trajectory holds the
     samples before that time and then the stop time and state, and
-    ``Trajectory.stopped`` is set.  Without it the output and the rhs calls
-    do not depend on the hook existing.  The fixed-step "rk4" method
+    ``Trajectory.stopped`` is set.  Until it fires, the output and the rhs
+    calls do not depend on the hook existing.  The fixed-step "rk4" method
     ignores ``stop`` and always reaches t_end.
 
     ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
@@ -573,68 +634,158 @@ def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
         if float(err.max()) < tol:
             sheet = int(round((float(np.mean(window[:, 3])) - target[3]) / TWO_PI))
             return ConvergedToEquilibrium(equilibrium=pt, sheet=sheet)
-    return detect_periodic(traj, params)
+    return detect_periodic(traj, equilibria, params)
 
 
-def detect_periodic(traj: Trajectory, params: SgParameters):
-    """Periodic-orbit detection on a Poincare section of the power angle.
+def section_angle(equilibria) -> float:
+    """delta_s of the Poincare section delta = delta_s (mod 2*pi): the angle
+    of the first equilibrium in ``equilibria`` that is not stable (the
+    saddle, so a decreasing crossing is a pole slip), 0 without one."""
+    for pt in equilibria:
+        if pt.classification is not Stability.STABLE:
+            return pt.state.delta
+    return 0.0
 
-    The section is delta mod 2*pi = delta(t_end) mod 2*pi, crossed in the
-    decreasing-delta direction.  PeriodicOrbit when the states (i_d, i_q,
-    omega) at the last ``PERIODIC_MAX_CROSSINGS`` crossings agree within
-    ``PERIODIC_STATE_TOL`` (relative) and the crossing intervals agree
-    within ``PERIODIC_INTERVAL_TOL``; fewer than 3 crossings gives Undecided.
-    ``omega_below_grid`` says whether the rotor stays slower than the grid
-    frequency of ``params`` over the last turn.
+
+def _top_sheet(delta_s: float, delta0: float) -> int:
+    """Sheet k of the highest section level delta_s + 2*pi*k below delta0."""
+    return math.ceil((delta0 - delta_s) / TWO_PI) - 1
+
+
+def _periodic_test(times, states, lows, highs, omega_g: float, t_decided=None):
+    """The periodic test on consecutive section crossings.
+
+    ``times`` and ``states`` (i_d, i_q, omega) are the crossings, at most
+    ``PERIODIC_MAX_CROSSINGS``; ``lows``/``highs`` are the per-component
+    extrema of each turn between two of them.  PeriodicOrbit when the
+    crossing intervals agree within ``PERIODIC_INTERVAL_TOL`` and the
+    crossing states within ``PERIODIC_STATE_TOL`` of the orbit's own
+    excursion (omega can hover near zero on a stalled orbit); fewer than 3
+    crossings give Undecided.  Delta falls by 2*pi per turn and
+    d(delta)/dt = omega - omega_g, so the last turn's mean rotor speed is
+    omega_g - 2*pi / its length.
     """
-    t = traj.times
-    delta = traj.column("delta")
-    anchor = delta[-1]
-    # A rotating orbit drops delta by 2*pi per turn, so it crosses each
-    # level anchor + 2*pi*k exactly once; one crossing is taken per sheet
-    # (a decaying oscillation around a fixed point re-crosses a single
-    # level and never qualifies).
-    k_lo = int(math.ceil((float(delta.min()) - anchor) / TWO_PI))
-    k_hi = int(math.floor((float(delta.max()) - anchor) / TWO_PI))
-    crossings = []  # (time, interpolated state)
-    for k in range(k_hi, k_lo - 1, -1):
-        level = anchor + TWO_PI * k
-        below = delta <= level
-        hits = np.nonzero(~below[:-1] & below[1:])[0]
-        if len(hits) == 0:
-            continue
-        i = int(hits[0])
-        d0, d1 = delta[i], delta[i + 1]
-        if d1 == d0:
-            continue
-        frac = (d0 - level) / (d0 - d1)
-        tc = t[i] + frac * (t[i + 1] - t[i])
-        state = traj.states[i] + frac * (traj.states[i + 1] - traj.states[i])
-        crossings.append((tc, state))
-    crossings.sort(key=lambda c: c[0])
-    if len(crossings) < 3:
+    if len(times) < 3:
         return Undecided(reason="fewer than 3 section crossings")
-
-    crossings = crossings[-PERIODIC_MAX_CROSSINGS:]
-    times = np.array([c[0] for c in crossings])
-    states = np.array([c[1] for c in crossings])
+    times = np.asarray(times, dtype=float)
     intervals = np.diff(times)
     period = float(np.mean(intervals))
     if period <= 0 or np.any(np.abs(intervals - period) > PERIODIC_INTERVAL_TOL * period):
         return Undecided(reason="section crossing intervals not repeating")
-
-    # Crossing-state agreement is judged against the orbit's own excursion,
-    # not the raw magnitudes (omega can hover near zero on a stalled orbit).
-    segment = traj.states[traj.times >= times[0]]
-    scales = np.maximum(1.0, np.ptp(segment[:, :3], axis=0))
-    spread = np.abs(states[:, :3] - states[0, :3]) / scales
-    if float(spread.max()) > PERIODIC_STATE_TOL:
+    scales = np.maximum(1.0, np.max(np.asarray(highs, dtype=float), axis=0)
+                        - np.min(np.asarray(lows, dtype=float), axis=0))
+    states = np.asarray(states, dtype=float)
+    if float(np.max(np.abs(states - states[0]) / scales)) > PERIODIC_STATE_TOL:
         return Undecided(reason="section states not repeating")
+    last_turn = float(times[-1] - times[-2])
+    return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / last_turn,
+                         omega_below_grid=bool(highs[-1][2] < omega_g),
+                         t_decided=t_decided)
 
-    mask = t >= times[-2]
-    omega_orbit = traj.column("omega")[mask]
-    return PeriodicOrbit(period=period, mean_omega=float(np.mean(omega_orbit)),
-                         omega_below_grid=bool(np.max(omega_orbit) < params.omega_g))
+
+def detect_periodic(traj: Trajectory, equilibria, params: SgParameters):
+    """Periodic-orbit detection on the fixed Poincare section of the power
+    angle, delta = ``section_angle(equilibria)`` (mod 2*pi), crossed in the
+    decreasing-delta direction.
+
+    A rotating orbit drops delta by 2*pi per turn.  One crossing is taken
+    per sheet, the first time delta falls below a level that lies below
+    every earlier sample, so a decaying oscillation around a fixed point
+    gives at most a few crossings and never qualifies.  The crossings are
+    interpolated linearly between samples; the last
+    ``PERIODIC_MAX_CROSSINGS`` of them, with the sampled extrema of each
+    turn between them, go through the periodic test that also stops
+    slipping basin runs (``SectionStop``).  ``omega_below_grid`` says
+    whether the rotor stays slower than the grid frequency of ``params``
+    over the last turn.
+    """
+    delta = traj.column("delta")
+    delta_s = section_angle(equilibria)
+    floor = np.minimum.accumulate(delta)
+    # The last crossings are those of the lowest sheets reached.
+    top = _top_sheet(delta_s, float(delta[0]))
+    bottom = math.ceil((float(floor[-1]) - delta_s) / TWO_PI)
+    levels = delta_s + TWO_PI * np.arange(min(top, bottom + PERIODIC_MAX_CROSSINGS - 1),
+                                          bottom - 1, -1)
+    i = np.searchsorted(-floor, -levels)  # first sample at or below each level
+    keep = (i > 0) & (i < len(delta))
+    i, levels = i[keep], levels[keep]
+    if len(i) < 3:
+        return Undecided(reason="fewer than 3 section crossings")
+    t, states = traj.times, traj.states[:, :3]
+    frac = (delta[i - 1] - levels) / (delta[i - 1] - delta[i])
+    times = t[i - 1] + frac * (t[i] - t[i - 1])
+    crossings = states[i - 1] + frac[:, None] * (states[i] - states[i - 1])
+    turns = [np.vstack([crossings[k], states[i[k]:i[k + 1]], crossings[k + 1]])
+             for k in range(len(i) - 1)]
+    return _periodic_test(times, crossings, [turn.min(axis=0) for turn in turns],
+                          [turn.max(axis=0) for turn in turns], params.omega_g)
+
+
+class SectionStop:
+    """Stop rule of one basin run: the proven local basin, then the section.
+
+    ``stop`` is the integrator's hook.  It fires when the end of an
+    accepted step lies in ``basin`` (a ``LocalBasin`` or None), or when the
+    last ``PERIODIC_MAX_CROSSINGS`` crossings of the Poincare section delta
+    = ``delta_s`` (mod 2*pi) pass the periodic test of ``detect_periodic``,
+    which then sets ``verdict``.  Crossings follow ``detect_periodic``'s
+    rule, one per sheet below every earlier step end, starting below
+    ``delta0``; each is located on the step's DP5 interpolant, so it does
+    not depend on the output samples.  The extrema of each turn are taken
+    over the step ends and crossings.  A run that does not cross costs one
+    float compare per step.
+    """
+
+    def __init__(self, delta_s: float, delta0: float, omega_g: float, basin):
+        # The hook keeps no reference to self, so a finished run's turns
+        # are freed at once rather than by the cycle collector.
+        found = self._found = []
+        contains = None if basin is None else basin.contains
+        sheet = _top_sheet(delta_s, delta0)
+        level = delta_s + TWO_PI * sheet
+        times = deque(maxlen=PERIODIC_MAX_CROSSINGS)
+        states = deque(maxlen=PERIODIC_MAX_CROSSINGS)
+        lows = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
+        highs = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
+        turn = None  # points of the turn since the last crossing
+
+        def stop(t, h, y_old, K, y) -> bool:
+            nonlocal sheet, level, turn
+            if contains is not None and contains(y):
+                return True
+            if y[3] > level:
+                if turn is not None:
+                    turn.append(y)
+                return False
+            while y[3] <= level:
+                x = _delta_fraction(h, y_old, K, level)
+                crossing = _step_state(h, y_old, K, x)[:3]  # (i_d, i_q, omega)
+                if turn is not None:
+                    turn.append(crossing)
+                    columns = list(zip(*turn))
+                    lows.append([min(c) for c in columns])
+                    highs.append([max(c) for c in columns])
+                times.append(t + x * h)
+                states.append(crossing)
+                turn = [crossing]
+                sheet -= 1
+                level = delta_s + TWO_PI * sheet
+            turn.append(y)
+            if len(times) < PERIODIC_MAX_CROSSINGS:
+                return False
+            verdict = _periodic_test(times, states, lows, highs, omega_g,
+                                     t_decided=times[-1])
+            if isinstance(verdict, PeriodicOrbit):
+                found.append(verdict)
+                return True
+            return False
+
+        self.stop = stop
+
+    @property
+    def verdict(self):
+        return self._found[0] if self._found else None
 
 
 # Sampling ------------------------------------------------------------------
@@ -717,13 +868,19 @@ def classify_initial_state(params, initial, equilibria, config):
     """Simulate one initial state and classify the outcome.
 
     The run stops as soon as it enters the stable equilibrium's proven
-    local basin (``stable_basin``), and ``detect_convergence`` classifies
-    it, the same function that classifies a full-horizon run.
+    local basin (``stable_basin``), or as soon as its last
+    ``PERIODIC_MAX_CROSSINGS`` crossings of ``detect_periodic``'s section
+    pass the periodic test (``SectionStop``), which gives a PeriodicOrbit
+    with ``t_decided`` set.  Otherwise ``detect_convergence`` classifies
+    the run, the same function that classifies a full-horizon run.
     """
-    basin = stable_basin(params, equilibria)
-    traj = integrate(full_rhs(params), initial.as_array(), config,
-                     stop=None if basin is None else basin.contains)
-    traj.verdict = detect_convergence(traj, equilibria, params=params)
+    rule = SectionStop(section_angle(equilibria), initial.delta, params.omega_g,
+                       stable_basin(params, equilibria))
+    traj = integrate(full_rhs(params), initial.as_array(), config, stop=rule.stop)
+    if rule.verdict is not None:
+        traj.verdict = rule.verdict
+    else:
+        traj.verdict = detect_convergence(traj, equilibria, params=params)
     return traj.verdict
 
 
@@ -734,9 +891,11 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     Deterministic for a given seed; each state is drawn from its own
     (seed, index) stream, so the tally does not depend on the order in
     which states are classified.  Each run stops when it enters the stable
-    equilibrium's proven local basin, built at most once (see
-    ``classify_initial_state``), and ``decided_by`` counts the converged
-    runs by the rule that decided them.
+    equilibrium's proven local basin, built at most once, or when its
+    section crossings repeat (see ``classify_initial_state``).
+    ``decided_by`` counts the converged runs by the rule that decided them
+    ("local_basin" or "window") and the early-stopped periodic runs as
+    "section".
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -749,8 +908,12 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
         verdict = classify_initial_state(params, initial, equilibria, config)
+        decided_by = getattr(verdict, "decided_by", None)
+        if isinstance(verdict, PeriodicOrbit) and verdict.t_decided is not None:
+            decided_by = "section"
+        if decided_by is not None:
+            stats.decided_by[decided_by] = stats.decided_by.get(decided_by, 0) + 1
         if isinstance(verdict, ConvergedToEquilibrium):
-            stats.decided_by[verdict.decided_by] = stats.decided_by.get(verdict.decided_by, 0) + 1
             if verdict.equilibrium.classification is Stability.STABLE:
                 key = "converged_stable"
                 stats.converged_stable += 1

@@ -245,6 +245,15 @@ def test_simulate_huge_horizon_exits_numerical(params_n30_config, tmp_path,
     assert "budget" in capsys.readouterr().err
 
 
+def test_simulate_huge_initial_state_exits_numerical(params_n30_config, tmp_path, capsys):
+    # The first derivative overflows, so no first step size exists.
+    rc = cli.main(["simulate", "--config", params_n30_config,
+                   "--initial", "1e200,-1e200,1e250,1e300", "--t-end", "1",
+                   "--samples", "3", "--out", str(tmp_path / "traj.csv")])
+    assert rc == 3
+    assert "step size underflow at t=0.0" in capsys.readouterr().err
+
+
 def test_simulate_rk4_blow_up_exits_numerical(params_n30_config, tmp_path, capsys):
     # The fixed step of t_end / 5000 is too long for the stator modes over
     # 200 s; the run blows up and exits 3 instead of failing inside the rhs.

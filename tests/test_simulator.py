@@ -323,7 +323,7 @@ def test_converged_trajectory_yields_no_orbit(params_n30, equilibria_n30):
     traj = sc.simulate_full(params_n30, near, config)
     verdict = sc.detect_convergence(traj, equilibria_n30, params=params_n30)
     assert isinstance(verdict, ConvergedToEquilibrium)
-    assert not isinstance(sc.detect_periodic(traj, params=params_n30), PeriodicOrbit)
+    assert not isinstance(sc.detect_periodic(traj, equilibria_n30, params_n30), PeriodicOrbit)
 
 
 def test_periodic_verdict_equivariant_under_sheet_shift(params_rs216):
@@ -403,7 +403,11 @@ def test_verdict_serialisation(equilibria_n30):
     assert d["sheet"] == -1
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
                                       omega_below_grid=True))
-    assert d["kind"] == "periodic"
+    assert d == {"kind": "periodic", "period": 0.16, "mean_omega": 275.0,
+                 "omega_below_grid": True, "t_decided": None}
+    d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
+                                      omega_below_grid=True, t_decided=2.5))
+    assert d["t_decided"] == 2.5
     d = verdict_to_dict(Undecided(reason="section states not repeating"))
     assert d == {"kind": "undecided", "reason": "section states not repeating"}
     unclassified = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 4)))
@@ -447,7 +451,7 @@ def test_stop_hook_that_never_fires_changes_nothing(params_n30):
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         plain, hooked = _counted(f), _counted(f)
         a = integrate(plain, y0, config)
-        b = integrate(hooked, y0, config, stop=lambda y: False)
+        b = integrate(hooked, y0, config, stop=lambda t, h, y_old, K, y: False)
         assert plain.calls == hooked.calls
         assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
         assert not a.stopped and not b.stopped
@@ -455,12 +459,16 @@ def test_stop_hook_that_never_fires_changes_nothing(params_n30):
 
 def test_stopped_trajectory(params_n30, equilibria_n30):
     basin = stable_basin(params_n30, equilibria_n30)
+
+    def stop(t, h, y_old, K, y):
+        return basin.contains(y)
+
     config = basin_config(default_horizon(params_n30, equilibria_n30))
     rhs = sc.full_rhs(params_n30)
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 1).as_array()
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         full = integrate(f, y0, config)
-        traj = integrate(f, y0, config, stop=basin.contains)
+        traj = integrate(f, y0, config, stop=stop)
         assert traj.stopped
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] < config.t_end
@@ -471,7 +479,7 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
         assert np.array_equal(traj.states[:k], full.states[:k])
     # The fixed-step method ignores the stop rule and reaches t_end.
     rk4 = IntegratorConfig(method="rk4", t_end=config.t_end, n_samples=2001)
-    traj = integrate(rhs, y0, rk4, stop=basin.contains)
+    traj = integrate(rhs, y0, rk4, stop=stop)
     assert not traj.stopped and traj.times[-1] == config.t_end
 
 
@@ -502,13 +510,16 @@ def test_early_stop_verdicts_equal_full_horizon(design, request):
             stable = early.equilibrium.classification.value == "stable"
             tally["converged_stable" if stable else "converged_unstable"] += 1
             assert early.decided_by == "local_basin"
-            assert 0.0 < early.t_decided < config.t_end
-            assert full.t_decided is None
         else:
             tally[early.kind] += 1
+        if early.kind != "undecided":
+            assert 0.0 < early.t_decided < config.t_end
+            assert full.t_decided is None
     stats = sc.basin_sample(params, n=8, seed=17).to_dict()
     assert {k: stats[k] for k in first} == first
-    assert stats["decided_by"] == {"local_basin": first.get("converged_stable", 0)}
+    decided = {"local_basin": first.get("converged_stable", 0),
+               "section": first.get("periodic", 0)}
+    assert stats["decided_by"] == {k: v for k, v in decided.items() if v}
     assert tally["converged_stable"] > 0
 
 
@@ -542,3 +553,106 @@ def test_converged_verdict_explains_itself(params_n30, equilibria_n30):
     d = verdict_to_dict(sc.detect_convergence(still, equilibria_n30, params=params_n30))
     assert d["decided_by"] == "window" and d["t_decided"] is None
     assert d["classification"] == "unstable" and d["branch"] == unstable.branch
+
+
+# Early stop on the Poincare section ---------------------------------------
+
+def test_section_stop_verdicts_equal_full_horizon(params_rs216):
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = basin_config(default_horizon(params_rs216, equilibria))
+    box = default_basin_box(params_rs216)
+    rhs = sc.full_rhs(params_rs216)
+    periodic = 0
+    for i in range(40):
+        initial = sample_initial_state(box, 1, i)
+        early = classify_initial_state(params_rs216, initial, equilibria, config)
+        full = sc.detect_convergence(integrate(rhs, initial.as_array(), config),
+                                     equilibria, params=params_rs216)
+        assert _key(early) == _key(full), i
+        if early.kind == "periodic":
+            periodic += 1
+            assert 0.0 < early.t_decided < config.t_end and full.t_decided is None
+            assert abs(early.period - full.period) <= 0.005 * full.period
+            assert early.omega_below_grid is full.omega_below_grid is True
+    assert periodic > 0
+
+
+def test_section_stop_verdict_independent_of_sampling(params_rs216):
+    # The crossings come from the step interpolant, not from the samples.
+    equilibria = sc.solve_equilibria(params_rs216)
+    t_end = default_horizon(params_rs216, equilibria)
+    verdicts = [classify_initial_state(params_rs216, sc.SgState(0.0, 0.0, 0.0, 0.0),
+                                       equilibria,
+                                       IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8,
+                                                        t_end=t_end, n_samples=n))
+                for n in (2001, 20001)]
+    assert isinstance(verdicts[0], PeriodicOrbit)
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].t_decided is not None
+
+
+def test_slipping_basin_runs_stop_early(params_rs216):
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = basin_config(default_horizon(params_rs216, equilibria))
+    box = default_basin_box(params_rs216)
+    periodic = [v for v in (classify_initial_state(params_rs216, sample_initial_state(box, 11, i),
+                                                   equilibria, config) for i in range(30))
+                if isinstance(v, PeriodicOrbit)]
+    assert periodic
+    assert all(v.t_decided < 0.6 * config.t_end for v in periodic)
+
+
+def test_section_angle_is_the_first_unstable_point(params_n30, equilibria_n30):
+    unstable = [pt for pt in equilibria_n30 if pt.classification.value != "stable"]
+    assert simulator.section_angle(equilibria_n30) == unstable[0].state.delta
+    assert simulator.section_angle([]) == 0.0
+
+
+def test_huge_initial_state_fails_with_initial_state(params_n30):
+    y0 = [1e200, -1e200, 1e250, 1e300]
+    with pytest.raises(StiffnessError, match="underflow") as excinfo:
+        integrate(sc.full_rhs(params_n30), y0, IntegratorConfig(t_end=1.0, n_samples=3))
+    assert excinfo.value.t == 0.0
+    assert excinfo.value.state.tolist() == y0
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_section_crossings_located_on_interpolant(as_array):
+    # delta(t) = delta0 - c t + a sin(c t) falls by 2 pi every 2 pi / c
+    # seconds, with the other components constant, so the section rule must
+    # stop at the 12th crossing of delta = 0 (mod 2 pi) with period 2 pi / c.
+    c, a, delta0 = TWO_PI / 0.16, 0.5, 1.0
+
+    def rhs(t, y):
+        d = (0.0, 0.0, 0.0, -c + a * c * math.cos(c * t))
+        return np.array(d) if as_array else d
+
+    def delta(t):
+        return delta0 - c * t + a * math.sin(c * t)
+
+    def crossing(level):
+        lo, hi = 0.0, 10.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if delta(mid) > level:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=5.0, n_samples=11)
+    steps = []  # a hook that records each accepted step and never fires
+    integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=lambda *step: steps.append(step))
+    for t, h, y_old, K, _ in steps[::50]:
+        state = simulator._step_state(h, y_old, K, 0.3)
+        assert state[:3] == [1.0, 2.0, 3.0]
+        assert state[3] == pytest.approx(delta(t + 0.3 * h), abs=1e-6)
+    rule = simulator.SectionStop(0.0, delta0, 100.0, None)
+    traj = integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=rule.stop)
+    assert traj.stopped
+    verdict = rule.verdict
+    expected = crossing(-TWO_PI * (simulator.PERIODIC_MAX_CROSSINGS - 1))
+    assert verdict.t_decided == pytest.approx(expected, abs=1e-9)
+    assert verdict.period == pytest.approx(0.16, rel=1e-9)
+    assert verdict.mean_omega == pytest.approx(100.0 - c, abs=1e-6)
+    assert verdict.omega_below_grid is True
