@@ -28,7 +28,7 @@ for label, initial in [
     ("synchronous start  (0, 0, omega_g, 0)", sc.SgState(0.0, 0.0, params.omega_g, 0.0)),
 ]:
     traj = sc.simulate_full(params, initial, config)
-    verdict = sc.detect_convergence(traj, equilibria, params=params)
+    verdict = traj.verdict
     print(f"\n{label} -> {type(verdict).__name__}")
     if isinstance(verdict, sc.PeriodicOrbit):
         print(f"  period        = {verdict.period:.4f} s")

@@ -56,7 +56,6 @@ from .simulator import (
     basin_sample,
     cross_validate,
     detect_convergence,
-    detect_periodic,
     integrate,
     simulate_ese,
     simulate_full,

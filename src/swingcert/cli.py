@@ -35,10 +35,8 @@ from .certificate import DEFAULT_GRID_POINTS, certificate_csv, check_certificate
 from .equilibria import solve_equilibria
 from .simulator import (
     IntegratorConfig,
-    basin_config,
     basin_sample,
     cross_validate,
-    detect_convergence,
     sample_initial_state,
     default_basin_box,
     simulate_ese,
@@ -170,15 +168,13 @@ def cmd_simulate(args) -> int:
         traj = simulate_ese(params, initial, config)
     else:
         traj = simulate_full(params, initial, config)
-        traj.verdict = detect_convergence(traj, solve_equilibria(params), params)
     _emit(trajectory_csv(traj), args.out)
     return EXIT_OK
 
 
 def cmd_basin(args) -> int:
     params = params_from_config(load_config(args.config, args.set))
-    config = None if args.t_end is None else basin_config(args.t_end)
-    stats = basin_sample(params, n=args.samples, seed=args.seed, config=config)
+    stats = basin_sample(params, n=args.samples, seed=args.seed, t_end=args.t_end)
     _emit(_dump(stats.to_dict()), args.out)
     return EXIT_OK
 

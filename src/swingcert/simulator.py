@@ -1,14 +1,14 @@
 """Time integration and trajectory classification.
 
 Provides an adaptive Dormand-Prince 5(4) integrator with dense output, a
-stop rule and an rhs-call budget, and a fixed-step classic RK4; produces
-sampled trajectories, and classifies them as converged to an equilibrium
-(modulo 2*pi, with the integer sheet recorded), periodic, or undecided.
-Convergence to the stable equilibrium is decided by its proven local
-basin, which also ends basin runs early; periodic orbits are detected on
-a fixed Poincare section of the power angle, on which slipping basin runs
-end as soon as their crossings repeat.  All operations are deterministic
-given their inputs and seeds.
+per-step hook and an rhs-call budget, and a fixed-step classic RK4, and
+one classifier that reads a run as a stream of segments (integrator steps
+or stored samples): converged to an equilibrium (modulo 2*pi, the integer
+sheet recorded), decided by the proven local basin of the stable point,
+which also ends basin runs early; periodic, on a fixed Poincare section of
+the power angle, on which slipping basin runs end once their crossings
+repeat; or undecided.  All operations are deterministic given their
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -524,8 +524,9 @@ def integrate(rhs, initial, config: IntegratorConfig,
 
 def simulate_full(params: SgParameters, initial: SgState,
                   config: IntegratorConfig) -> Trajectory:
-    """Full-model trajectory from an initial state."""
-    return integrate(full_rhs(params), initial.as_array(), config)
+    """Full-model trajectory from an initial state over the whole horizon,
+    classified (an rk45 run from its steps, an rk4 run from its samples)."""
+    return _classified(params, initial, solve_equilibria(params), config, stop=False)
 
 
 def simulate_ese(params: SgParameters, initial: SgState,
@@ -538,12 +539,12 @@ def simulate_ese(params: SgParameters, initial: SgState,
 
 # Classification ------------------------------------------------------------
 
-# Share of a trajectory's final samples that must stay within the scaled
-# distance CONVERGENCE_TOL of one equilibrium (``detect_convergence``).
+# The window test: from (1 - WINDOW_FRACTION) * t_end on, a run stays
+# within the scaled distance CONVERGENCE_TOL of one equilibrium.
 WINDOW_FRACTION = 0.1
 CONVERGENCE_TOL = 1e-3
 
-# Section-crossing agreement required of a periodic orbit (``detect_periodic``).
+# Section-crossing agreement required of a periodic orbit (``_periodic_test``).
 PERIODIC_INTERVAL_TOL = 0.01
 PERIODIC_STATE_TOL = 0.02
 PERIODIC_MAX_CROSSINGS = 12
@@ -552,8 +553,7 @@ PERIODIC_MAX_CROSSINGS = 12
 class LocalBasin:
     """Membership test of the proven local basin ``x^T P x < c`` of a
     stable equilibrium (``equilibria.local_basin``), delta taken modulo
-    2*pi.  ``contains(y)`` takes a state as a sequence of four floats and
-    serves as the integrator's stop rule.
+    2*pi.  ``contains(y)`` takes a state as a sequence of four floats.
     """
 
     def __init__(self, point: EquilibriumPoint, P: np.ndarray, c: float):
@@ -597,46 +597,6 @@ def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | Non
     return LocalBasin(point, P, c)
 
 
-def _convergence_scales(equilibria) -> np.ndarray:
-    cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
-    omega = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
-    return np.array([cur, cur, omega, 1.0])
-
-
-def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
-                       tol: float = CONVERGENCE_TOL):
-    """Classify a full-model trajectory of the design ``params``.
-
-    First the proof: when the final state lies in the stable equilibrium's
-    proven local basin (``stable_basin``), the run converges there, on
-    sheet ``round((delta - delta_e) / 2 pi)``; the basin is invariant and
-    attracting, so no tolerance is involved.
-    Then the window test: ConvergedToEquilibrium when the last
-    ``WINDOW_FRACTION`` of samples stays within ``tol`` of one equilibrium
-    (per-component scaled; delta compared modulo 2*pi, winding sheet
-    recorded), the only route to convergence at an unstable point.
-    Otherwise defers to ``detect_periodic``; otherwise Undecided.
-    """
-    basin = stable_basin(params, equilibria)
-    final = traj.final_state
-    if basin is not None and basin.contains(final):
-        sheet = int(round((float(final[3]) - basin.point.state.delta) / TWO_PI))
-        return ConvergedToEquilibrium(
-            equilibrium=basin.point, sheet=sheet, decided_by="local_basin",
-            t_decided=float(traj.times[-1]) if traj.stopped else None)
-    n = len(traj.times)
-    window = traj.states[max(0, n - max(2, int(math.ceil(WINDOW_FRACTION * n)))):]
-    scales = _convergence_scales(equilibria)
-    for pt in equilibria:
-        target = pt.state.as_array()
-        err = np.abs(window - target) / scales
-        err[:, 3] = np.abs(wrap_angle(window[:, 3] - target[3])) / scales[3]
-        if float(err.max()) < tol:
-            sheet = int(round((float(np.mean(window[:, 3])) - target[3]) / TWO_PI))
-            return ConvergedToEquilibrium(equilibrium=pt, sheet=sheet)
-    return detect_periodic(traj, equilibria, params)
-
-
 def section_angle(equilibria) -> float:
     """delta_s of the Poincare section delta = delta_s (mod 2*pi): the angle
     of the first equilibrium in ``equilibria`` that is not stable (the
@@ -666,7 +626,7 @@ def _periodic_test(times, states, lows, highs, omega_g: float, t_decided=None):
     omega_g - 2*pi / its length.
     """
     if len(times) < 3:
-        return Undecided(reason="fewer than 3 section crossings")
+        return Undecided(reason=f"{len(times)} section crossings, fewer than 3")
     times = np.asarray(times, dtype=float)
     intervals = np.diff(times)
     period = float(np.mean(intervals))
@@ -683,109 +643,153 @@ def _periodic_test(times, states, lows, highs, omega_g: float, t_decided=None):
                          t_decided=t_decided)
 
 
-def detect_periodic(traj: Trajectory, equilibria, params: SgParameters):
-    """Periodic-orbit detection on the fixed Poincare section of the power
-    angle, delta = ``section_angle(equilibria)`` (mod 2*pi), crossed in the
-    decreasing-delta direction.
-
-    A rotating orbit drops delta by 2*pi per turn.  One crossing is taken
-    per sheet, the first time delta falls below a level that lies below
-    every earlier sample, so a decaying oscillation around a fixed point
-    gives at most a few crossings and never qualifies.  The crossings are
-    interpolated linearly between samples; the last
-    ``PERIODIC_MAX_CROSSINGS`` of them, with the sampled extrema of each
-    turn between them, go through the periodic test that also stops
-    slipping basin runs (``SectionStop``).  ``omega_below_grid`` says
-    whether the rotor stays slower than the grid frequency of ``params``
-    over the last turn.
-    """
-    delta = traj.column("delta")
-    delta_s = section_angle(equilibria)
-    floor = np.minimum.accumulate(delta)
-    # The last crossings are those of the lowest sheets reached.
-    top = _top_sheet(delta_s, float(delta[0]))
-    bottom = math.ceil((float(floor[-1]) - delta_s) / TWO_PI)
-    levels = delta_s + TWO_PI * np.arange(min(top, bottom + PERIODIC_MAX_CROSSINGS - 1),
-                                          bottom - 1, -1)
-    i = np.searchsorted(-floor, -levels)  # first sample at or below each level
-    keep = (i > 0) & (i < len(delta))
-    i, levels = i[keep], levels[keep]
-    if len(i) < 3:
-        return Undecided(reason="fewer than 3 section crossings")
-    t, states = traj.times, traj.states[:, :3]
-    frac = (delta[i - 1] - levels) / (delta[i - 1] - delta[i])
-    times = t[i - 1] + frac * (t[i] - t[i - 1])
-    crossings = states[i - 1] + frac[:, None] * (states[i] - states[i - 1])
-    turns = [np.vstack([crossings[k], states[i[k]:i[k + 1]], crossings[k + 1]])
-             for k in range(len(i) - 1)]
-    return _periodic_test(times, crossings, [turn.min(axis=0) for turn in turns],
-                          [turn.max(axis=0) for turn in turns], params.omega_g)
+def _crossing(h, y_old, K, y, level):
+    """Fraction of a segment at which delta falls to ``level``, and the
+    (i_d, i_q, omega) there: on the step's DP5 interpolant when K holds its
+    stage derivatives, linear between two stored samples when K is None."""
+    if K is None:
+        x = (y_old[3] - level) / (y_old[3] - y[3])
+        return x, [a + x * (b - a) for a, b in zip(y_old[:3], y[:3])]
+    x = _delta_fraction(h, y_old, K, level)
+    return x, _step_state(h, y_old, K, x)[:3]
 
 
-class SectionStop:
-    """Stop rule of one basin run: the proven local basin, then the section.
+def _widen(lo, hi, y):
+    """Stretch the running (i_d, i_q, omega) extrema ``lo``/``hi`` to ``y``."""
+    for c in range(3):
+        v = y[c]
+        if v < lo[c]:
+            lo[c] = v
+        elif v > hi[c]:
+            hi[c] = v
 
-    ``stop`` is the integrator's hook.  It fires when the end of an
-    accepted step lies in ``basin`` (a ``LocalBasin`` or None), or when the
-    last ``PERIODIC_MAX_CROSSINGS`` crossings of the Poincare section delta
-    = ``delta_s`` (mod 2*pi) pass the periodic test of ``detect_periodic``,
-    which then sets ``verdict``.  Crossings follow ``detect_periodic``'s
-    rule, one per sheet below every earlier step end, starting below
-    ``delta0``; each is located on the step's DP5 interpolant, so it does
-    not depend on the output samples.  The extrema of each turn are taken
-    over the step ends and crossings.  A run that does not cross costs one
-    float compare per step.
+
+class Classifier:
+    """The trajectory classifier: one pass over a run's segments.
+
+    ``segment(t, h, y_old, K, y)`` reads the segment from time t to t + h,
+    state y_old to y; it is the integrator's stop hook, and a stored
+    trajectory is fed the intervals between its samples with K None
+    (``_crossing``).  ``finish(y_final)`` gives the verdict, in this order:
+
+    1. the final state lies in the stable equilibrium's proven local basin
+       (invariant and attracting, so no tolerance is involved);
+    2. the window test: every segment end from ``(1 - WINDOW_FRACTION) *
+       t_end`` on lies within ``tol`` of one equilibrium, per-component
+       scaled and delta modulo 2*pi (the only route to an unstable point);
+    3. the periodic test on the last ``PERIODIC_MAX_CROSSINGS`` crossings
+       of the Poincare section delta = ``section_angle(equilibria)`` (mod
+       2*pi), one per sheet, where delta first falls below a level below
+       delta0 and every earlier segment end, so a decaying oscillation
+       gives at most a few; each turn's extrema span its crossings and
+       segment ends;
+    4. Undecided, naming the closest window miss and the periodic failure.
+
+    With ``stop``, ``segment`` ends the run once a segment end lies in the
+    local basin or the crossings pass the periodic test, and the verdict
+    carries that time as ``t_decided``.  Memory stays bounded: running
+    maxima and a delta sum for the window, the last crossings and their
+    turns' running extrema for the section.
     """
 
-    def __init__(self, delta_s: float, delta0: float, omega_g: float, basin):
-        # The hook keeps no reference to self, so a finished run's turns
-        # are freed at once rather than by the cycle collector.
-        found = self._found = []
-        contains = None if basin is None else basin.contains
+    def __init__(self, params: SgParameters, equilibria, delta0: float,
+                 t_end: float, tol: float, stop: bool):
+        # The closures keep no reference to self, so a finished run's
+        # state is freed at once rather than by the cycle collector.
+        basin = stable_basin(params, equilibria)
+        contains = basin.contains if stop and basin is not None else None
+        omega_g = params.omega_g
+        delta_s = section_angle(equilibria)
         sheet = _top_sheet(delta_s, delta0)
         level = delta_s + TWO_PI * sheet
+        t_window = (1.0 - WINDOW_FRACTION) * t_end
+        cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
+        om = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
+        targets = [pt.state.as_array().tolist() for pt in equilibria]
+        misses = [0.0] * len(targets)  # running max scaled distance in the window
+        window = [0.0, 0]  # delta sum and point count in the window
         times = deque(maxlen=PERIODIC_MAX_CROSSINGS)
         states = deque(maxlen=PERIODIC_MAX_CROSSINGS)
         lows = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
         highs = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
-        turn = None  # points of the turn since the last crossing
+        lo = hi = None  # extrema of the turn since the last crossing
+        stopped = []  # the time at which the run was decided and stopped
 
-        def stop(t, h, y_old, K, y) -> bool:
-            nonlocal sheet, level, turn
+        def segment(t, h, y_old, K, y) -> bool:
+            nonlocal sheet, level, lo, hi
             if contains is not None and contains(y):
+                stopped.append(t + h)
                 return True
+            if t + h >= t_window:
+                window[0] += y[3]
+                window[1] += 1
+                for k, (e0, e1, e2, e3) in enumerate(targets):
+                    miss = max(abs(y[0] - e0) / cur, abs(y[1] - e1) / cur,
+                               abs(y[2] - e2) / om, abs(wrap_angle(y[3] - e3)))
+                    if miss > misses[k]:
+                        misses[k] = miss
             if y[3] > level:
-                if turn is not None:
-                    turn.append(y)
+                if lo is not None:
+                    _widen(lo, hi, y)
                 return False
             while y[3] <= level:
-                x = _delta_fraction(h, y_old, K, level)
-                crossing = _step_state(h, y_old, K, x)[:3]  # (i_d, i_q, omega)
-                if turn is not None:
-                    turn.append(crossing)
-                    columns = list(zip(*turn))
-                    lows.append([min(c) for c in columns])
-                    highs.append([max(c) for c in columns])
+                x, crossing = _crossing(h, y_old, K, y, level)
+                if lo is not None:
+                    _widen(lo, hi, crossing)
+                    lows.append(lo)
+                    highs.append(hi)
                 times.append(t + x * h)
                 states.append(crossing)
-                turn = [crossing]
+                lo, hi = list(crossing), list(crossing)
                 sheet -= 1
                 level = delta_s + TWO_PI * sheet
-            turn.append(y)
-            if len(times) < PERIODIC_MAX_CROSSINGS:
-                return False
-            verdict = _periodic_test(times, states, lows, highs, omega_g,
-                                     t_decided=times[-1])
-            if isinstance(verdict, PeriodicOrbit):
-                found.append(verdict)
+            _widen(lo, hi, y)
+            if (stop and len(times) == PERIODIC_MAX_CROSSINGS and isinstance(
+                    _periodic_test(times, states, lows, highs, omega_g), PeriodicOrbit)):
+                stopped.append(times[-1])
                 return True
             return False
 
-        self.stop = stop
+        def finish(y_final):
+            t_decided = stopped[0] if stopped else None
+            if basin is not None and basin.contains(y_final):
+                turns = int(round((y_final[3] - basin.point.state.delta) / TWO_PI))
+                return ConvergedToEquilibrium(equilibrium=basin.point, sheet=turns,
+                                              decided_by="local_basin", t_decided=t_decided)
+            if window[1] and not stopped:
+                for pt, miss in zip(equilibria, misses):
+                    if miss < tol:
+                        turns = int(round((window[0] / window[1] - pt.state.delta) / TWO_PI))
+                        return ConvergedToEquilibrium(equilibrium=pt, sheet=turns)
+            periodic = _periodic_test(times, states, lows, highs, omega_g, t_decided)
+            if isinstance(periodic, PeriodicOrbit):
+                return periodic
+            near = min(zip(misses, [pt.branch for pt in equilibria]), default=None)
+            near = ("no window test" if not window[1] or near is None else
+                    f"window miss {near[0]:.3g} >= {tol:g} at best, at the branch "
+                    f"{near[1]} equilibrium")
+            return Undecided(reason=f"{near}; {periodic.reason}")
 
-    @property
-    def verdict(self):
-        return self._found[0] if self._found else None
+        self.segment = segment
+        self.finish = finish
+
+
+def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
+                       tol: float = CONVERGENCE_TOL):
+    """Classify a stored full-model trajectory of the design ``params``
+    (rk4 runs, other integrators' solutions): the ``Classifier`` fed the
+    intervals between its samples, up to the last.  A final state in the
+    proven local basin decides the run without reading the others.
+    """
+    final = traj.states[-1].tolist()
+    clf = Classifier(params, equilibria, float(traj.states[0, 3]), float(traj.times[-1]),
+                     tol, False)
+    basin = stable_basin(params, equilibria)
+    if basin is None or not basin.contains(final):
+        times, rows = traj.times.tolist(), traj.states.tolist()
+        for k in range(1, len(rows)):
+            clf.segment(times[k - 1], times[k] - times[k - 1], rows[k - 1], None, rows[k])
+    return clf.finish(final)
 
 
 # Sampling ------------------------------------------------------------------
@@ -815,16 +819,6 @@ def default_horizon(params: SgParameters, equilibria) -> float:
             if rate > 0:
                 return 20.0 / rate
     return 60.0
-
-
-def basin_config(t_end: float) -> IntegratorConfig:
-    """Integration settings for basin sampling over a horizon of ``t_end`` s.
-
-    Sampled at 2000 per second, clamped to 2000..20000 intervals: enough
-    samples to resolve pole-slip orbits in the classifier.
-    """
-    n_samples = int(min(20000, max(2000, 2000.0 * t_end))) + 1
-    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end, n_samples=n_samples)
 
 
 @dataclass
@@ -864,68 +858,71 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
     return SgState(*draws)
 
 
+def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
+    """Full-model run of ``initial`` with its verdict: an rk45 run feeds
+    the ``Classifier`` from its step hook (and with ``stop`` ends at its
+    early verdict), an rk4 run is classified from its samples."""
+    if config.method == "rk4":
+        traj = integrate(full_rhs(params), initial.as_array(), config)
+        traj.verdict = detect_convergence(traj, equilibria, params)
+        return traj
+    clf = Classifier(params, equilibria, initial.delta, config.t_end, CONVERGENCE_TOL, stop)
+    traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
+    traj.verdict = clf.finish(traj.final_state.tolist())
+    return traj
+
+
 def classify_initial_state(params, initial, equilibria, config):
     """Simulate one initial state and classify the outcome.
 
-    The run stops as soon as it enters the stable equilibrium's proven
-    local basin (``stable_basin``), or as soon as its last
-    ``PERIODIC_MAX_CROSSINGS`` crossings of ``detect_periodic``'s section
-    pass the periodic test (``SectionStop``), which gives a PeriodicOrbit
-    with ``t_decided`` set.  Otherwise ``detect_convergence`` classifies
-    the run, the same function that classifies a full-horizon run.
+    The ``Classifier`` reads each step of the run and stops it as soon as
+    it enters the proven local basin or its section crossings repeat; the
+    verdict then carries ``t_decided``.  A run that reaches
+    ``config.t_end`` is classified there.  No verdict reads the samples.
     """
-    rule = SectionStop(section_angle(equilibria), initial.delta, params.omega_g,
-                       stable_basin(params, equilibria))
-    traj = integrate(full_rhs(params), initial.as_array(), config, stop=rule.stop)
-    if rule.verdict is not None:
-        traj.verdict = rule.verdict
-    else:
-        traj.verdict = detect_convergence(traj, equilibria, params=params)
-    return traj.verdict
+    return _classified(params, initial, equilibria, config, stop=True).verdict
 
 
 def basin_sample(params: SgParameters, n: int, seed: int, box=None,
-                 config: IntegratorConfig | None = None) -> BasinStatistics:
+                 t_end: float | None = None) -> BasinStatistics:
     """Classify ``n`` seeded-random initial states from ``box``.
 
     Deterministic for a given seed; each state is drawn from its own
     (seed, index) stream, so the tally does not depend on the order in
-    which states are classified.  Each run stops when it enters the stable
-    equilibrium's proven local basin, built at most once, or when its
-    section crossings repeat (see ``classify_initial_state``).
-    ``decided_by`` counts the converged runs by the rule that decided them
-    ("local_basin" or "window") and the early-stopped periodic runs as
-    "section".
+    which states are classified.  Each run (``classify_initial_state``,
+    over ``t_end``, by default ``default_horizon``) stops when it enters
+    the stable equilibrium's proven local basin, built at most once, or
+    when its section crossings repeat, and keeps only its two endpoint
+    samples.  ``decided_by`` counts the converged runs by the rule that
+    decided them ("local_basin" or "window") and the periodic runs as
+    "section" when they stopped early and "horizon" otherwise, so its
+    values sum to n - undecided.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if box is None:
         box = default_basin_box(params)
     equilibria = solve_equilibria(params)
-    if config is None:
-        config = basin_config(default_horizon(params, equilibria))
+    if t_end is None:
+        t_end = default_horizon(params, equilibria)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end, n_samples=2)
     stats = BasinStatistics(n=n, seed=seed)
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
         verdict = classify_initial_state(params, initial, equilibria, config)
-        decided_by = getattr(verdict, "decided_by", None)
-        if isinstance(verdict, PeriodicOrbit) and verdict.t_decided is not None:
-            decided_by = "section"
-        if decided_by is not None:
-            stats.decided_by[decided_by] = stats.decided_by.get(decided_by, 0) + 1
+        decided_by = None
         if isinstance(verdict, ConvergedToEquilibrium):
-            if verdict.equilibrium.classification is Stability.STABLE:
-                key = "converged_stable"
-                stats.converged_stable += 1
-            else:
-                key = "converged_unstable"
-                stats.converged_unstable += 1
+            stable = verdict.equilibrium.classification is Stability.STABLE
+            key = "converged_stable" if stable else "converged_unstable"
+            decided_by = verdict.decided_by
         elif isinstance(verdict, PeriodicOrbit):
             key = "periodic"
-            stats.periodic += 1
+            decided_by = "horizon" if verdict.t_decided is None else "section"
         else:
             key = "undecided"
-            stats.undecided += 1
+        setattr(stats, key, getattr(stats, key) + 1)
+        if decided_by is not None:
+            stats.decided_by[decided_by] = stats.decided_by.get(decided_by, 0) + 1
         stats.exemplars.setdefault(key, tuple(initial.as_array()))
     return stats
 

@@ -204,6 +204,32 @@ def test_simulate_deterministic_output(params_n30_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+DEMO_CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                            "demos", "configs")
+
+
+@pytest.mark.parametrize("config, extra, expected", [
+    # The doubled-resistor design slips from rest: a periodic orbit.
+    ("500kw_nominal.json", ["--set", "R_drop_pct=1.0", "--initial", "0,0,0,0"],
+     {"kind": "periodic", "t_decided": None}),
+    ("500kw_n30_nominal.json", [],
+     {"kind": "converged", "decided_by": "local_basin", "t_decided": None}),
+])
+def test_simulate_verdict_independent_of_samples(config, extra, expected, tmp_path):
+    trailers = set()
+    for n in (201, 501, 20001):
+        out = tmp_path / f"traj_{n}.csv"
+        rc = cli.main(["simulate", "--config", os.path.join(DEMO_CONFIGS, config), *extra,
+                       "--samples", str(n), "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == n + 2
+        trailers.add(lines[-1])
+    assert len(trailers) == 1
+    verdict = json.loads(trailers.pop()[len("# verdict: "):])
+    assert {k: verdict[k] for k in expected} == expected
+
+
 def test_basin_cli_deterministic(params_n30_config, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

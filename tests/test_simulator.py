@@ -18,7 +18,6 @@ from swingcert.simulator import (
     StiffnessError,
     Trajectory,
     Undecided,
-    basin_config,
     classify_initial_state,
     default_basin_box,
     default_horizon,
@@ -37,6 +36,13 @@ def _scipy_rk45(rhs, y0, config):
                     rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval)
     assert sol.status == 0
     return sol
+
+
+def _dense(t_end):
+    """Settings of a full-horizon basin run, sampled at 2000 per second
+    (2000..20000 intervals) as the benchmark's replay samples it."""
+    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=t_end,
+                            n_samples=int(min(20000, max(2000, 2000.0 * t_end))) + 1)
 
 
 def _counted(f):
@@ -166,7 +172,7 @@ def test_rk45_step_control_matches_scipy(rel_tol, abs_tol):
 def test_verdicts_match_scipy(design, request):
     params = request.getfixturevalue(design)
     equilibria = sc.solve_equilibria(params)
-    config = basin_config(default_horizon(params, equilibria))
+    config = _dense(default_horizon(params, equilibria))
     rhs = sc.full_rhs(params)
     box = default_basin_box(params)
     for i in range(12):
@@ -263,7 +269,7 @@ def test_basin_sample_deterministic(params_rs216):
 def test_basin_tally_independent_of_order(params_rs216):
     stats = sc.basin_sample(params_rs216, n=6, seed=9)
     equilibria = sc.solve_equilibria(params_rs216)
-    config = basin_config(default_horizon(params_rs216, equilibria))
+    config = _dense(default_horizon(params_rs216, equilibria))
     box = default_basin_box(params_rs216)
     tally, exemplars = Counter(), {}
     for i in reversed(range(6)):
@@ -279,6 +285,23 @@ def test_basin_tally_independent_of_order(params_rs216):
     assert {k: doc[k] for k in tally} == dict(tally)
     assert sum(tally.values()) == 6
     assert doc["exemplars"] == exemplars
+
+
+def test_basin_decided_by_counts_every_decided_run(params_rs216):
+    # Over 2.5 s some slipping runs stop on the section and some are left
+    # undecided; every other run is counted by the rule that decided it.
+    stats = sc.basin_sample(params_rs216, n=12, seed=1, t_end=2.5)
+    assert stats.undecided > 0 and stats.decided_by.get("section", 0) > 0
+    assert sum(stats.decided_by.values()) == stats.n - stats.undecided
+    # A run that starts on the orbit repeats its fewer than 12 crossings
+    # within 1 s: periodic, decided at the horizon.
+    on_orbit = sc.simulate_full(params_rs216, sc.SgState(0.0, 0.0, 0.0, 0.0),
+                                IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=5.0,
+                                                 n_samples=2)).final_state
+    stats = sc.basin_sample(params_rs216, n=2, seed=0, box=[(v, v) for v in on_orbit],
+                            t_end=1.0)
+    assert stats.periodic == 2
+    assert stats.decided_by == {"horizon": 2}
 
 
 def test_basin_sample_rejects_bad_n(params_n30):
@@ -323,7 +346,15 @@ def test_converged_trajectory_yields_no_orbit(params_n30, equilibria_n30):
     traj = sc.simulate_full(params_n30, near, config)
     verdict = sc.detect_convergence(traj, equilibria_n30, params=params_n30)
     assert isinstance(verdict, ConvergedToEquilibrium)
-    assert not isinstance(sc.detect_periodic(traj, equilibria_n30, params_n30), PeriodicOrbit)
+    # Without the stable point there is no basin and no window to pass, so
+    # only the section is left, and a decaying oscillation is no orbit.
+    unstable = [pt for pt in equilibria_n30 if pt.classification.value != "stable"]
+    rule = simulator.Classifier(params_n30, unstable, near.delta, config.t_end,
+                                simulator.CONVERGENCE_TOL, False)
+    rows, times = traj.states.tolist(), traj.times.tolist()
+    for k in range(1, len(rows)):
+        rule.segment(times[k - 1], times[k] - times[k - 1], rows[k - 1], None, rows[k])
+    assert isinstance(rule.finish(rows[-1]), Undecided)
 
 
 def test_periodic_verdict_equivariant_under_sheet_shift(params_rs216):
@@ -415,6 +446,28 @@ def test_verdict_serialisation(equilibria_n30):
                                                      "reason": "not classified"}
 
 
+@pytest.mark.parametrize("turns, power, failure", [
+    (2, 1, "2 section crossings, fewer than 3"),
+    (4, 2, "section crossing intervals not repeating"),
+])
+def test_undecided_reason_names_both_failed_tests(turns, power, failure, params_n30,
+                                                  equilibria_n30):
+    # delta falls by ``turns`` full turns over the first 0.8 s, at a rate
+    # growing with t**power, and then rests 0.2 rad above the stable angle.
+    stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
+    times = np.linspace(0.0, 1.0, 1001)
+    fall = np.minimum(times / 0.8, 1.0) ** power
+    delta = stable.state.delta + 0.2 + TWO_PI * turns * (1.0 - fall)
+    states = np.column_stack([np.tile(stable.state.as_array()[:3], (len(times), 1)), delta])
+    verdict = sc.detect_convergence(Trajectory(times=times, states=states), equilibria_n30,
+                                    params=params_n30)
+    assert isinstance(verdict, Undecided)
+    window, section = verdict.reason.split("; ")
+    assert window == (f"window miss 0.2 >= 0.001 at best, "
+                      f"at the branch {stable.branch} equilibrium")
+    assert section == failure
+
+
 # Early stop in the proven local basin and the rhs-call budget --------------
 
 def _key(verdict):
@@ -446,7 +499,7 @@ def test_rhs_call_budget_default():
 
 def test_stop_hook_that_never_fires_changes_nothing(params_n30):
     rhs = sc.full_rhs(params_n30)
-    config = basin_config(default_horizon(params_n30, sc.solve_equilibria(params_n30)))
+    config = _dense(default_horizon(params_n30, sc.solve_equilibria(params_n30)))
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 0).as_array()
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         plain, hooked = _counted(f), _counted(f)
@@ -463,7 +516,7 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
     def stop(t, h, y_old, K, y):
         return basin.contains(y)
 
-    config = basin_config(default_horizon(params_n30, equilibria_n30))
+    config = _dense(default_horizon(params_n30, equilibria_n30))
     rhs = sc.full_rhs(params_n30)
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 1).as_array()
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
@@ -494,7 +547,7 @@ def test_stable_basin_is_built_once(params_n30, equilibria_n30):
 def test_early_stop_verdicts_equal_full_horizon(design, request):
     params = request.getfixturevalue(design)
     equilibria = sc.solve_equilibria(params)
-    config = basin_config(default_horizon(params, equilibria))
+    config = _dense(default_horizon(params, equilibria))
     box = default_basin_box(params)
     rhs = sc.full_rhs(params)
     tally, first = Counter(), None
@@ -559,7 +612,7 @@ def test_converged_verdict_explains_itself(params_n30, equilibria_n30):
 
 def test_section_stop_verdicts_equal_full_horizon(params_rs216):
     equilibria = sc.solve_equilibria(params_rs216)
-    config = basin_config(default_horizon(params_rs216, equilibria))
+    config = _dense(default_horizon(params_rs216, equilibria))
     box = default_basin_box(params_rs216)
     rhs = sc.full_rhs(params_rs216)
     periodic = 0
@@ -593,7 +646,7 @@ def test_section_stop_verdict_independent_of_sampling(params_rs216):
 
 def test_slipping_basin_runs_stop_early(params_rs216):
     equilibria = sc.solve_equilibria(params_rs216)
-    config = basin_config(default_horizon(params_rs216, equilibria))
+    config = _dense(default_horizon(params_rs216, equilibria))
     box = default_basin_box(params_rs216)
     periodic = [v for v in (classify_initial_state(params_rs216, sample_initial_state(box, 11, i),
                                                    equilibria, config) for i in range(30))
@@ -617,7 +670,7 @@ def test_huge_initial_state_fails_with_initial_state(params_n30):
 
 
 @pytest.mark.parametrize("as_array", [False, True])
-def test_section_crossings_located_on_interpolant(as_array):
+def test_section_crossings_located_on_interpolant(as_array, params_n30):
     # delta(t) = delta0 - c t + a sin(c t) falls by 2 pi every 2 pi / c
     # seconds, with the other components constant, so the section rule must
     # stop at the 12th crossing of delta = 0 (mod 2 pi) with period 2 pi / c.
@@ -647,10 +700,12 @@ def test_section_crossings_located_on_interpolant(as_array):
         state = simulator._step_state(h, y_old, K, 0.3)
         assert state[:3] == [1.0, 2.0, 3.0]
         assert state[3] == pytest.approx(delta(t + 0.3 * h), abs=1e-6)
-    rule = simulator.SectionStop(0.0, delta0, 100.0, None)
-    traj = integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=rule.stop)
+    # No equilibria: the section is delta = 0 and there is no basin or window.
+    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, config.t_end,
+                                simulator.CONVERGENCE_TOL, True)
+    traj = integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=rule.segment)
     assert traj.stopped
-    verdict = rule.verdict
+    verdict = rule.finish(traj.final_state.tolist())
     expected = crossing(-TWO_PI * (simulator.PERIODIC_MAX_CROSSINGS - 1))
     assert verdict.t_decided == pytest.approx(expected, abs=1e-9)
     assert verdict.period == pytest.approx(0.16, rel=1e-9)
