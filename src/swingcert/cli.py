@@ -160,10 +160,8 @@ def _parse_initial(text, params) -> SgState:
 def cmd_simulate(args) -> int:
     params = params_from_config(load_config(args.config, args.set))
     initial = _parse_initial(args.initial, params)
-    config = IntegratorConfig(
-        method=args.method, rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-        t_end=args.t_end, n_samples=args.samples,
-    )
+    config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                              t_end=args.t_end, n_samples=args.samples)
     if args.ese:
         traj = simulate_ese(params, initial, config)
     else:
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: 0,0,omega_g,0)")
     p.add_argument("--ese", action="store_true",
                    help="simulate the reduced swing formulation instead")
-    p.add_argument("--method", choices=("rk45", "rk4"), default=IntegratorConfig.method)
     p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
     p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
     p.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)

@@ -1,14 +1,13 @@
 """Time integration and trajectory classification.
 
 Provides an adaptive Dormand-Prince 5(4) integrator with dense output, a
-per-step hook and an rhs-call budget, and a fixed-step classic RK4, and
-one classifier that reads a run as a stream of segments (integrator steps
-or stored samples): converged to an equilibrium (modulo 2*pi, the integer
-sheet recorded), decided by the proven local basin of the stable point,
-which also ends basin runs early; periodic, on a fixed Poincare section of
-the power angle, on which slipping basin runs end once their crossings
-repeat; or undecided.  All operations are deterministic given their
-inputs and seeds.
+per-step hook and an rhs-call budget, and one classifier that reads a run
+as a stream of segments (integrator steps or stored samples): converged
+to an equilibrium (modulo 2*pi, the integer sheet recorded), decided by
+the proven local basin of the stable point, which also ends basin runs
+early; periodic, on a fixed Poincare section of the power angle, on which
+slipping basin runs end once their crossings repeat; or undecided.  All
+operations are deterministic given their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ ESE_COLUMNS = ("eta", "eta_dot", "w_re", "w_im")
 
 class StiffnessError(NumericalError):
     """Integration failed: the adaptive step size underflowed, the rhs-call
-    budget ran out or a fixed step came out non-finite; carries the last
-    finite time and state."""
+    budget ran out or the power angle left the range in which the Poincare
+    section resolves a turn; carries the last finite time and state."""
 
     def __init__(self, message, t, state):
         super().__init__(message)
@@ -51,23 +50,18 @@ class StiffnessError(NumericalError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration settings.
+    """Settings of the adaptive Dormand-Prince 5(4) integrator.
 
-    method is "rk45" (adaptive, embedded error control) or "rk4" (fixed
-    step of at most t_end / ``RK4_STEPS``, shortened so that it divides
-    each sampling interval).  ``n_samples`` output samples are placed
-    uniformly on [0, t_end], the first at t = 0.
+    ``n_samples`` output samples are placed uniformly on [0, t_end], the
+    first at t = 0.
     """
 
-    method: str = "rk45"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     t_end: float = 10.0
     n_samples: int = 2001
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         # Written as "not 0 < x < inf" so that NaN fails too.
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be > 0 and finite")
@@ -156,45 +150,6 @@ class Trajectory:
 
 
 # Integration ---------------------------------------------------------------
-
-# The fixed-step RK4's longest step is t_end / RK4_STEPS.
-RK4_STEPS = 5000
-
-
-def _rk4_fixed(rhs, y0, t_eval, step):
-    """Classic fourth-order steps from y0 at t_eval[0] = 0, each sampling
-    interval cut into the fewest equal steps no longer than ``step``.
-
-    A step that comes out non-finite, or whose rhs calls raise
-    OverflowError or ValueError, raises StiffnessError with the last
-    finite (t, y).
-    """
-    y = np.asarray(y0, dtype=float)
-    out = [y]
-    times = t_eval.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1 in zip(times, times[1:]):
-            n_sub = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
-            h = (t1 - t0) / n_sub
-            t = t0
-            for _ in range(n_sub):
-                try:
-                    k1 = np.asarray(rhs(t, y))
-                    k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-                    k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-                    k4 = np.asarray(rhs(t + h, y + h * k3))
-                    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    finite = np.all(np.isfinite(y_new))
-                except (OverflowError, ValueError):
-                    finite = False
-                if not finite:
-                    raise StiffnessError(f"non-finite rk4 step at t={t!r}", t=t,
-                                         state=y.copy())
-                y = y_new
-                t += h
-            out.append(y)
-    return np.array(out)
-
 
 # Right-hand-side evaluations allowed in one Dormand-Prince run, more than
 # ten times the largest run the CLI, tests and demos make (about 8e5 calls,
@@ -379,7 +334,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     right after a rejection, and a floor of 10 ulp(t) on the step, below
     which StiffnessError is raised with the last accepted (t, y).  The
     same error is raised when a step attempt would take the rhs calls past
-    ``MAX_RHS_CALLS``.  A step whose arithmetic overflows is rejected.
+    ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
+    a domain error (ValueError) is rejected.
     Each step that covers a sample time is recorded (float steps in flat
     buffers, array steps in arrays preallocated for one record per sample);
     the samples are read from the dense output in one vectorised pass at
@@ -402,8 +358,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             f = rhs(0.0, y0)
             as_array = isinstance(f, np.ndarray)
             h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol, as_array))
-    except OverflowError:
-        raise StiffnessError("overflow evaluating the initial derivative",
+    except (OverflowError, ValueError):
+        raise StiffnessError("overflow or domain error evaluating the initial derivative",
                              t=0.0, state=y0.copy())
     if as_array:
         stages = _array_stages
@@ -440,7 +396,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             h = t_new - t
             try:
                 y_new, K, err = stages(rhs, t, y, f, h, rtol, atol)
-            except OverflowError:
+            except (OverflowError, ValueError):
                 err = math.inf
             if err < 1.0:
                 if err == 0.0:
@@ -487,21 +443,19 @@ def integrate(rhs, initial, config: IntegratorConfig,
               columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
 
-    Samples are taken at ``config.n_samples`` uniform times on [0, t_end];
-    "rk4" steps at most t_end / ``RK4_STEPS`` at a time.  Raises
-    StiffnessError, carrying the last accepted time and state, when the
-    adaptive integrator underflows its step size, including when the
-    derivative keeps coming back non-finite or overflowing, when the run
-    would need more than ``MAX_RHS_CALLS`` rhs evaluations, and when an
-    rk4 step comes out non-finite.
+    Samples are taken at ``config.n_samples`` uniform times on [0, t_end].
+    Raises StiffnessError, carrying the last accepted time and state, when
+    the integrator underflows its step size, including when the derivative
+    keeps coming back non-finite, overflowing or raising a domain error
+    (ValueError), and when the run would need more than ``MAX_RHS_CALLS``
+    rhs evaluations.
 
     ``stop(t, h, y_old, K, y)`` is an optional predicate on each accepted
-    adaptive step: from time t to t + h, from state y_old to y, with stage
+    step: from time t to t + h, from state y_old to y, with stage
     derivatives K.  When it fires the run ends: the trajectory holds the
     samples before that time and then the stop time and state, and
     ``Trajectory.stopped`` is set.  Until it fires, the output and the rhs
-    calls do not depend on the hook existing.  The fixed-step "rk4" method
-    ignores ``stop`` and always reaches t_end.
+    calls do not depend on the hook existing.
 
     ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
     ndarray, and its result fixes the contract for the rest of the run:
@@ -512,12 +466,8 @@ def integrate(rhs, initial, config: IntegratorConfig,
     """
     y0 = np.asarray(initial, dtype=float)
     t_eval = np.linspace(0.0, config.t_end, config.n_samples)
-    if config.method == "rk4":
-        step = config.t_end / RK4_STEPS
-        times, states, stopped = t_eval, _rk4_fixed(rhs, y0, t_eval, step), False
-    else:
-        times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
-                                         config.abs_tol, stop)
+    times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
+                                     config.abs_tol, stop)
     return Trajectory(times=times, states=states, columns=columns,
                       stopped=stopped)
 
@@ -525,7 +475,7 @@ def integrate(rhs, initial, config: IntegratorConfig,
 def simulate_full(params: SgParameters, initial: SgState,
                   config: IntegratorConfig) -> Trajectory:
     """Full-model trajectory from an initial state over the whole horizon,
-    classified (an rk45 run from its steps, an rk4 run from its samples)."""
+    classified from its steps."""
     return _classified(params, initial, solve_equilibria(params), config, stop=False)
 
 
@@ -608,7 +558,14 @@ def section_angle(equilibria) -> float:
 
 
 def _top_sheet(delta_s: float, delta0: float) -> int:
-    """Sheet k of the highest section level delta_s + 2*pi*k below delta0."""
+    """Sheet k of the highest section level delta_s + 2*pi*k below delta0.
+
+    Raises ValueError where floats are 2*pi or more apart (|delta0| >=
+    2**55), since levels a turn apart are no longer distinct there.
+    """
+    if not math.ulp(delta0) < TWO_PI:  # NaN and inf fail too
+        raise ValueError(f"initial power angle {delta0!r} is too large to place "
+                         "section levels a turn apart")
     return math.ceil((delta0 - delta_s) / TWO_PI) - 1
 
 
@@ -689,7 +646,11 @@ class Classifier:
     local basin or the crossings pass the periodic test, and the verdict
     carries that time as ``t_decided``.  Memory stays bounded: running
     maxima and a delta sum for the window, the last crossings and their
-    turns' running extrema for the section.
+    turns' running extrema for the section.  So does time: a segment
+    locates only about its last ``PERIODIC_MAX_CROSSINGS`` crossings, and
+    a power angle of magnitude 2**55 or more, where section levels a turn
+    apart coincide, raises ValueError as delta0 (at the first segment) and
+    StiffnessError at a segment end.
     """
 
     def __init__(self, params: SgParameters, equilibria, delta0: float,
@@ -700,8 +661,9 @@ class Classifier:
         contains = basin.contains if stop and basin is not None else None
         omega_g = params.omega_g
         delta_s = section_angle(equilibria)
-        sheet = _top_sheet(delta_s, delta0)
-        level = delta_s + TWO_PI * sheet
+        # The top level is placed at the first segment, so a run whose first
+        # step fails reports that failure rather than a bad delta0.
+        sheet = level = None
         t_window = (1.0 - WINDOW_FRACTION) * t_end
         cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
         om = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
@@ -717,6 +679,9 @@ class Classifier:
 
         def segment(t, h, y_old, K, y) -> bool:
             nonlocal sheet, level, lo, hi
+            if sheet is None:
+                sheet = _top_sheet(delta_s, delta0)
+                level = delta_s + TWO_PI * sheet
             if contains is not None and contains(y):
                 stopped.append(t + h)
                 return True
@@ -732,6 +697,16 @@ class Classifier:
                 if lo is not None:
                     _widen(lo, hi, y)
                 return False
+            if not math.ulp(y[3]) < TWO_PI:
+                raise StiffnessError(f"power angle {y[3]!r} at t={t + h!r} is too large "
+                                     "to place section levels a turn apart", t=t + h,
+                                     state=np.array(y, dtype=float))
+            # Only the last PERIODIC_MAX_CROSSINGS crossings are kept, so a
+            # segment that falls through more levels skips the earlier ones.
+            skip = int((level - y[3]) / TWO_PI) - PERIODIC_MAX_CROSSINGS - 1
+            if skip > 0:
+                sheet -= skip
+                level = delta_s + TWO_PI * sheet
             while y[3] <= level:
                 x, crossing = _crossing(h, y_old, K, y, level)
                 if lo is not None:
@@ -777,7 +752,7 @@ class Classifier:
 def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
                        tol: float = CONVERGENCE_TOL):
     """Classify a stored full-model trajectory of the design ``params``
-    (rk4 runs, other integrators' solutions): the ``Classifier`` fed the
+    (other integrators' solutions): the ``Classifier`` fed the
     intervals between its samples, up to the last.  A final state in the
     proven local basin decides the run without reading the others.
     """
@@ -859,13 +834,9 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
 
 
 def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
-    """Full-model run of ``initial`` with its verdict: an rk45 run feeds
-    the ``Classifier`` from its step hook (and with ``stop`` ends at its
-    early verdict), an rk4 run is classified from its samples."""
-    if config.method == "rk4":
-        traj = integrate(full_rhs(params), initial.as_array(), config)
-        traj.verdict = detect_convergence(traj, equilibria, params)
-        return traj
+    """Full-model run of ``initial`` with its verdict: the run feeds the
+    ``Classifier`` from its step hook (and with ``stop`` ends at its early
+    verdict)."""
     clf = Classifier(params, equilibria, initial.delta, config.t_end, CONVERGENCE_TOL, stop)
     traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())

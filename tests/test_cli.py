@@ -82,8 +82,8 @@ def test_cli_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     config = simulator.IntegratorConfig()
     args = parser.parse_args(["simulate", "--config", "x.json"])
-    assert (args.method, args.rel_tol, args.abs_tol, args.t_end, args.samples) == (
-        config.method, config.rel_tol, config.abs_tol, config.t_end, config.n_samples)
+    assert (args.rel_tol, args.abs_tol, args.t_end, args.samples) == (
+        config.rel_tol, config.abs_tol, config.t_end, config.n_samples)
     assert parser.parse_args(["validate", "--config", "x.json"]).t_end == config.t_end
     for argv in (["check", "--config", "x.json"],
                  ["sweep", "--config", "x.json", "--param", "D_p", "--min", "1",
@@ -185,6 +185,8 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["validate", "--tol", "0", "--samples", "1"], "--tol must be finite and > 0"),
     (["simulate", "--abs-tol", "inf"], "tolerances must be > 0"),
     (["simulate", "--rel-tol", "inf"], "tolerances must be > 0"),
+    (["simulate", "--initial", "0,0,314,1e50", "--t-end", "1", "--samples", "3"],
+     "too large to place section levels"),
 ])
 def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
     rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",
@@ -280,14 +282,11 @@ def test_simulate_huge_initial_state_exits_numerical(params_n30_config, tmp_path
     assert "step size underflow at t=0.0" in capsys.readouterr().err
 
 
-def test_simulate_rk4_blow_up_exits_numerical(params_n30_config, tmp_path, capsys):
-    # The fixed step of t_end / 5000 is too long for the stator modes over
-    # 200 s; the run blows up and exits 3 instead of failing inside the rhs.
-    rc = cli.main(["simulate", "--config", params_n30_config, "--method", "rk4",
-                   "--t-end", "200", "--samples", "3",
-                   "--out", str(tmp_path / "traj.csv")])
-    assert rc == 3
-    assert "non-finite rk4 step" in capsys.readouterr().err
+def test_simulate_has_one_integrator(params_n30_config, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["simulate", "--config", params_n30_config, "--method", "rk4"])
+    assert excinfo.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_validate(params_n30_config, capsys):

@@ -56,8 +56,8 @@ def _counted(f):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
+    with pytest.raises(TypeError):
+        IntegratorConfig(method="rk4")  # one integrator, no method field
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
@@ -77,20 +77,6 @@ def test_equilibrium_is_invariant(params_n30, equilibria_n30):
     scales = np.array([50.0, 50.0, params_n30.omega_g, 1.0])
     drift = np.abs(traj.states - stable.state.as_array()) / scales
     assert float(drift.max()) < 1e-6
-
-
-def test_rk4_fourth_order_convergence(params_n30):
-    rhs = sc.full_rhs(params_n30)
-    y0 = np.array([10.0, -25.0, 330.0, 0.8])
-    ref = integrate(rhs, y0, IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
-                                              t_end=0.5, n_samples=3)).states[-1]
-    t_eval = np.linspace(0.0, 0.5, 3)
-    errors = []
-    for h in (2e-4, 1e-4):
-        states = simulator._rk4_fixed(rhs, y0, t_eval, h)
-        errors.append(np.linalg.norm(states[-1] - ref))
-    ratio = errors[0] / errors[1]
-    assert 10.0 < ratio < 24.0  # halving the step cuts the error ~2^4
 
 
 def test_linear_system_against_matrix_exponential():
@@ -116,18 +102,6 @@ def test_stiffness_error_carries_state():
         integrate(lambda t, y: [y[0] ** 2], [1.0], config)
     assert excinfo.value.t is not None
     assert excinfo.value.state is not None
-
-
-def test_rk4_blow_up_raises_with_last_finite_state():
-    # y' = y^2 from y(0) = 1 blows up at t = 1 (the fixed steps of 4e-4 s
-    # lag it slightly); the fixed-step method used to return rows of inf.
-    config = IntegratorConfig(method="rk4", t_end=2.0, n_samples=11)
-    with pytest.raises(StiffnessError, match="rk4") as excinfo:
-        integrate(lambda t, y: (y[0] ** 2,), [1.0], config)
-    t, state = excinfo.value.t, excinfo.value.state
-    assert 0.99 < t < 1.01
-    assert np.all(np.isfinite(state))
-    assert state[0] > 1e100
 
 
 @pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
@@ -206,30 +180,19 @@ def _fails_from(t_fail, bad, as_array):
 
 @pytest.mark.parametrize("t_fail", [0.0, 0.5])
 @pytest.mark.parametrize("as_array", [False, True])
-@pytest.mark.parametrize("bad", [lambda: float("nan"), lambda: 10.0 ** 400],
-                         ids=["nan", "overflow"])
+@pytest.mark.parametrize("bad", [lambda: float("nan"), lambda: 10.0 ** 400,
+                                 lambda: math.remainder(math.inf, 1.0)],
+                         ids=["nan", "overflow", "domain"])
 def test_numerical_failure_keeps_last_finite_state(t_fail, bad, as_array):
-    for method in ("rk45", "rk4"):
-        config = IntegratorConfig(method=method, rel_tol=1e-8, abs_tol=1e-10,
-                                  t_end=1.0, n_samples=11)
-        with pytest.raises(StiffnessError) as excinfo:
-            integrate(_fails_from(t_fail, bad, as_array), [1.0], config)
-        t, state = excinfo.value.t, excinfo.value.state
-        assert t_fail - 0.1 < t <= t_fail
-        assert np.all(np.isfinite(state))
-        assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
-
-
-@pytest.mark.parametrize("as_array", [False, True])
-def test_rk4_rhs_domain_error_keeps_last_finite_state(as_array):
     # A domain error inside the rhs, such as math.remainder of an angle that
-    # overflowed, is a numerical failure too.
-    config = IntegratorConfig(method="rk4", t_end=1.0, n_samples=11)
-    domain_error = _fails_from(0.5, lambda: math.remainder(math.inf, 1.0), as_array)
+    # overflowed, is a numerical failure too, in the initial derivative and
+    # step probe (t_fail = 0) as in a step attempt.
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=1.0, n_samples=11)
     with pytest.raises(StiffnessError) as excinfo:
-        integrate(domain_error, [1.0], config)
+        integrate(_fails_from(t_fail, bad, as_array), [1.0], config)
     t, state = excinfo.value.t, excinfo.value.state
-    assert 0.4 < t <= 0.5
+    assert t_fail - 0.1 < t <= t_fail
+    assert np.all(np.isfinite(state))
     assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
 
 
@@ -530,10 +493,6 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
         k = len(traj.times) - 1
         assert np.array_equal(traj.times[:k], full.times[:k])
         assert np.array_equal(traj.states[:k], full.states[:k])
-    # The fixed-step method ignores the stop rule and reaches t_end.
-    rk4 = IntegratorConfig(method="rk4", t_end=config.t_end, n_samples=2001)
-    traj = integrate(rhs, y0, rk4, stop=stop)
-    assert not traj.stopped and traj.times[-1] == config.t_end
 
 
 def test_stable_basin_is_built_once(params_n30, equilibria_n30):
@@ -667,6 +626,36 @@ def test_huge_initial_state_fails_with_initial_state(params_n30):
         integrate(sc.full_rhs(params_n30), y0, IntegratorConfig(t_end=1.0, n_samples=3))
     assert excinfo.value.t == 0.0
     assert excinfo.value.state.tolist() == y0
+
+
+def _line(delta0, delta1, t_end=1.0):
+    """Stored two-sample trajectory whose delta falls from delta0 to delta1."""
+    return Trajectory(times=np.array([0.0, t_end]),
+                      states=np.array([[1.0, 2.0, 3.0, delta0], [1.0, 2.0, 3.0, delta1]]))
+
+
+def test_classifier_rejects_power_angles_without_distinct_levels(params_n30, equilibria_n30):
+    # From 2**55 on floats are 8 apart, so section levels a turn apart
+    # coincide and the crossing loop never moved past one.
+    for delta0 in (1e50, -1e50, 2.0 ** 55):
+        with pytest.raises(ValueError, match="too large"):
+            sc.detect_convergence(_line(delta0, delta0 - 1.0), [], params=params_n30)
+    delta0 = math.nextafter(2.0 ** 55, 0.0)
+    assert isinstance(sc.detect_convergence(_line(delta0, delta0 - 1.0), [], params=params_n30),
+                      Undecided)
+    # A run that falls that far is a numerical failure at the segment end.
+    with pytest.raises(StiffnessError, match="too large") as excinfo:
+        sc.detect_convergence(_line(0.0, -1e20), [], params=params_n30)
+    assert excinfo.value.t == 1.0
+    assert excinfo.value.state.tolist() == [1.0, 2.0, 3.0, -1e20]
+
+
+def test_segment_through_many_levels_keeps_the_last_crossings(params_n30):
+    # One stored segment falls through about 1.6e11 section levels; only the
+    # last PERIODIC_MAX_CROSSINGS are located, evenly spaced by 2 pi / 1e12.
+    verdict = sc.detect_convergence(_line(0.0, -1e12), [], params=params_n30)
+    assert isinstance(verdict, PeriodicOrbit)
+    assert verdict.period == pytest.approx(TWO_PI / 1e12, rel=1e-6)
 
 
 @pytest.mark.parametrize("as_array", [False, True])
