@@ -23,9 +23,9 @@ P_l, P_u and nscr with array arithmetic; ``check_certificate``, ``nscr``
 and ``p_bounds`` all go through it.
 
 A finite grid cannot literally check "for all d"; ``check_certificate``
-evaluates a dense log-spaced grid including d = Gamma, reports the worst
-margin, and refuses to certify when the relative margin is below a
-disclosed threshold.
+evaluates one fixed log-spaced grid (``certificate_grid``; no setting
+changes it), reports the worst margin, and refuses to certify when the
+relative margin is below a disclosed threshold.
 """
 
 from __future__ import annotations
@@ -325,25 +325,23 @@ class CertificateReport:
         }
 
 
-def certificate_grid(Gamma: float, n_points: int) -> np.ndarray:
-    """Log-spaced d grid from Gamma * DEFAULT_GRID_FLOOR up to exactly Gamma."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points}")
-    grid = np.geomspace(Gamma * DEFAULT_GRID_FLOOR, Gamma, n_points)
+def certificate_grid(Gamma: float) -> np.ndarray:
+    """The certificate's d grid: DEFAULT_GRID_POINTS log-spaced points from
+    Gamma * DEFAULT_GRID_FLOOR up to exactly Gamma."""
+    grid = np.geomspace(Gamma * DEFAULT_GRID_FLOOR, Gamma, DEFAULT_GRID_POINTS)
     grid[-1] = Gamma
     return grid
 
 
-def check_certificate(params: SgParameters,
-                      n_points: int = DEFAULT_GRID_POINTS) -> CertificateReport:
-    """Evaluate the certificate on a d grid and issue a verdict.
+def check_certificate(params: SgParameters) -> CertificateReport:
+    """Evaluate the certificate on ``certificate_grid`` and issue a verdict.
 
     Certified iff nscr(d) < d and the rate band applies at every grid
     point, all equilibria are hyperbolic, and the relative margin clears
     ``REL_MARGIN_THRESHOLD``.
     """
     dc = derive_constants(params)
-    grid = certificate_grid(dc.Gamma, n_points)
+    grid = certificate_grid(dc.Gamma)
     values, _, _, w_min, w_max, ok = _certificate_map(dc, grid)
 
     margins = grid - values

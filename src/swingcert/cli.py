@@ -31,7 +31,7 @@ from .core import (
     derive_constants,
 )
 from .design import NominalSpec, apply_virtual_inductor, size_parameters
-from .certificate import DEFAULT_GRID_POINTS, certificate_csv, check_certificate
+from .certificate import certificate_csv, check_certificate
 from .equilibria import solve_equilibria
 from .simulator import (
     IntegratorConfig,
@@ -136,7 +136,7 @@ def cmd_equilibria(args) -> int:
 
 def cmd_check(args) -> int:
     params = params_from_config(load_config(args.config, args.set))
-    report = check_certificate(params, n_points=args.grid)
+    report = check_certificate(params)
     sys.stdout.write(_dump(report.to_dict()))
     _emit(certificate_csv(report), args.out)
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
@@ -191,8 +191,7 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.min, args.max, args.points)
 
-    reports = [check_certificate(base.replace(**{args.param: float(value)}),
-                                 n_points=args.grid)
+    reports = [check_certificate(base.replace(**{args.param: float(value)}))
                for value in values]
 
     lines = [f"{args.param},verdict,margin,rel_margin,worst_d,band_ok_all"]
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate the stability certificate")
     common(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                   help="number of d grid points")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="integrate the model and classify the run")
@@ -295,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--log", action="store_true", help="log-spaced values")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                   help="d grid points per check")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="cross-validate the swing reduction "
@@ -325,6 +320,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

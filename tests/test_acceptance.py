@@ -66,10 +66,10 @@ def test_criterion_02_derived_constants(params_n30, capsys):
 def test_criterion_03_certificate_pass_fail_pair(params_n30, params_n1, capsys):
     with criterion(capsys, 3, "certificate verdicts (n=30 pass, n=1 fail)"):
         t0 = time.perf_counter()
-        report30 = sc.check_certificate(params_n30, n_points=2000)
+        report30 = sc.check_certificate(params_n30)
         t30 = time.perf_counter() - t0
         t0 = time.perf_counter()
-        report1 = sc.check_certificate(params_n1, n_points=2000)
+        report1 = sc.check_certificate(params_n1)
         t1 = time.perf_counter() - t0
         assert report30.certified
         assert np.all(report30.nscr_values < report30.d_grid)

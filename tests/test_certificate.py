@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import swingcert as sc
 from swingcert.certificate import (
+    DEFAULT_GRID_FLOOR,
     DEFAULT_GRID_POINTS,
     certificate_grid,
     envelope_g,
@@ -102,7 +103,7 @@ def test_velocity_band_rejects_nonpositive_d(dc_n30):
     with pytest.raises(ValueError):
         sc.velocity_band(dc_n30, -0.1)
     for bad in (0.0, -1e-3, math.nan):
-        grid = certificate_grid(dc_n30.Gamma, 20)
+        grid = np.geomspace(DEFAULT_GRID_FLOOR * dc_n30.Gamma, dc_n30.Gamma, 20)
         grid[7] = bad
         with pytest.raises(ValueError):
             velocity_band(dc_n30, grid)
@@ -127,7 +128,7 @@ def test_velocity_band_array_equals_scalar_calls(design, request):
     # Both grids mix refined points, fallback points with rest angles and
     # points without them; n=1 also has points where the band fails.
     dc = sc.derive_constants(request.getfixturevalue(design))
-    grid = certificate_grid(dc.Gamma, DEFAULT_GRID_POINTS)
+    grid = certificate_grid(dc.Gamma)
     band = velocity_band(dc, grid)
     assert (not np.all(band.band_ok)) == (design == "params_n1")
     assert np.any(band.refined) and np.any(np.isnan(band.psi1))
@@ -311,7 +312,7 @@ def test_nscr_domain(dc_n30):
 
 
 def test_nscr_nonnegative_and_below_identity_for_n30(dc_n30):
-    grid = certificate_grid(dc_n30.Gamma, 2000)
+    grid = certificate_grid(dc_n30.Gamma)
     values = np.array([sc.nscr(dc_n30, float(d)) for d in grid])
     assert np.all(values >= 0.0)
     assert np.all(values < grid)
@@ -319,7 +320,7 @@ def test_nscr_nonnegative_and_below_identity_for_n30(dc_n30):
 
 def test_nscr_fails_for_n1(params_n1):
     dc = sc.derive_constants(params_n1)
-    grid = certificate_grid(dc.Gamma, 500)
+    grid = np.geomspace(DEFAULT_GRID_FLOOR * dc.Gamma, dc.Gamma, 500)
     values = np.array([sc.nscr(dc, float(d)) for d in grid])
     assert np.any(values >= grid)
 
@@ -364,7 +365,7 @@ def test_check_certificate_large_bias_fails(params_n1):
     )
     params = params_n1.replace(T_m=T_m)
     assert abs(sc.derive_constants(params).beta - 1.2) < 1e-9
-    report = sc.check_certificate(params, n_points=200)
+    report = sc.check_certificate(params)
     assert not report.certified
     assert not report.hyperbolicity_ok
     small = report.d_grid < 0.1
@@ -372,11 +373,11 @@ def test_check_certificate_large_bias_fails(params_n1):
 
 
 def test_certificate_csv_format(params_n30):
-    report = sc.check_certificate(params_n30, n_points=10)
+    report = sc.check_certificate(params_n30)
     text = sc.certificate_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "d,nscr,omega_min_d,omega_max_d,band_ok"
-    assert len(lines) == 11
+    assert len(lines) == 1 + DEFAULT_GRID_POINTS
     first = lines[1].split(",")
     assert len(first) == 5
     assert float(first[0]) > 0.0
@@ -411,21 +412,44 @@ def test_demo_certificate_writes_csv(params_n1, params_n30, tmp_path):
 
 
 def test_certificate_report_dict(params_n30):
-    report = sc.check_certificate(params_n30, n_points=50)
+    report = sc.check_certificate(params_n30)
     doc = report.to_dict()
     assert doc["verdict"] == report.verdict
-    assert doc["n_grid"] == 50
+    assert doc["n_grid"] == DEFAULT_GRID_POINTS
     # The per-d arrays go to the CSV, one row per grid point.
     assert "nscr" not in doc
-    assert len(sc.certificate_csv(report).splitlines()) == 1 + 50
+    assert len(sc.certificate_csv(report).splitlines()) == 1 + DEFAULT_GRID_POINTS
 
 
 def test_certificate_grid_spacing():
-    grid = certificate_grid(2.0, 100)
+    grid = certificate_grid(2.0)
+    assert len(grid) == DEFAULT_GRID_POINTS == 2000
     assert grid[0] == pytest.approx(2e-6)
     assert grid[-1] == 2.0
-    with pytest.raises(ValueError):
-        certificate_grid(2.0, 1)
+    ratios = grid[1:] / grid[:-1]
+    assert ratios == pytest.approx(np.full(len(ratios), ratios[0]), rel=1e-12)
+
+
+def test_certificate_grid_is_fixed(params_n30):
+    # The grid size is not an argument, so no caller can pick a coarser one.
+    with pytest.raises(TypeError):
+        sc.check_certificate(params_n30, n_points=2)
+    with pytest.raises(TypeError):
+        certificate_grid(2.0, 2)
+
+
+def test_check_certificate_fails_design_a_coarse_grid_would_pass(spec_500kw):
+    # nscr(d) >= d only for d in about [8.9e-3, 5.6e-2]*Gamma: 268 of the
+    # 2000 points fail, and a grid of 2 points would miss every one.
+    spec = dataclasses.replace(spec_500kw, d_p=2.5, H_seconds=5.0)
+    params = sc.apply_virtual_inductor(sc.size_parameters(spec), 30.0)
+    report = sc.check_certificate(params)
+    assert report.verdict == "not-certified"
+    assert report.rel_margin < 0.0
+    failing = report.nscr_values >= report.d_grid
+    assert failing.sum() == 268
+    d_fail = report.d_grid[failing] / report.d_grid[-1]
+    assert 8e-3 < d_fail.min() and d_fail.max() < 6e-2
 
 
 @pytest.mark.parametrize("design", ["params_n1", "params_n30"])

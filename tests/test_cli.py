@@ -57,24 +57,23 @@ def test_design_requires_nominal_kind(params_n30_config, capsys):
 
 def test_design_output_feeds_check(params_n30_config, tmp_path, capsys):
     csv_path = tmp_path / "fig.csv"
-    rc = cli.main(["check", "--config", params_n30_config, "--grid", "400",
-                   "--out", str(csv_path)])
+    rc = cli.main(["check", "--config", params_n30_config, "--out", str(csv_path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "certified-agas"
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "d,nscr,omega_min_d,omega_max_d,band_ok"
-    assert len(lines) == 401
+    assert len(lines) == 1 + swingcert.certificate.DEFAULT_GRID_POINTS
 
 
 def test_check_prints_report_then_csv(params_n30_config, capsys):
-    rc = cli.main(["check", "--config", params_n30_config, "--grid", "50"])
+    rc = cli.main(["check", "--config", params_n30_config])
     assert rc == 0
     out = capsys.readouterr().out
     report_text, _, csv_text = out.partition("d,nscr,")
-    assert json.loads(report_text)["n_grid"] == 50
+    assert json.loads(report_text)["n_grid"] == swingcert.certificate.DEFAULT_GRID_POINTS
     params = cli.params_from_config(cli.load_config(params_n30_config, None))
-    expected = swingcert.certificate_csv(swingcert.check_certificate(params, n_points=50))
+    expected = swingcert.certificate_csv(swingcert.check_certificate(params))
     assert "d,nscr," + csv_text == expected
 
 
@@ -85,17 +84,53 @@ def test_cli_defaults_are_the_library_defaults():
     assert (args.rel_tol, args.abs_tol, args.t_end, args.samples) == (
         config.rel_tol, config.abs_tol, config.t_end, config.n_samples)
     assert parser.parse_args(["validate", "--config", "x.json"]).t_end == config.t_end
-    for argv in (["check", "--config", "x.json"],
-                 ["sweep", "--config", "x.json", "--param", "D_p", "--min", "1",
-                  "--max", "2"]):
-        assert parser.parse_args(argv).grid == swingcert.certificate.DEFAULT_GRID_POINTS
 
 
 def test_check_not_certified_exit_code(nominal_config, tmp_path, capsys):
-    rc = cli.main(["check", "--config", nominal_config, "--grid", "300",
-                   "--out", str(tmp_path / "n1.csv")])
+    rc = cli.main(["check", "--config", nominal_config, "--out", str(tmp_path / "n1.csv")])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "not-certified"
+
+
+def test_check_fails_design_a_coarse_grid_would_pass(nominal_config, capsys):
+    # Points for d in about [8.9e-3, 5.6e-2]*Gamma fail; a 2-point grid
+    # steps over all of them.
+    rc = cli.main(["check", "--config", nominal_config, "--set", "n=30",
+                   "--set", "d_p=2.5", "--set", "H_seconds=5"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    report = json.loads(out.partition("d,nscr,")[0])
+    assert report["verdict"] == "not-certified"
+    assert report["rel_margin"] < 0.0
+
+
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["sweep", "--param", "D_p", "--min", "100", "--max", "200", "--points", "2"],
+], ids=["check", "sweep"])
+def test_certificate_grid_is_not_an_option(command, params_n30_config, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--config", params_n30_config, "--grid", "2"])
+    assert excinfo.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, command", [
+    ("params_n30_config", ["check", "--set", "D_p=1e308"]),
+    ("params_n30_config", ["check", "--set", "J=1e-320"]),
+    ("nominal_config", ["check", "--set", "n=30", "--set", "P_n=1e-300"]),
+    ("params_n30_config", ["sweep", "--param", "J", "--min", "1e-320",
+                           "--max", "1e-319", "--points", "2"]),
+], ids=["check-D_p", "check-J", "check-P_n", "sweep-J"])
+def test_extreme_parameters_exit_numerical(config, command, request, capsys):
+    # Valid values whose arithmetic overflows or divides by zero are a
+    # numerical failure (exit 3), not a "not certified" verdict (exit 1).
+    path = request.getfixturevalue(config)
+    rc = cli.main([command[0], "--config", path, *command[1:]])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ")
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_override_key(nominal_config, capsys):
@@ -248,11 +283,25 @@ def test_sweep_csv(params_n30_config, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--config", params_n30_config, "--param", "D_p",
                    "--min", "100", "--max", "200", "--points", "3",
-                   "--grid", "200", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "D_p,verdict,margin,rel_margin,worst_d,band_ok_all"
     assert len(lines) == 4
+
+
+def test_sweep_log_values_are_geometric(params_n30_config, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", params_n30_config, "--param", "D_p",
+                   "--min", "100", "--max", "10000", "--points", "3", "--log",
+                   "--out", str(out)])
+    assert rc == 0
+    values = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert values == pytest.approx([100.0, 1000.0, 10000.0], rel=1e-12)
+    rc = cli.main(["sweep", "--config", params_n30_config, "--param", "D_p",
+                   "--min", "0", "--max", "10000", "--points", "3", "--log"])
+    assert rc == 2
+    assert "--min > 0" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_param(params_n30_config, capsys):
