@@ -20,6 +20,7 @@ mod-2*pi helpers where a computation needs a representative angle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,18 @@ class ParameterError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or cross-checks disagree."""
+
+
+def config_float(key: str, value) -> float:
+    """A config value as a float: a number, or a string that ``float``
+    parses.  Null, booleans, lists, objects, unparsable strings and
+    integers beyond the float range raise ParameterError naming ``key``."""
+    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ParameterError(f"value of {key!r} must be a number, got {value!r}")
 
 
 def wrap_angle(angle):
@@ -87,7 +100,7 @@ class SgParameters:
         missing = set(PARAM_KEYS) - set(data)
         if missing:
             raise ParameterError(f"missing parameter key {sorted(missing)[0]!r}")
-        return cls(**{name: float(data[name]) for name in PARAM_KEYS})
+        return cls(**{name: config_float(name, data[name]) for name in PARAM_KEYS})
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, SgParameters
+from .core import ParameterError, SgParameters, config_float
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class NominalSpec:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ParameterError(f"missing spec key {sorted(missing)[0]!r}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**{k: config_float(k, v) for k, v in data.items()})
 
 
 def _field_flux(V_rms: float, I_rms: float, omega_g: float, L_s: float) -> float:

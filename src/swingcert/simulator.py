@@ -190,9 +190,6 @@ _C2, _C3, _C4, _C5 = _C[1:5]
     (_A61, _A62, _A63, _A64, _A65) = _A[1:]
 _B1, _, _B3, _B4, _B5, _B6 = _B
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
-_A_ROWS = [np.array(row) for row in _A]
-_B_ROW = np.array(_B)
-_E_ROW = np.array(_E)
 
 
 def _float_stages(rhs, t, y, k1, h, rtol, atol):
@@ -221,24 +218,11 @@ def _float_stages(rhs, t, y, k1, h, rtol, atol):
     return y_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _array_stages(rhs, t, y, k1, h, rtol, atol):
-    """``_float_stages`` on numpy ``(n,)`` arrays; the stages are the rows of K."""
-    K = np.empty((_N_STAGES, y.size))
-    K[0] = k1
-    for s in range(1, 6):
-        K[s] = rhs(t + _C[s] * h, y + h * (_A_ROWS[s] @ K[:s]))
-    y_new = y + h * (_B_ROW @ K[:6])
-    K[6] = rhs(t + h, y_new)
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    err = float(np.linalg.norm(h * (_E_ROW @ K) / scale)) / math.sqrt(y.size)
-    return y_new, K, err
-
-
 def _rms(x) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def _initial_step(rhs, y0, f0, t_bound, rtol, atol, as_array) -> float:
+def _initial_step(rhs, y0, f0, t_bound, rtol, atol) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy picks it.
 
     NaN propagates, so a non-finite start is caught by the step floor.  A
@@ -253,7 +237,7 @@ def _initial_step(rhs, y0, f0, t_bound, rtol, atol, as_array) -> float:
         raise StiffnessError("step size underflow at t=0.0", t=0.0, state=y0.copy())
     h0 = min(h0, t_bound)
     y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(h0, y1 if as_array else y1.tolist()), dtype=float)
+    f1 = np.asarray(rhs(h0, y1.tolist()), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -336,10 +320,11 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     same error is raised when a step attempt would take the rhs calls past
     ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
     a domain error (ValueError) is rejected.
-    Each step that covers a sample time is recorded (float steps in flat
-    buffers, array steps in arrays preallocated for one record per sample);
-    the samples are read from the dense output in one vectorised pass at
-    the end.
+    Each step that covers a sample time is recorded in flat buffers; the
+    samples are read from the dense output in one vectorised pass at the
+    end.  ``rhs`` gets each state as a list of floats, and its initial
+    derivative must have one component per component of ``y0`` (else
+    ValueError).
 
     ``stop(t, h, y_old, K, y)``, unless None, is read after each accepted
     step from (t, y_old) to (t + h, y), K being its stage derivatives
@@ -352,29 +337,23 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     rtol = max(rtol, 100 * np.finfo(float).eps)
     t_bound = float(t_eval[-1])
     samples = t_eval.tolist()
+    y = y0.tolist()
     try:
         # A failure here is reported, so overflow warnings are not.
         with np.errstate(over="ignore", invalid="ignore"):
-            f = rhs(0.0, y0)
-            as_array = isinstance(f, np.ndarray)
-            h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol, as_array))
+            f = [float(v) for v in rhs(0.0, y)]
+            if len(f) == len(y):
+                h_abs = float(_initial_step(rhs, y0, f, t_bound, rtol, atol))
     except (OverflowError, ValueError):
         raise StiffnessError("overflow or domain error evaluating the initial derivative",
                              t=0.0, state=y0.copy())
-    if as_array:
-        stages = _array_stages
-        y, f = y0, np.asarray(f, dtype=float)
-    else:
-        stages = _float_stages
-        y, f = y0.tolist(), [float(v) for v in f]
+    if len(f) != len(y):
+        raise ValueError(f"rhs returned a derivative of length {len(f)} "
+                         f"for a state of length {len(y)}")
 
-    n = y0.size
+    n = len(y)
     rec_t = array("d")  # (t_old, t_new) of each recorded step
-    if as_array:
-        rec_y = np.empty((len(samples), n))
-        rec_k = np.empty((len(samples), _N_STAGES, n))
-    else:
-        rec_y, rec_k = array("d"), array("d")
+    rec_y, rec_k = array("d"), array("d")
     t = 0.0
     next_sample = 0
     n_calls = 2  # the initial derivative and the initial-step probe
@@ -395,7 +374,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             try:
-                y_new, K, err = stages(rhs, t, y, f, h, rtol, atol)
+                y_new, K, err = _float_stages(rhs, t, y, f, h, rtol, atol)
             except (OverflowError, ValueError):
                 err = math.inf
             if err < 1.0:
@@ -411,13 +390,9 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             rejected = True
 
         if next_sample < len(samples) and samples[next_sample] <= t_new:
-            if as_array:
-                rec_y[len(rec_t) // 2] = y
-                rec_k[len(rec_t) // 2] = K
-            else:
-                rec_y.extend(y)
-                for k in K:
-                    rec_k.extend(k)
+            rec_y.extend(y)
+            for k in K:
+                rec_k.extend(k)
             rec_t.append(t)
             rec_t.append(t_new)
             next_sample = bisect_right(samples, t_new, next_sample)
@@ -431,8 +406,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     m = len(rec_t) // 2
     t01 = np.frombuffer(rec_t).reshape(m, 2)
     states = _dense_samples(times, t01[:, 0], t01[:, 1],
-                            np.reshape(rec_y, (-1, n))[:m],
-                            np.reshape(rec_k, (-1, _N_STAGES, n))[:m])
+                            np.frombuffer(rec_y).reshape(m, n),
+                            np.frombuffer(rec_k).reshape(m, _N_STAGES, n))
     if stopped:
         times = np.append(times, t)
         states = np.vstack([states, np.asarray(y, dtype=float)])
@@ -457,12 +432,11 @@ def integrate(rhs, initial, config: IntegratorConfig,
     ``Trajectory.stopped`` is set.  Until it fires, the output and the rhs
     calls do not depend on the hook existing.
 
-    ``rhs`` is first called as ``rhs(0.0, y0)`` with ``y0`` a float
-    ndarray, and its result fixes the contract for the rest of the run:
-    when it returns an ndarray, ``y`` is always passed as an ndarray;
-    when it returns a tuple or list of floats, ``y`` is passed as a list
-    of Python floats and the stage arithmetic runs on floats, which is
-    much faster for small systems.
+    ``rhs(t, y)`` always gets ``y`` as a list of floats, from the first
+    call ``rhs(0.0, y0)`` on, and may return any sequence of floats with
+    one component per state component, an ndarray included; the stage
+    arithmetic runs on Python floats.  An initial derivative of another
+    length raises ValueError.
     """
     y0 = np.asarray(initial, dtype=float)
     t_eval = np.linspace(0.0, config.t_end, config.n_samples)

@@ -145,6 +145,29 @@ def test_invalid_parameter_value(nominal_config, capsys):
     assert "P_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [None, True, [1.0], {"value": 1.0}, "fast"],
+                         ids=["null", "true", "list", "object", "unparsable"])
+@pytest.mark.parametrize("command, config, key", [
+    ("check", "params_n30_config", "J"),
+    ("check", "nominal_config", "P_n"),
+    ("design", "nominal_config", "P_n"),
+], ids=["check-sg_params", "check-nominal_spec", "design"])
+def test_non_numeric_config_value_exits_usage(command, config, key, value, request,
+                                              tmp_path, capsys):
+    # A config value that is not a number is bad input (exit 2): not a
+    # traceback with exit 1, which check uses for "not certified", and not
+    # true read as 1.0.
+    with open(request.getfixturevalue(config)) as fh:
+        data = json.load(fh)
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main([command, "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and repr(key) in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = cli.main(["check", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -42,6 +42,16 @@ def test_parameter_dict_rejects_unknown_and_missing():
         sc.SgParameters.from_dict(data)
 
 
+def test_parameter_dict_values_must_be_numbers():
+    data = sc.SgParameters(**_valid_kwargs()).to_dict()
+    # A string that float() parses is a number.
+    assert sc.SgParameters.from_dict({**data, "J": str(data["J"])}) == \
+        sc.SgParameters.from_dict(data)
+    for value in (None, False, [1.0], {"J": 1.0}, "1.0 kg", 10**400):
+        with pytest.raises(sc.ParameterError, match="'J' must be a number"):
+            sc.SgParameters.from_dict({**data, "J": value})
+
+
 def test_derived_constants_500kw_n30(params_n30):
     dc = sc.derive_constants(params_n30)
     for value, printed in [

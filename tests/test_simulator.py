@@ -116,13 +116,17 @@ def test_rk45_matches_scipy(design, rel_tol, abs_tol, request):
         y0 = sample_initial_state(box, 41, i).as_array()
         ref = _scipy_rk45(rhs, y0, config)
         scale = np.max(np.abs(ref.y), axis=1)
-        # Tuple-returning rhs (float stages) and ndarray rhs (array stages).
+        # A tuple-returning and an ndarray-returning rhs run on the one float
+        # stage path: the same rhs calls and the same states.
+        runs = []
         for f in (rhs, lambda t, y: np.array(rhs(t, y))):
             counted = _counted(f)
             states = integrate(counted, y0, config).states
             assert np.all(np.abs(states - ref.y.T) <= 1e-6 * scale)
             # Same initial step, controller and rejections: same rhs count.
             assert counted.calls == ref.nfev
+            runs.append(states)
+        assert np.array_equal(runs[0], runs[1])
 
 
 @pytest.mark.parametrize("rel_tol, abs_tol", [(1e-6, 1e-8), (1e-9, 1e-11), (1e-16, 1e-18)])
@@ -194,6 +198,21 @@ def test_numerical_failure_keeps_last_finite_state(t_fail, bad, as_array):
     assert t_fail - 0.1 < t <= t_fail
     assert np.all(np.isfinite(state))
     assert state[0] == pytest.approx(1.0 + t, rel=1e-9)
+
+
+@pytest.mark.parametrize("rhs, y0, length", [
+    (lambda t, y: (-y[0], 1e6), [1.0], 2),
+    (lambda t, y: (-y[0],), [1.0, 2.0], 1),
+], ids=["long", "short"])
+def test_rhs_length_must_match_state(rhs, y0, length):
+    # A derivative longer than the state would be silently truncated, and a
+    # shorter one would fail only after the whole run: both are rejected at
+    # the initial derivative, as bad input rather than a numerical failure.
+    counted = _counted(rhs)
+    config = IntegratorConfig(t_end=1.0, n_samples=3)
+    with pytest.raises(ValueError, match=f"length {length} for a state of length {len(y0)}"):
+        integrate(counted, y0, config)
+    assert counted.calls == 1
 
 
 def test_detect_convergence_at_stable_point(params_n30, equilibria_n30):
@@ -464,6 +483,7 @@ def test_stop_hook_that_never_fires_changes_nothing(params_n30):
     rhs = sc.full_rhs(params_n30)
     config = _dense(default_horizon(params_n30, sc.solve_equilibria(params_n30)))
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 0).as_array()
+    runs = []
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         plain, hooked = _counted(f), _counted(f)
         a = integrate(plain, y0, config)
@@ -471,6 +491,9 @@ def test_stop_hook_that_never_fires_changes_nothing(params_n30):
         assert plain.calls == hooked.calls
         assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
         assert not a.stopped and not b.stopped
+        runs.append((plain.calls, a.states))
+    # The tuple and the ndarray rhs share the one float stage path.
+    assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_stopped_trajectory(params_n30, equilibria_n30):
@@ -482,9 +505,11 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
     config = _dense(default_horizon(params_n30, equilibria_n30))
     rhs = sc.full_rhs(params_n30)
     y0 = sample_initial_state(default_basin_box(params_n30), 3, 1).as_array()
+    runs = []
     for f in (rhs, lambda t, y: np.array(rhs(t, y))):
         full = integrate(f, y0, config)
         traj = integrate(f, y0, config, stop=stop)
+        runs.append(traj)
         assert traj.stopped
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[-1] < config.t_end
@@ -493,6 +518,9 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
         k = len(traj.times) - 1
         assert np.array_equal(traj.times[:k], full.times[:k])
         assert np.array_equal(traj.states[:k], full.states[:k])
+    # The tuple and the ndarray rhs stop at the same step.
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.array_equal(runs[0].states, runs[1].states)
 
 
 def test_stable_basin_is_built_once(params_n30, equilibria_n30):
