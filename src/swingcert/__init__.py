@@ -19,9 +19,6 @@ from .core import (
     derive_constants,
     emf,
     full_rhs,
-    inverse_park,
-    model_rhs,
-    park,
     storage_energy,
     wrap_angle,
 )
@@ -36,7 +33,6 @@ from .equilibria import (
     Stability,
     a0_closed_form,
     char_poly,
-    classify,
     linearize,
     solve_equilibria,
 )
@@ -46,7 +42,6 @@ from .certificate import (
     exp_sin_moment,
     nscr,
     p_bounds,
-    rest_angles,
     velocity_band,
 )
 from .simulator import (

@@ -53,17 +53,6 @@ VERDICT_CERTIFIED = "certified-agas"
 VERDICT_NOT_CERTIFIED = "not-certified"
 
 
-def rest_angles(beta: float, d: float):
-    """Envelope rest angles (psi1, psi2) with sin(psi1) = beta + d and
-    sin(psi2) = beta - d, both in (-pi/2, pi/2).
-
-    Defined iff |beta| + d < 1; returns None otherwise.
-    """
-    if abs(beta) + d >= 1.0:
-        return None
-    return math.asin(beta + d), math.asin(beta - d)
-
-
 @dataclass(frozen=True)
 class VelocityBand:
     """Eventual bounds on the normalised rotor rate for a forcing bound d.

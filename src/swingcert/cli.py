@@ -99,8 +99,11 @@ def params_from_config(data: dict) -> SgParameters:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path!r}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -185,8 +188,9 @@ def cmd_sweep(args) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     if args.log:
-        if args.min <= 0:
-            raise UsageError("--log sweep needs --min > 0")
+        if not (args.min > 0 and args.max > 0):  # NaN fails too
+            raise UsageError(f"--log sweep needs --min > 0 and --max > 0, "
+                             f"got {args.min} and {args.max}")
         values = np.geomspace(args.min, args.max, args.points)
     else:
         values = np.linspace(args.min, args.max, args.points)

@@ -181,30 +181,6 @@ def derive_constants(params: SgParameters) -> DerivedConstants:
     )
 
 
-def park_matrix(theta: float) -> np.ndarray:
-    """Power-invariant Park matrix U(theta); unitary, inverse = transpose."""
-    a = theta - TWO_PI / 3.0
-    b = theta + TWO_PI / 3.0
-    c = math.sqrt(2.0 / 3.0)
-    return c * np.array(
-        [
-            [math.cos(theta), math.cos(a), math.cos(b)],
-            [-math.sin(theta), -math.sin(a), -math.sin(b)],
-            [1.0 / math.sqrt(2.0)] * 3,
-        ]
-    )
-
-
-def park(theta: float, x_abc) -> np.ndarray:
-    """Map three-phase quantities to (d, q, 0) components at rotor angle theta."""
-    return park_matrix(theta) @ np.asarray(x_abc, dtype=float)
-
-
-def inverse_park(theta: float, x_dq0) -> np.ndarray:
-    """Map (d, q, 0) components back to three-phase quantities."""
-    return park_matrix(theta).T @ np.asarray(x_dq0, dtype=float)
-
-
 def emf(theta: float, omega: float, m_if: float) -> np.ndarray:
     """Three-phase electromotive force at rotor angle theta and speed omega.
 
@@ -246,12 +222,6 @@ def full_rhs(params: SgParameters):
     return rhs
 
 
-def model_rhs(state: SgState, params: SgParameters) -> SgState:
-    """Time derivative of the full model at ``state`` (autonomous system)."""
-    d = full_rhs(params)(0.0, state.as_array())
-    return SgState(*d)
-
-
 def residual_scale(params: SgParameters) -> np.ndarray:
     """Per-component magnitude scale of the model right-hand side."""
     return np.array(
@@ -265,8 +235,9 @@ def residual_scale(params: SgParameters) -> np.ndarray:
 
 
 def scaled_residual(state: SgState, params: SgParameters) -> float:
-    """Norm of model_rhs at ``state``, scaled by per-component magnitudes."""
-    r = np.asarray(model_rhs(state, params).as_array())
+    """Norm of the model right-hand side at ``state``, scaled by
+    per-component magnitudes."""
+    r = np.asarray(full_rhs(params)(0.0, state.as_array().tolist()))
     return float(np.linalg.norm(r / residual_scale(params)))
 
 

@@ -164,12 +164,6 @@ def routh_hurwitz_unstable_count(coeffs):
     return changes
 
 
-def classify_matrix(matrix) -> tuple:
-    """Classification and eigenvalues of a 4x4 linearisation (see
-    ``classify_char_poly``)."""
-    return classify_char_poly(char_poly(matrix))
-
-
 def classify_char_poly(coeffs) -> tuple:
     """Classification and eigenvalues from characteristic coefficients
     (a3, a2, a1, a0), as ``char_poly`` returns them.
@@ -200,12 +194,6 @@ def classify_char_poly(coeffs) -> tuple:
                 f"right-half-plane roots for coefficients {coeffs}"
             )
     return verdict, tuple(complex(z) for z in eig)
-
-
-def classify(params: SgParameters, eq: EquilibriumPoint | SgState) -> tuple:
-    """Classify an equilibrium point; returns (Stability, eigenvalues)."""
-    state = eq.state if isinstance(eq, EquilibriumPoint) else eq
-    return classify_matrix(_linearize_at(params, state))
 
 
 def solve_equilibria(params: SgParameters) -> list:

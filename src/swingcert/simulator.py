@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -170,26 +169,27 @@ _A = (
 )
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_P_ROWS = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 _N_STAGES = 7  # six stages plus the first-same-as-last derivative
-_DENSE_CHUNK = 1 << 16  # stage values gathered per pass of the dense output
 
 _C2, _C3, _C4, _C5 = _C[1:5]
 (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
     (_A61, _A62, _A63, _A64, _A65) = _A[1:]
 _B1, _, _B3, _B4, _B5, _B6 = _B
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
+(_P10, _P11, _P12, _P13), _, (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43), \
+    (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73) = _P_ROWS
 
 
 def _float_stages(rhs, t, y, k1, h, rtol, atol):
@@ -246,34 +246,19 @@ def _initial_step(rhs, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, t_bound)
 
 
-def _dense_samples(t_eval, t0, t1, y_old, K):
-    """Evaluate the DP5 interpolant of the recorded steps at ``t_eval``.
-
-    Sample t belongs to the first recorded step whose end is >= t.  The
-    stage values are gathered in chunks, so memory stays bounded for
-    large systems.
-    """
-    idx = np.searchsorted(t1, t_eval, side="left")
-    h = (t1 - t0)[idx]
-    x = (t_eval - t0[idx]) / h
-    powers = np.cumprod(np.repeat(x[:, None], _P.shape[1], axis=1), axis=1)
-    weights = h[:, None] * (powers @ _P.T)
-    out = np.empty((len(t_eval), y_old.shape[1]))
-    chunk = max(1, _DENSE_CHUNK // K[0].size)
-    for lo in range(0, len(t_eval), chunk):
-        j = idx[lo:lo + chunk]
-        out[lo:lo + chunk] = y_old[j] + np.einsum("js,jsn->jn", weights[lo:lo + chunk], K[j])
-    return out
-
-
-_P_ROWS = _P.tolist()
-
-
 def _step_state(h, y_old, K, x):
     """An accepted step's DP5 interpolant at fraction ``x`` of the step, on
-    Python floats."""
-    w = [h * x * (p0 + x * (p1 + x * (p2 + x * p3))) for p0, p1, p2, p3 in _P_ROWS]
-    return [y_old[c] + sum([ws * k[c] for ws, k in zip(w, K)]) for c in range(len(y_old))]
+    Python floats.  The second stage has no weight and is skipped."""
+    k1, _, k3, k4, k5, k6, k7 = K
+    hx = h * x
+    w1 = hx * (_P10 + x * (_P11 + x * (_P12 + x * _P13)))
+    w3 = hx * (_P30 + x * (_P31 + x * (_P32 + x * _P33)))
+    w4 = hx * (_P40 + x * (_P41 + x * (_P42 + x * _P43)))
+    w5 = hx * (_P50 + x * (_P51 + x * (_P52 + x * _P53)))
+    w6 = hx * (_P60 + x * (_P61 + x * (_P62 + x * _P63)))
+    w7 = hx * (_P70 + x * (_P71 + x * (_P72 + x * _P73)))
+    return [u + (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
+            for u, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
 
 
 def _delta_fraction(h, y_old, K, level) -> float:
@@ -320,11 +305,11 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     same error is raised when a step attempt would take the rhs calls past
     ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
     a domain error (ValueError) is rejected.
-    Each step that covers a sample time is recorded in flat buffers; the
-    samples are read from the dense output in one vectorised pass at the
-    end.  ``rhs`` gets each state as a list of floats, and its initial
-    derivative must have one component per component of ``y0`` (else
-    ValueError).
+    Each sample is the DP5 interpolant (``_step_state``) of the first
+    accepted step whose end is at or past it, evaluated when that step is
+    taken and appended to one flat buffer.  ``rhs`` gets each state as a
+    list of floats, and its initial derivative must have one component per
+    component of ``y0`` (else ValueError).
 
     ``stop(t, h, y_old, K, y)``, unless None, is read after each accepted
     step from (t, y_old) to (t + h, y), K being its stage derivatives
@@ -351,9 +336,8 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
         raise ValueError(f"rhs returned a derivative of length {len(f)} "
                          f"for a state of length {len(y)}")
 
-    n = len(y)
-    rec_t = array("d")  # (t_old, t_new) of each recorded step
-    rec_y, rec_k = array("d"), array("d")
+    n_samples = len(samples)
+    out = array("d")  # the sampled states, row after row
     t = 0.0
     next_sample = 0
     n_calls = 2  # the initial derivative and the initial-step probe
@@ -389,25 +373,18 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        if next_sample < len(samples) and samples[next_sample] <= t_new:
-            rec_y.extend(y)
-            for k in K:
-                rec_k.extend(k)
-            rec_t.append(t)
-            rec_t.append(t_new)
-            next_sample = bisect_right(samples, t_new, next_sample)
+        while next_sample < n_samples and samples[next_sample] <= t_new:
+            out.extend(_step_state(h, y, K, (samples[next_sample] - t) / h))
+            next_sample += 1
         t_old, y_old = t, y
         t, y, f = t_new, y_new, K[6]
         if stop is not None and stop(t_old, h, y_old, K, y):
             stopped = True
             break
 
+    # A sample at the stop time itself gives way to the stop state.
     times = t_eval[t_eval < t] if stopped else t_eval
-    m = len(rec_t) // 2
-    t01 = np.frombuffer(rec_t).reshape(m, 2)
-    states = _dense_samples(times, t01[:, 0], t01[:, 1],
-                            np.frombuffer(rec_y).reshape(m, n),
-                            np.frombuffer(rec_k).reshape(m, _N_STAGES, n))
+    states = np.frombuffer(out).reshape(-1, len(y))[:len(times)]
     if stopped:
         times = np.append(times, t)
         states = np.vstack([states, np.asarray(y, dtype=float)])
@@ -418,7 +395,11 @@ def integrate(rhs, initial, config: IntegratorConfig,
               columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
 
-    Samples are taken at ``config.n_samples`` uniform times on [0, t_end].
+    Samples are taken at ``config.n_samples`` uniform times on [0, t_end],
+    each on the DP5 interpolant (``_step_state``) of the accepted step that
+    covers it, as that step is taken; the steps do not depend on the
+    samples, so a time two sample grids share gets the same row.
+
     Raises StiffnessError, carrying the last accepted time and state, when
     the integrator underflows its step size, including when the derivative
     keeps coming back non-finite, overflowing or raising a domain error

@@ -185,7 +185,7 @@ def test_criterion_07_p_bound_oracle(capsys):
 def _confinement_failures(alpha, beta, d, n_grid=10, t_end=400.0):
     """Count grid initial states whose angle tail escapes both admissible
     interval families (rest band with slack, or the mirrored band)."""
-    psi1, psi2 = sc.rest_angles(beta, d)
+    psi1, psi2 = math.asin(beta + d), math.asin(beta - d)  # the rest angles
     slack = 4.0 * d / alpha**2
     k = n_grid * n_grid
     psi0, dot0 = np.meshgrid(
@@ -235,10 +235,8 @@ def test_criterion_08_pendulum_confinement(capsys):
         while len(triples) < 10:
             beta = rng.uniform(-0.6, 0.6)
             d = rng.uniform(0.08, min(0.35, 0.93 - abs(beta)))
-            pair = sc.rest_angles(beta, d)
-            if pair is None:
-                continue
-            psi1, psi2 = pair
+            # |beta| + d <= 0.93, so both rest angles exist.
+            psi1, psi2 = math.asin(beta + d), math.asin(beta - d)
             threshold = 2.0 * max(math.sin(abs(psi1) / 2), math.sin(abs(psi2) / 2))
             alpha = 1.25 * threshold + rng.uniform(0.3, 1.2)
             triples.append((alpha, beta, d))

@@ -41,23 +41,36 @@ def adaptive_simpson(f, a, b, tol=1e-12, depth=40):
     return recurse(a, b, whole, depth)
 
 
-# rest_angles ----------------------------------------------------------------
+# rest angles ----------------------------------------------------------------
 
-def test_rest_angles_symmetric():
-    psi1, psi2 = sc.rest_angles(0.0, 0.5)
+def _rest_angles(beta, d):
+    """Scalar oracle: (psi1, psi2) with sin(psi1) = beta + d and sin(psi2) =
+    beta - d, None unless |beta| + d < 1."""
+    if abs(beta) + d >= 1.0:
+        return None
+    return math.asin(beta + d), math.asin(beta - d)
+
+
+def _band_rest_angles(dc, beta, d):
+    band = sc.velocity_band(dataclasses.replace(dc, beta=beta), d)
+    return band.psi1, band.psi2
+
+
+def test_rest_angles_symmetric(dc_n30):
+    psi1, psi2 = _band_rest_angles(dc_n30, 0.0, 0.5)
     assert abs(psi1 - math.pi / 6) < 1e-12
     assert abs(psi2 + math.pi / 6) < 1e-12
 
 
-def test_rest_angles_example():
-    psi1, psi2 = sc.rest_angles(0.58, 0.41)
+def test_rest_angles_example(dc_n30):
+    psi1, psi2 = _band_rest_angles(dc_n30, 0.58, 0.41)
     assert abs(psi1 - math.asin(0.99)) < 1e-12
     assert abs(psi2 - math.asin(0.17)) < 1e-12
 
 
 @pytest.mark.parametrize("beta,d", [(0.6, 0.4), (0.0, 1.0), (-0.7, 0.35), (1.1, 0.01)])
-def test_rest_angles_undefined(beta, d):
-    assert sc.rest_angles(beta, d) is None
+def test_rest_angles_undefined(beta, d, dc_n30):
+    assert _band_rest_angles(dc_n30, beta, d) == (None, None)
 
 
 # velocity_band --------------------------------------------------------------
@@ -112,7 +125,7 @@ def test_velocity_band_rejects_nonpositive_d(dc_n30):
 def _reference_band(dc, d):
     """(refined, omega_min_d, omega_max_d) for one d, in scalar math."""
     alpha, beta = dc.alpha, dc.beta
-    pair = sc.rest_angles(beta, d)
+    pair = _rest_angles(beta, d)
     refined = pair is not None and all(alpha > 2.0 * math.sin(abs(psi) / 2.0) for psi in pair)
     S_n, S_p = -1.0, 1.0
     if refined:

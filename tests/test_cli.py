@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -254,6 +255,21 @@ def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["simulate", "--t-end", "0.1", "--samples", "3"],
+    ["equilibria"],
+])
+def test_unwritable_out_exits_usage(command, params_n30_config, tmp_path, capsys):
+    # Exit 1 would read as "not certified" for check, so a failed write is
+    # bad input (exit 2) naming the path.
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli.main(command[:1] + ["--config", params_n30_config, "--out", str(out)]
+                  + command[1:])
+    assert rc == 2
+    assert f"cannot write --out {str(out)!r}" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_output(params_n30_config, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -325,6 +341,19 @@ def test_sweep_log_values_are_geometric(params_n30_config, tmp_path, capsys):
                    "--min", "0", "--max", "10000", "--points", "3", "--log"])
     assert rc == 2
     assert "--min > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi", [("1", "-1"), ("-1", "1"), ("nan", "1"), ("1", "nan")])
+def test_sweep_log_needs_positive_ends(lo, hi, params_n30_config, capsys):
+    # Both ends are checked before numpy takes their logarithms.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["sweep", "--config", params_n30_config, "--param", "J",
+                       "--min", lo, "--max", hi, "--points", "2", "--log"])
+    assert rc == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "--min > 0 and --max > 0" in err and "RuntimeWarning" not in err
 
 
 def test_sweep_rejects_unknown_param(params_n30_config, capsys):

@@ -7,7 +7,8 @@ import swingcert as sc
 from swingcert.core import TWO_PI, scaled_residual
 from swingcert.equilibria import (
     Stability,
-    classify_matrix,
+    char_poly,
+    classify_char_poly,
     local_basin,
     quartic_eigenvalues,
     routh_hurwitz_unstable_count,
@@ -164,7 +165,7 @@ def test_classification_invariant_under_sheet_shift(params_n30, equilibria_n30):
     for pt in equilibria_n30:
         shifted = sc.SgState(pt.state.i_d, pt.state.i_q, pt.state.omega,
                              pt.state.delta + TWO_PI)
-        verdict, eig = sc.classify(params_n30, shifted)
+        verdict, eig = classify_char_poly(char_poly(sc.linearize(params_n30, shifted)))
         assert verdict is pt.classification
         assert np.max(np.abs(np.array(eig) - np.array(pt.eigenvalues))) < 1e-7 * max(
             abs(z) for z in pt.eigenvalues
@@ -178,7 +179,7 @@ def test_classify_matrix_nonhyperbolic_band():
     A = np.diag([-1.0, -2.0, 0.0, 0.0]).astype(float)
     A[2, 3] = 1.0
     A[3, 2] = -1.0
-    verdict, _ = classify_matrix(A)
+    verdict, _ = classify_char_poly(char_poly(A))
     assert verdict is Stability.NON_HYPERBOLIC
 
 

@@ -523,6 +523,38 @@ def test_stopped_trajectory(params_n30, equilibria_n30):
     assert np.array_equal(runs[0].states, runs[1].states)
 
 
+def test_shared_sample_times_give_identical_rows(params_rs216):
+    # The steps do not depend on the output grid, and each sample is read
+    # from the step that covers it, so a time both grids hold gets the same
+    # row however densely the run is sampled.
+    rhs = sc.full_rhs(params_rs216)
+    coarse, fine = (integrate(rhs, [0.0, 0.0, 0.0, 0.0], IntegratorConfig(t_end=2.0, n_samples=n))
+                    for n in (201, 20001))
+    rows = dict(zip(fine.times.tolist(), fine.states.tolist()))
+    shared = [(t, y) for t, y in zip(coarse.times.tolist(), coarse.states.tolist())
+              if t in rows]
+    assert len(shared) > 150
+    assert all(rows[t] == y for t, y in shared)
+
+
+def test_stop_on_the_step_ending_at_t_end(params_n30):
+    # The stop state replaces the sample at the stop time, even when that
+    # is the last sample time t_end.
+    rhs = sc.full_rhs(params_n30)
+    y0 = sample_initial_state(default_basin_box(params_n30), 3, 2).as_array()
+    config = IntegratorConfig(t_end=0.5, n_samples=11)
+    steps = []
+    full = integrate(rhs, y0, config, stop=lambda *step: steps.append(step))
+    n_steps, last = len(steps), steps[-1]
+    steps.clear()
+    traj = integrate(rhs, y0, config,
+                     stop=lambda *step: steps.append(step) or len(steps) == n_steps)
+    assert traj.stopped and steps[-1][4] == last[4]
+    assert np.array_equal(traj.times, full.times)
+    assert np.array_equal(traj.states[:-1], full.states[:-1])
+    assert traj.states[-1].tolist() == last[4]
+
+
 def test_stable_basin_is_built_once(params_n30, equilibria_n30):
     basin = stable_basin(params_n30, equilibria_n30)
     again = stable_basin(params_n30.replace(), list(reversed(equilibria_n30)))
