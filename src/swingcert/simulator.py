@@ -3,9 +3,9 @@
 Provides an adaptive Dormand-Prince 5(4) integrator with dense output, a
 per-step hook and an rhs-call budget, and one classifier that reads a run
 as a stream of segments (integrator steps or stored samples): converged
-to an equilibrium (modulo 2*pi, the integer sheet recorded), decided by
-the proven local basin of the stable point, which also ends basin runs
-early; periodic, on a fixed Poincare section of the power angle, on which
+to the stable equilibrium (modulo 2*pi, the integer sheet recorded),
+decided only by its proven local basin, which also ends basin runs early;
+periodic, on a fixed Poincare section of the power angle, on which
 slipping basin runs end once their crossings repeat; or undecided.  All
 operations are deterministic given their inputs and seeds.
 """
@@ -27,7 +27,6 @@ from .core import (
     TWO_PI,
     derive_constants,
     full_rhs,
-    wrap_angle,
 )
 from .equilibria import EquilibriumPoint, Stability, local_basin, solve_equilibria
 from .swing import delta_from_eta, ese_from_full, ese_rhs_fn
@@ -74,16 +73,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class ConvergedToEquilibrium:
-    """``decided_by`` is "local_basin" (the state entered the proven local
-    basin) or "window" (the tolerance window test); ``t_decided`` is the
-    time at which an early-stopped run entered the local basin."""
+    """A run whose final state lies in the proven local basin of the stable
+    equilibrium, the only rule that decides convergence (``decided_by``);
+    ``t_decided`` is the time at which an early-stopped run entered it."""
 
     equilibrium: EquilibriumPoint
     sheet: int
-    decided_by: str = "window"
     t_decided: float | None = None
 
     kind = "converged"
+    decided_by = "local_basin"
 
 
 @dataclass(frozen=True)
@@ -444,11 +443,6 @@ def simulate_ese(params: SgParameters, initial: SgState,
 
 # Classification ------------------------------------------------------------
 
-# The window test: from (1 - WINDOW_FRACTION) * t_end on, a run stays
-# within the scaled distance CONVERGENCE_TOL of one equilibrium.
-WINDOW_FRACTION = 0.1
-CONVERGENCE_TOL = 1e-3
-
 # Section-crossing agreement required of a periodic orbit (``_periodic_test``).
 PERIODIC_INTERVAL_TOL = 0.01
 PERIODIC_STATE_TOL = 0.02
@@ -483,7 +477,7 @@ def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
     """The proven local basin of the stable equilibrium in ``equilibria``.
 
     None when there is no stable equilibrium or no level can be proven;
-    classification then rests on the window test alone.  Each basin is
+    no run is then classified as converged.  Each basin is
     built once per (params, point) and then served from a cache, so asking
     for it per trajectory costs a dictionary lookup.
     """
@@ -586,30 +580,25 @@ class Classifier:
 
     1. the final state lies in the stable equilibrium's proven local basin
        (invariant and attracting, so no tolerance is involved);
-    2. the window test: every segment end from ``(1 - WINDOW_FRACTION) *
-       t_end`` on lies within ``tol`` of one equilibrium, per-component
-       scaled and delta modulo 2*pi (the only route to an unstable point);
-    3. the periodic test on the last ``PERIODIC_MAX_CROSSINGS`` crossings
+    2. the periodic test on the last ``PERIODIC_MAX_CROSSINGS`` crossings
        of the Poincare section delta = ``section_angle(equilibria)`` (mod
        2*pi), one per sheet, where delta first falls below a level below
        delta0 and every earlier segment end, so a decaying oscillation
        gives at most a few; each turn's extrema span its crossings and
        segment ends;
-    4. Undecided, naming the closest window miss and the periodic failure.
+    3. Undecided, naming the basin outcome and the periodic failure.
 
     With ``stop``, ``segment`` ends the run once a segment end lies in the
     local basin or the crossings pass the periodic test, and the verdict
-    carries that time as ``t_decided``.  Memory stays bounded: running
-    maxima and a delta sum for the window, the last crossings and their
-    turns' running extrema for the section.  So does time: a segment
+    carries that time as ``t_decided``.  Memory stays bounded: the last
+    crossings and their turns' running extrema.  So does time: a segment
     locates only about its last ``PERIODIC_MAX_CROSSINGS`` crossings, and
     a power angle of magnitude 2**55 or more, where section levels a turn
     apart coincide, raises ValueError as delta0 (at the first segment) and
     StiffnessError at a segment end.
     """
 
-    def __init__(self, params: SgParameters, equilibria, delta0: float,
-                 t_end: float, tol: float, stop: bool):
+    def __init__(self, params: SgParameters, equilibria, delta0: float, stop: bool):
         # The closures keep no reference to self, so a finished run's
         # state is freed at once rather than by the cycle collector.
         basin = stable_basin(params, equilibria)
@@ -619,12 +608,6 @@ class Classifier:
         # The top level is placed at the first segment, so a run whose first
         # step fails reports that failure rather than a bad delta0.
         sheet = level = None
-        t_window = (1.0 - WINDOW_FRACTION) * t_end
-        cur = max([1.0] + [max(abs(pt.state.i_d), abs(pt.state.i_q)) for pt in equilibria])
-        om = max([1.0] + [abs(pt.state.omega) for pt in equilibria])
-        targets = [pt.state.as_array().tolist() for pt in equilibria]
-        misses = [0.0] * len(targets)  # running max scaled distance in the window
-        window = [0.0, 0]  # delta sum and point count in the window
         times = deque(maxlen=PERIODIC_MAX_CROSSINGS)
         states = deque(maxlen=PERIODIC_MAX_CROSSINGS)
         lows = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
@@ -640,14 +623,6 @@ class Classifier:
             if contains is not None and contains(y):
                 stopped.append(t + h)
                 return True
-            if t + h >= t_window:
-                window[0] += y[3]
-                window[1] += 1
-                for k, (e0, e1, e2, e3) in enumerate(targets):
-                    miss = max(abs(y[0] - e0) / cur, abs(y[1] - e1) / cur,
-                               abs(y[2] - e2) / om, abs(wrap_angle(y[3] - e3)))
-                    if miss > misses[k]:
-                        misses[k] = miss
             if y[3] > level:
                 if lo is not None:
                     _widen(lo, hi, y)
@@ -685,35 +660,28 @@ class Classifier:
             if basin is not None and basin.contains(y_final):
                 turns = int(round((y_final[3] - basin.point.state.delta) / TWO_PI))
                 return ConvergedToEquilibrium(equilibrium=basin.point, sheet=turns,
-                                              decided_by="local_basin", t_decided=t_decided)
-            if window[1] and not stopped:
-                for pt, miss in zip(equilibria, misses):
-                    if miss < tol:
-                        turns = int(round((window[0] / window[1] - pt.state.delta) / TWO_PI))
-                        return ConvergedToEquilibrium(equilibrium=pt, sheet=turns)
+                                              t_decided=t_decided)
             periodic = _periodic_test(times, states, lows, highs, omega_g, t_decided)
             if isinstance(periodic, PeriodicOrbit):
                 return periodic
-            near = min(zip(misses, [pt.branch for pt in equilibria]), default=None)
-            near = ("no window test" if not window[1] or near is None else
-                    f"window miss {near[0]:.3g} >= {tol:g} at best, at the branch "
-                    f"{near[1]} equilibrium")
-            return Undecided(reason=f"{near}; {periodic.reason}")
+            outcome = ("no proven local basin" if basin is None else
+                       "final state outside the proven local basin of the branch "
+                       f"{basin.point.branch} equilibrium")
+            return Undecided(reason=f"{outcome}; {periodic.reason}")
 
         self.segment = segment
         self.finish = finish
 
 
-def detect_convergence(traj: Trajectory, equilibria, params: SgParameters,
-                       tol: float = CONVERGENCE_TOL):
+def detect_convergence(traj: Trajectory, equilibria, params: SgParameters, tol=None):
     """Classify a stored full-model trajectory of the design ``params``
     (other integrators' solutions): the ``Classifier`` fed the
     intervals between its samples, up to the last.  A final state in the
     proven local basin decides the run without reading the others.
+    ``tol`` is accepted and ignored: no verdict rests on a tolerance.
     """
     final = traj.states[-1].tolist()
-    clf = Classifier(params, equilibria, float(traj.states[0, 3]), float(traj.times[-1]),
-                     tol, False)
+    clf = Classifier(params, equilibria, float(traj.states[0, 3]), False)
     basin = stable_basin(params, equilibria)
     if basin is None or not basin.contains(final):
         times, rows = traj.times.tolist(), traj.states.tolist()
@@ -753,7 +721,10 @@ def default_horizon(params: SgParameters, equilibria) -> float:
 
 @dataclass
 class BasinStatistics:
-    """Monte-Carlo classification counts over sampled initial states."""
+    """Monte-Carlo classification counts over sampled initial states.
+
+    ``converged_unstable`` stays 0, since only the stable equilibrium has a
+    proven basin; the field keeps the output's keys."""
 
     n: int
     seed: int
@@ -792,7 +763,7 @@ def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
     """Full-model run of ``initial`` with its verdict: the run feeds the
     ``Classifier`` from its step hook (and with ``stop`` ends at its early
     verdict)."""
-    clf = Classifier(params, equilibria, initial.delta, config.t_end, CONVERGENCE_TOL, stop)
+    clf = Classifier(params, equilibria, initial.delta, stop)
     traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())
     return traj
@@ -819,10 +790,10 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     over ``t_end``, by default ``default_horizon``) stops when it enters
     the stable equilibrium's proven local basin, built at most once, or
     when its section crossings repeat, and keeps only its two endpoint
-    samples.  ``decided_by`` counts the converged runs by the rule that
-    decided them ("local_basin" or "window") and the periodic runs as
-    "section" when they stopped early and "horizon" otherwise, so its
-    values sum to n - undecided.
+    samples.  ``decided_by`` counts the converged runs as "local_basin",
+    the only rule that decides them, and the periodic runs as "section"
+    when they stopped early and "horizon" otherwise, so its values sum to
+    n - undecided.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -838,9 +809,8 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
         verdict = classify_initial_state(params, initial, equilibria, config)
         decided_by = None
         if isinstance(verdict, ConvergedToEquilibrium):
-            stable = verdict.equilibrium.classification is Stability.STABLE
-            key = "converged_stable" if stable else "converged_unstable"
-            decided_by = verdict.decided_by
+            # Only the stable point has a proven basin.
+            key, decided_by = "converged_stable", verdict.decided_by
         elif isinstance(verdict, PeriodicOrbit):
             key = "periodic"
             decided_by = "horizon" if verdict.t_decided is None else "section"

@@ -275,6 +275,8 @@ def test_basin_decided_by_counts_every_decided_run(params_rs216):
     stats = sc.basin_sample(params_rs216, n=12, seed=1, t_end=2.5)
     assert stats.undecided > 0 and stats.decided_by.get("section", 0) > 0
     assert sum(stats.decided_by.values()) == stats.n - stats.undecided
+    assert set(stats.decided_by) <= {"local_basin", "section", "horizon"}
+    assert stats.converged_unstable == 0
     # A run that starts on the orbit repeats its fewer than 12 crossings
     # within 1 s: periodic, decided at the horizon.
     on_orbit = sc.simulate_full(params_rs216, sc.SgState(0.0, 0.0, 0.0, 0.0),
@@ -328,15 +330,16 @@ def test_converged_trajectory_yields_no_orbit(params_n30, equilibria_n30):
     traj = sc.simulate_full(params_n30, near, config)
     verdict = sc.detect_convergence(traj, equilibria_n30, params=params_n30)
     assert isinstance(verdict, ConvergedToEquilibrium)
-    # Without the stable point there is no basin and no window to pass, so
-    # only the section is left, and a decaying oscillation is no orbit.
+    # Without the stable point there is no basin, so only the section is
+    # left, and a decaying oscillation is no orbit.
     unstable = [pt for pt in equilibria_n30 if pt.classification.value != "stable"]
-    rule = simulator.Classifier(params_n30, unstable, near.delta, config.t_end,
-                                simulator.CONVERGENCE_TOL, False)
+    rule = simulator.Classifier(params_n30, unstable, near.delta, False)
     rows, times = traj.states.tolist(), traj.times.tolist()
     for k in range(1, len(rows)):
         rule.segment(times[k - 1], times[k] - times[k - 1], rows[k - 1], None, rows[k])
-    assert isinstance(rule.finish(rows[-1]), Undecided)
+    verdict = rule.finish(rows[-1])
+    assert isinstance(verdict, Undecided)
+    assert verdict.reason.startswith("no proven local basin; ")
 
 
 def test_periodic_verdict_equivariant_under_sheet_shift(params_rs216):
@@ -444,9 +447,9 @@ def test_undecided_reason_names_both_failed_tests(turns, power, failure, params_
     verdict = sc.detect_convergence(Trajectory(times=times, states=states), equilibria_n30,
                                     params=params_n30)
     assert isinstance(verdict, Undecided)
-    window, section = verdict.reason.split("; ")
-    assert window == (f"window miss 0.2 >= 0.001 at best, "
-                      f"at the branch {stable.branch} equilibrium")
+    basin, section = verdict.reason.split("; ")
+    assert basin == ("final state outside the proven local basin "
+                     f"of the branch {stable.branch} equilibrium")
     assert section == failure
 
 
@@ -610,21 +613,21 @@ def test_early_stop_verdict_independent_of_sampling(params_n30, equilibria_n30):
 
 def test_converged_verdict_explains_itself(params_n30, equilibria_n30):
     stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
-    d = verdict_to_dict(ConvergedToEquilibrium(stable, sheet=0, decided_by="local_basin",
-                                               t_decided=1.25))
+    d = verdict_to_dict(ConvergedToEquilibrium(stable, sheet=0, t_decided=1.25))
     assert d["decided_by"] == "local_basin" and d["t_decided"] == 1.25
     config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=5.0, n_samples=501)
     traj = sc.simulate_full(params_n30, stable.state, config)
     d = verdict_to_dict(sc.detect_convergence(traj, equilibria_n30, params=params_n30))
     assert d["decided_by"] == "local_basin" and d["t_decided"] is None
     # A run that sits at the unstable point never enters the stable point's
-    # basin: only the window test can decide it.
+    # basin, the only route to "converged", and never crosses the section.
     unstable = [pt for pt in equilibria_n30 if pt.classification.value == "unstable"][0]
     still = Trajectory(times=np.linspace(0.0, 1.0, 11),
                        states=np.tile(unstable.state.as_array(), (11, 1)))
     d = verdict_to_dict(sc.detect_convergence(still, equilibria_n30, params=params_n30))
-    assert d["decided_by"] == "window" and d["t_decided"] is None
-    assert d["classification"] == "unstable" and d["branch"] == unstable.branch
+    assert d == {"kind": "undecided",
+                 "reason": "final state outside the proven local basin of the branch "
+                           f"{stable.branch} equilibrium; 0 section crossings, fewer than 3"}
 
 
 # Early stop on the Poincare section ---------------------------------------
@@ -749,9 +752,8 @@ def test_section_crossings_located_on_interpolant(as_array, params_n30):
         state = simulator._step_state(h, y_old, K, 0.3)
         assert state[:3] == [1.0, 2.0, 3.0]
         assert state[3] == pytest.approx(delta(t + 0.3 * h), abs=1e-6)
-    # No equilibria: the section is delta = 0 and there is no basin or window.
-    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, config.t_end,
-                                simulator.CONVERGENCE_TOL, True)
+    # No equilibria: the section is delta = 0 and there is no basin.
+    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, True)
     traj = integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=rule.segment)
     assert traj.stopped
     verdict = rule.finish(traj.final_state.tolist())
