@@ -191,30 +191,48 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
     (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73) = _P_ROWS
 
 
-def _float_stages(rhs, t, y, k1, h, rtol, atol):
-    """One Dormand-Prince attempt on lists of Python floats.
+@lru_cache(maxsize=16)
+def _stages_for(n: int):
+    """The Dormand-Prince attempt ``stages(rhs, t, y, k1, h, rtol, atol)``
+    for states of length ``n``, generated on first use and then cached.
 
-    Returns the fifth-order state, the seven stage derivatives (the last is
-    rhs at the new state) and the RMS norm of the scaled error estimate.
+    It returns the fifth-order state, the seven stage derivatives (the last
+    is rhs at the new state) and the RMS norm of the scaled error estimate.
+    The code is straight-line on named floats: each stage argument is
+    ``u + h*(A.k)``, the new state ``u + h*(B.k)`` and the error
+    ``hypot(h*(E.k) / (atol + max(|u|, |v|)*rtol)) / sqrt(n)``, the sums
+    running over the nonzero tableau entries in tableau order, so every
+    result rounds as the per-component formula does.  Each derivative is
+    unpacked into n names, so one of another length raises ValueError.
     """
-    k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
-    k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b)
-                           for u, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + _C4 * h, [u + h * (_A41 * a + _A42 * b + _A43 * c)
-                           for u, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs(t + _C5 * h, [u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                           for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                     for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-             for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-    err = math.hypot(*[
-        h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-        / (atol + max(abs(u), abs(v)) * rtol)
-        for u, v, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-    ]) / math.sqrt(len(y))
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+    names = "abcdefg"  # component i of k1..k7 is a{i}..g{i}
+
+    def dot(row, weights, i):  # "_A31 * a0 + _A32 * b0" for row "_A3", i = 0
+        return " + ".join(f"{row}{j + 1} * {names[j]}{i}"
+                          for j, w in enumerate(weights) if w)
+
+    def state(row, weights):  # the list [u_i + h * (row . k)_i]
+        return "[" + ", ".join(f"u{i} + h * ({dot(row, weights, i)})"
+                               for i in range(n)) + "]"
+
+    def unpack(var, letter):
+        return "    [" + ", ".join(f"{letter}{i}" for i in range(n)) + "] = " + var
+
+    lines = ["def stages(rhs, t, y, k1, h, rtol, atol):", unpack("y", "u"),
+             unpack("k1", "a")]
+    for s in range(2, 7):
+        at = "t + h" if _C[s - 1] == 1.0 else f"t + _C{s} * h"
+        lines += [f"    k{s} = rhs({at}, {state(f'_A{s}', _A[s - 1])})",
+                  unpack(f"k{s}", names[s - 1])]
+    errors = ", ".join(f"h * ({dot('_E', _E, i)}) / (atol + max(abs(u{i}), abs(v{i})) * rtol)"
+                       for i in range(n))
+    lines += [f"    y_new = {state('_B', _B)}", unpack("y_new", "v"),
+              "    k7 = rhs(t + h, y_new)", unpack("k7", "g"),
+              f"    err = math.hypot({errors}) / math.sqrt({n})",
+              "    return y_new, (k1, k2, k3, k4, k5, k6, k7), err"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<dopri5 stages, n={n}>", "exec"), globals(), namespace)
+    return namespace["stages"]
 
 
 def _rms(x) -> float:
@@ -303,12 +321,15 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     which StiffnessError is raised with the last accepted (t, y).  The
     same error is raised when a step attempt would take the rhs calls past
     ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
-    a domain error (ValueError) is rejected.
+    a domain error (ValueError) is rejected.  Every attempt runs the
+    straight-line stage function generated for the state's length
+    (``_stages_for``, looked up once per run, same arithmetic order).
     Each sample is the DP5 interpolant (``_step_state``) of the first
     accepted step whose end is at or past it, evaluated when that step is
     taken and appended to one flat buffer.  ``rhs`` gets each state as a
     list of floats, and its initial derivative must have one component per
-    component of ``y0`` (else ValueError).
+    component of ``y0`` (else ValueError); a later derivative of another
+    length does not unpack, so its step is rejected like a domain error.
 
     ``stop(t, h, y_old, K, y)``, unless None, is read after each accepted
     step from (t, y_old) to (t + h, y), K being its stage derivatives
@@ -334,6 +355,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     if len(f) != len(y):
         raise ValueError(f"rhs returned a derivative of length {len(f)} "
                          f"for a state of length {len(y)}")
+    stages = _stages_for(len(y))
 
     n_samples = len(samples)
     out = array("d")  # the sampled states, row after row
@@ -357,7 +379,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             try:
-                y_new, K, err = _float_stages(rhs, t, y, f, h, rtol, atol)
+                y_new, K, err = stages(rhs, t, y, f, h, rtol, atol)
             except (OverflowError, ValueError):
                 err = math.inf
             if err < 1.0:
@@ -414,9 +436,13 @@ def integrate(rhs, initial, config: IntegratorConfig,
 
     ``rhs(t, y)`` always gets ``y`` as a list of floats, from the first
     call ``rhs(0.0, y0)`` on, and may return any sequence of floats with
-    one component per state component, an ndarray included; the stage
-    arithmetic runs on Python floats.  An initial derivative of another
-    length raises ValueError.
+    one component per state component, an ndarray included.  The stage
+    arithmetic runs on Python floats, in one straight-line stage function
+    per state length, generated on its first run; it sums each component
+    in tableau order, so every value rounds as ``u + h*(A.k)`` does.  An
+    initial derivative of another length raises ValueError; a later one
+    fails every step that meets it, so the run ends in StiffnessError with
+    the last full-length state instead of being truncated.
     """
     y0 = np.asarray(initial, dtype=float)
     t_eval = np.linspace(0.0, config.t_end, config.n_samples)

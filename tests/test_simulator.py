@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -213,6 +216,22 @@ def test_rhs_length_must_match_state(rhs, y0, length):
     with pytest.raises(ValueError, match=f"length {length} for a state of length {len(y0)}"):
         integrate(counted, y0, config)
     assert counted.calls == 1
+
+
+@pytest.mark.parametrize("rhs, y0", [
+    (lambda t, y: (-y[0], 1.0) if t > 0.3 else (-y[0],), [1.0]),
+    (lambda t, y: (-y[0],) if t > 0.3 else (-y[0], -y[1]), [1.0, 2.0]),
+], ids=["longer", "shorter"])
+def test_rhs_length_change_mid_run_is_a_numerical_failure(rhs, y0):
+    # A derivative that changes length after the first call is never
+    # truncated: every step attempt past t = 0.3 is rejected until the step
+    # size underflows, and the error carries the last full-length state.
+    config = IntegratorConfig(t_end=1.0, n_samples=3)
+    with pytest.raises(StiffnessError, match="step size underflow") as excinfo:
+        integrate(rhs, y0, config)
+    t, state = excinfo.value.t, excinfo.value.state
+    assert 0.29 < t <= 0.3
+    assert state == pytest.approx(np.array(y0) * math.exp(-t), rel=1e-6)
 
 
 def test_detect_convergence_at_stable_point(params_n30, equilibria_n30):
@@ -762,3 +781,119 @@ def test_section_crossings_located_on_interpolant(as_array, params_n30):
     assert verdict.period == pytest.approx(0.16, rel=1e-9)
     assert verdict.mean_omega == pytest.approx(100.0 - c, abs=1e-6)
     assert verdict.omega_below_grid is True
+
+
+# The generated stage function against the per-component formula --------------
+
+def _reference_stages(rhs, t, y, k1, h, rtol, atol):
+    """One Dormand-Prince attempt as a list comprehension per stage: the
+    oracle for ``simulator._stages_for``, which must round every value the
+    same way."""
+    from swingcert.simulator import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
+                                     _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3,
+                                     _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4,
+                                     _E5, _E6, _E7)
+    k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
+    k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b)
+                           for u, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + _C4 * h, [u + h * (_A41 * a + _A42 * b + _A43 * c)
+                           for u, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + _C5 * h, [u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                           for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                     for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+             for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    err = math.hypot(*[
+        h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        / (atol + max(abs(u), abs(v)) * rtol)
+        for u, v, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+    ]) / math.sqrt(len(y))
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _hex(values):
+    """Bit patterns of floats; every NaN reads "nan", so NaN equals NaN."""
+    return [float(v).hex() for v in values]
+
+
+def _recorded_quadratic_rhs(coeffs, calls):
+    """A quadratic rhs of random coefficients that appends each (t, y) it gets
+    to ``calls``; arithmetic only, so huge states overflow to inf and inf
+    minus inf gives NaN, and nothing raises."""
+    n = len(coeffs)
+
+    def rhs(t, y):
+        calls.append((t.hex(), _hex(y)))
+        return [p * y[i] + q * y[(i + 1) % n] * y[i - 1] + r * t
+                for i, (p, q, r) in enumerate(coeffs)]
+
+    return rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_stage_function_matches_reference_bit_for_bit(n):
+    rng = np.random.default_rng([18, n])
+    stages = simulator._stages_for(n)
+    non_finite = 0
+    for case in range(300):
+        # Ordinary magnitudes, states and steps large enough to overflow,
+        # and states or derivatives that are already inf or NaN.
+        kind = case % 4
+        scale = (1.0, 1e150, 1.0, 1e300)[kind]
+        y = [float(v) * scale for v in rng.normal(size=n)]
+        k1 = [float(v) for v in rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)]
+        if kind == 2:
+            k1[int(rng.integers(n))] = float(rng.choice([math.inf, -math.inf, math.nan]))
+        h = float(10.0 ** rng.uniform(-8, 0)) * (1e200 if kind == 3 else 1.0)
+        t = float(rng.uniform(0.0, 10.0))
+        rtol, atol = float(10.0 ** rng.uniform(-12, -3)), float(10.0 ** rng.uniform(-14, -6))
+        coeffs = [tuple(float(v) for v in rng.normal(size=3)) for _ in range(n)]
+        got_calls, want_calls = [], []
+        got = stages(_recorded_quadratic_rhs(coeffs, got_calls), t, y, k1, h, rtol, atol)
+        want = _reference_stages(_recorded_quadratic_rhs(coeffs, want_calls),
+                                 t, y, k1, h, rtol, atol)
+        assert got_calls == want_calls
+        assert _hex(got[0]) == _hex(want[0])
+        assert [_hex(k) for k in got[1]] == [_hex(k) for k in want[1]]
+        assert _hex([got[2]]) == _hex([want[2]])
+        non_finite += not all(map(math.isfinite, got[0] + [got[2]]))
+    assert non_finite >= 100  # the overflow and inf/NaN cases really ran
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_verdicts_equal_with_reference_stages(design, request, monkeypatch):
+    # Whole runs: the early-stopped basin verdicts, t_decided included, and
+    # a cross-validation deviation are the same on the oracle's stages.
+    params = request.getfixturevalue(design)
+    equilibria = sc.solve_equilibria(params)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, n_samples=2,
+                              t_end=default_horizon(params, equilibria))
+    box = default_basin_box(params)
+    states = [sample_initial_state(box, 1, i) for i in range(12)]
+
+    def outputs():
+        verdicts = [verdict_to_dict(classify_initial_state(params, s, equilibria, config))
+                    for s in states]
+        return verdicts, simulator.cross_validate(params, states[0], t_end=2.0)
+
+    generated = outputs()
+    monkeypatch.setattr(simulator, "_stages_for", lambda n: _reference_stages)
+    assert repr(outputs()) == repr(generated)
+    kinds = Counter(v["kind"] for v in generated[0])
+    assert kinds["converged"] > 0
+    assert kinds["periodic"] > 0 or design == "params_n30"
+
+
+def test_import_generates_no_stage_function():
+    # A stage function is generated by the first run of its state length,
+    # so importing the package does no code generation.
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import swingcert, swingcert.cli; "
+            "print(swingcert.simulator._stages_for.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
