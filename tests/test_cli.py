@@ -78,13 +78,34 @@ def test_check_prints_report_then_csv(params_n30_config, capsys):
     assert "d,nscr," + csv_text == expected
 
 
-def test_cli_defaults_are_the_library_defaults():
+def test_cli_defaults_are_the_library_defaults(params_n30_config, monkeypatch, capsys):
     parser = cli.build_parser()
     config = simulator.IntegratorConfig()
     args = parser.parse_args(["simulate", "--config", "x.json"])
-    assert (args.rel_tol, args.abs_tol, args.t_end, args.samples) == (
-        config.rel_tol, config.abs_tol, config.t_end, config.n_samples)
-    assert parser.parse_args(["validate", "--config", "x.json"]).t_end == config.t_end
+    assert (args.t_end, args.samples) == (config.t_end, config.n_samples)
+
+    # simulate integrates at the library's default tolerances ...
+    seen = []
+    real_simulate_full = cli.simulate_full
+
+    def spy_simulate_full(params, initial, run_config):
+        seen.append(run_config)
+        return real_simulate_full(params, initial, run_config)
+
+    monkeypatch.setattr(cli, "simulate_full", spy_simulate_full)
+    assert cli.main(["simulate", "--config", params_n30_config, "--t-end", "0.1",
+                     "--samples", "3"]) == 0
+    assert (seen[0].rel_tol, seen[0].abs_tol) == (config.rel_tol, config.abs_tol)
+
+    # ... and validate checks over the library's default horizon.
+    horizons = []
+    monkeypatch.setattr(cli, "cross_validate",
+                        lambda params, initial, **kw: horizons.append(kw) or 0.0)
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", params_n30_config, "--samples", "2"]) == 0
+    assert horizons == [{}, {}]
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["t_end"], doc["tol"]) == (config.t_end, cli.VALIDATE_BOUND_RAD)
 
 
 def test_check_not_certified_exit_code(nominal_config, tmp_path, capsys):
@@ -152,21 +173,25 @@ def test_invalid_parameter_value(nominal_config, capsys):
     ("check", "params_n30_config", "J"),
     ("check", "nominal_config", "P_n"),
     ("design", "nominal_config", "P_n"),
-], ids=["check-sg_params", "check-nominal_spec", "design"])
+    ("check", "nominal_config", "n"),
+], ids=["check-sg_params", "check-nominal_spec", "design", "check-nominal_spec-n"])
 def test_non_numeric_config_value_exits_usage(command, config, key, value, request,
                                               tmp_path, capsys):
     # A config value that is not a number is bad input (exit 2): not a
     # traceback with exit 1, which check uses for "not certified", and not
-    # true read as 1.0.
-    with open(request.getfixturevalue(config)) as fh:
+    # true read as 1.0.  A --set value goes through the same parser.
+    good_path = request.getfixturevalue(config)
+    with open(good_path) as fh:
         data = json.load(fh)
     data[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    rc = cli.main([command, "--config", str(path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("parameter error: ") and repr(key) in err
+    text = value if isinstance(value, str) else json.dumps(value)
+    for argv in (["--config", str(path)], ["--config", good_path, "--set", f"{key}={text}"]):
+        rc = cli.main([command, *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ") and repr(key) in err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -235,15 +260,7 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["simulate", "--initial", "nan,0,314,0"], "non-finite component"),
     (["simulate", "--initial", "0,0,inf,0"], "non-finite component"),
     (["simulate", "--t-end", "nan"], "t_end must be finite and > 0"),
-    (["simulate", "--rel-tol", "nan"], "tolerances must be > 0"),
     (["basin", "--t-end", "nan", "--samples", "1"], "t_end must be finite and > 0"),
-    (["validate", "--t-end", "inf", "--samples", "1"], "t_end must be finite and > 0"),
-    (["validate", "--tol", "nan", "--samples", "1"], "--tol must be finite and > 0"),
-    (["validate", "--tol", "inf", "--samples", "1"], "--tol must be finite and > 0"),
-    (["validate", "--tol", "-1", "--samples", "1"], "--tol must be finite and > 0"),
-    (["validate", "--tol", "0", "--samples", "1"], "--tol must be finite and > 0"),
-    (["simulate", "--abs-tol", "inf"], "tolerances must be > 0"),
-    (["simulate", "--rel-tol", "inf"], "tolerances must be > 0"),
     (["simulate", "--initial", "0,0,314,1e50", "--t-end", "1", "--samples", "3"],
      "too large to place section levels"),
 ])
@@ -390,19 +407,56 @@ def test_simulate_has_one_integrator(params_n30_config, capsys):
     assert "--method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--rel-tol"),
+    ("simulate", "--abs-tol"),
+    ("validate", "--tol"),
+    ("validate", "--t-end"),
+])
+def test_judging_strictness_is_not_an_option(command, option, params_n30_config, capsys):
+    # Loose integrator tolerances turn a pole-slipping run into a converged
+    # one, and a large --tol or short --t-end passes any validation: no
+    # setting may choose how strictly a run is judged.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--config", params_n30_config, option, "1"])
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 def test_validate(params_n30_config, capsys):
-    rc = cli.main(["validate", "--config", params_n30_config, "--samples", "2",
-                   "--t-end", "2"])
+    rc = cli.main(["validate", "--config", params_n30_config, "--samples", "2"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["max_deviation"] < 1e-4
+    assert doc["max_deviation"] < cli.VALIDATE_BOUND_RAD
     assert len(doc["deviations"]) == 2
 
 
-def test_validate_reports_numerical_failure(params_n30_config, capsys):
-    rc = cli.main(["validate", "--config", params_n30_config, "--samples", "1",
-                   "--t-end", "1", "--tol", "1e-18"])
+def test_validate_reports_numerical_failure(params_n30_config, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "VALIDATE_BOUND_RAD", 1e-18)
+    rc = cli.main(["validate", "--config", params_n30_config, "--samples", "1"])
     assert rc == 3
+    assert capsys.readouterr().err.startswith("validation failed: max deviation ")
+
+
+@pytest.mark.parametrize("command", ["check", "equilibria"])
+def test_closed_stdout_exits_usage(command, params_n30_config):
+    # A closed stdout (say, piped into head) is bad output, exit 2: not exit
+    # 1, which check uses for "not certified", and no traceback.  Buffered
+    # stdout, so equilibria's short output fails only when it is flushed.
+    src = os.path.dirname(os.path.dirname(swingcert.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swingcert.cli", command, "--config", params_n30_config],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_import_loads_no_scipy():
