@@ -23,6 +23,7 @@ from .core import (
     SgParameters,
     SgState,
     derive_constants,
+    full_rhs,
     scaled_residual,
 )
 
@@ -243,13 +244,130 @@ def solve_equilibria(params: SgParameters) -> list:
     return points
 
 
-# The proven level of the local basin is multiplied by this factor, so
-# rounding in P and in the bound cannot carry the set past it.
-_BASIN_LEVEL_SHRINK = 0.5
-
 # Log grid of Lyapunov weights on omega and delta (the currents weigh 1),
 # each relative to the state's scale; every pair is tried in one pass.
 _BASIN_WEIGHTS = np.logspace(1.0, 7.0, 13)
+
+# Relative allowance added to every enclosure of the basin proof.  Each is
+# built by a few float sums and products of at most four terms, whose
+# rounding stays below 20 unit roundoffs (4.4e-15) of the magnitudes
+# involved, and a matrix known only to within rounding carries its own
+# error bound.
+_ROUND = 1e-12
+
+# A box of the branch and bound is settled once its lower bound on the
+# decay ratio is at least this share of the smallest ratio met at a box
+# centre.  The boxes still open are all settled, at their lower bounds,
+# after _BNB_GENERATIONS rounds of bisection or when the next round would
+# take the count past _BNB_MAX_BOXES; they are bounded _BNB_CHUNK at a time.
+_BNB_SETTLE = 0.95
+_BNB_GENERATIONS = 60
+_BNB_MAX_BOXES = 200_000
+_BNB_CHUNK = 1024
+
+
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _linear(mid, rad, A, err):
+    """Enclosure ``(centre, radius)`` of ``z -> A' z`` over the boxes
+    ``mid +- rad`` (one per row), for every A' within ``err`` of A."""
+    bound = np.abs(A) + err
+    centre = mid @ A.T
+    r = rad @ bound.T + np.abs(mid) @ err.T
+    return centre, _up(r + _ROUND * ((np.abs(mid) + rad) @ bound.T))
+
+
+def _quadratic(mid, rad, M, M_err):
+    """Enclosure ``(centre, radius)`` of ``z -> z^T M' z`` over the boxes
+    ``mid +- rad``, for every symmetric M' within ``M_err`` of the
+    symmetric M: ``z^T M' z = c^T M' c + 2 (M' c) . d + d^T M' d``."""
+    Mc = mid @ M.T
+    a = np.abs(mid)
+    bound = np.abs(M) + M_err
+    spread = np.sum(a * (a @ M_err.T) + 2.0 * rad * (np.abs(Mc) + a @ M_err.T)
+                    + rad * (rad @ bound.T), axis=1)
+    size = np.sum((a + rad) * ((a + rad) @ bound.T), axis=1)
+    return np.sum(mid * Mc, axis=1), _up(spread + _ROUND * size)
+
+
+def _product(a, b):
+    (ma, ra), (mb, rb) = a, b
+    centre = ma * mb
+    r = np.abs(ma) * rb + ra * (np.abs(mb) + rb)
+    return centre, _up(r + _ROUND * (np.abs(centre) + r))
+
+
+def _magnitude(a):
+    return _up(np.abs(a[0]) + a[1])
+
+
+def _decay_ratio(T, W, W_err, M, M_err, VL):
+    """Lower bound on ``|z| q(z) / K(z)`` over the faces of ``|z|_inf = 1``,
+    by branch and bound, and the number of boxes bounded.
+
+    ``x = T^T z``, ``Px`` is within ``W_err`` of ``W z``, and
+    ``q(z) = z^T M' z`` for a symmetric M' within ``M_err`` of M.  Each
+    face box ``mid +- rad`` is bisected along its widest side until it is
+    settled.
+    """
+    # (Px)_0 x_iq - (Px)_1 x_id as a quadratic form z^T H z.
+    half = 0.5 * (np.outer(W[0], T[:, 1]) - np.outer(W[1], T[:, 0]))
+    H = half + half.T
+    E = (np.outer(W_err[0] + _ROUND * np.abs(W[0]), np.abs(T[:, 1]))
+         + np.outer(W_err[1] + _ROUND * np.abs(W[1]), np.abs(T[:, 0])))
+    H_err = E + E.T
+    exact = np.zeros((4, 4))
+
+    def bounds(mid, rad):
+        """Lower bound on the ratio over each box, and its value at the centre."""
+        x, x_r = _linear(mid, rad, T.T, exact)
+        g, g_r = _linear(mid, rad, W, W_err)
+        q, q_r = _quadratic(mid, rad, M, M_err)
+        bilinear = _product((x[:, 2], x_r[:, 2]), _quadratic(mid, rad, H, H_err))
+        K = _up((2.0 * _magnitude(bilinear) + VL * _magnitude((x[:, 3], x_r[:, 3])) ** 2
+                 * (_magnitude((g[:, 0], g_r[:, 0])) + _magnitude((g[:, 1], g_r[:, 1]))))
+                * (1.0 + _ROUND))
+        near = np.sqrt(np.sum(np.maximum(np.abs(mid) - rad, 0.0) ** 2, axis=1))
+        q_low = _down(q - q_r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = np.where(q_low > 0.0, _down(near * q_low / K * (1.0 - _ROUND)), 0.0)
+            at_centre = np.linalg.norm(mid, axis=1) * q / (
+                2.0 * np.abs(bilinear[0]) + VL * x[:, 3] ** 2
+                * (np.abs(g[:, 0]) + np.abs(g[:, 1])))
+        return low, np.where(q > 0.0, at_centre, 0.0)
+
+    mid = np.zeros((8, 4))
+    mid[np.arange(8), np.arange(8) % 4] = np.repeat([1.0, -1.0], 4)
+    rad = 1.0 - np.abs(mid)
+    best = proven = np.inf
+    boxes = 0
+    for generation in range(_BNB_GENERATIONS):
+        boxes += len(mid)
+        low, at_centre = (np.concatenate(parts) for parts in zip(*(
+            bounds(mid[i:i + _BNB_CHUNK], rad[i:i + _BNB_CHUNK])
+            for i in range(0, len(mid), _BNB_CHUNK))))
+        best = min(best, float(np.min(at_centre)))
+        settled = low >= _BNB_SETTLE * best
+        if (generation == _BNB_GENERATIONS - 1
+                or boxes + 2 * np.count_nonzero(~settled) > _BNB_MAX_BOXES):
+            settled[:] = True
+        if settled.any():
+            proven = min(proven, float(np.min(low[settled])))
+        mid, rad = mid[~settled], rad[~settled]
+        if not len(mid):
+            break
+        rows, k = np.arange(len(mid)), np.argmax(rad, axis=1)
+        rad[rows, k] *= 0.5
+        step = np.zeros_like(mid)
+        step[rows, k] = rad[rows, k]
+        mid, rad = np.concatenate([mid - step, mid + step]), np.concatenate([rad, rad])
+    return proven, boxes
 
 
 def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
@@ -257,23 +375,39 @@ def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
 
     ``x = y - y_e`` with the delta component wrapped by ``math.remainder``.
     P solves ``A^T P + P A = -Q`` for the Jacobian A of ``linearize`` (a
-    16x16 Kronecker solve).  Along the model,
-    ``dV/dt = -x^T Q' x + 2 (Px)_1 r_1 + 2 (Px)_2 r_2`` with
-    ``Q' = -(A^T P + P A)`` as computed and the remainders
-    ``|r_1| <= |x_w x_iq| + V/L_s x_delta^2/2`` and
-    ``|r_2| <= |x_w x_id| + V/L_s x_delta^2/2`` (the other two equations
-    are linear).  On ``V = v``, ``|x_i| <= sqrt(v (P^-1)_ii)`` and
-    ``|(Px)_k| <= sqrt(v P_kk)``, so
-    ``dV/dt <= -lam v + 2 v^(3/2) sum_k sqrt(P_kk) G_k`` with
-    ``lam = min eig(P^-1 Q')`` and ``G_k`` the remainder coefficients.
-    That is negative for ``0 < v < c* = (lam / (2 sum_k sqrt(P_kk) G_k))^2``;
-    c is ``c*`` times ``_BASIN_LEVEL_SHRINK``.  Every sublevel set below c
-    is therefore invariant and every trajectory in it converges to ``eq``
-    (Khalil, Nonlinear Systems, Sec. 8.2).
+    16x16 Kronecker solve), for Q = ``diag(1, 1, w_omega, w_delta) /
+    scales^2`` over the ``_BASIN_WEIGHTS`` grid.  The P kept has the largest
+    smallest half-extent ``sqrt(c* (P^-1)_ii)`` relative to the state
+    scales, where ``c* = (lam / (2 sum_k sqrt(P_kk) G_k))^2`` is the level
+    that per-axis bounds on the remainders give (``lam = min eig(P^-1 Q')``,
+    ``G_k`` the remainder coefficients).
 
-    Q is ``diag(1, 1, w_omega, w_delta) / scales^2`` over the
-    ``_BASIN_WEIGHTS`` grid; the P kept has the largest smallest half-extent
-    ``sqrt(c (P^-1)_ii)`` relative to the state scales.  Returns ``(P, c)``.
+    The level c of that P is proven one direction at a time.  With
+    ``P = L L^T``, ``x = L^-T z`` and so ``Px = L z``; along the model
+    ``dV/dt = -q(z) + 2 (Px)_0 r_0 + 2 (Px)_1 r_1``, with the quadratic
+    decay ``q(z) = z^T L^-1 Q' L^-T z``, ``Q' = -(A^T P + P A)``, and the
+    remainders ``r_0 = x_w x_iq + V/L_s s_0``, ``r_1 = -x_w x_id + V/L_s s_1``,
+    ``|s_0|, |s_1| <= x_delta^2 / 2`` (the other two equations are
+    linear).  So ``dV/dt <= -q(z) + K(z)`` with
+    ``K(z) = 2 |x_w ((Px)_0 x_iq - (Px)_1 x_id)|
+    + V/L_s x_delta^2 (|(Px)_0| + |(Px)_1|)``.  On the ray ``t z``, where
+    ``V = t^2 |z|^2``, q grows as t^2 and K as t^3, so V decreases while
+    ``t < q(z) / K(z)``, and ``c = (min over z of |z| q(z) / K(z))^2``
+    over the faces of the cube ``|z|_inf = 1``.  Every sublevel set below
+    c is therefore invariant and every trajectory in it converges to
+    ``eq`` (Khalil, Nonlinear Systems, Sec. 8.2).
+
+    ``_decay_ratio`` bounds that minimum from below by interval branch and
+    bound (Tucker, Validated Numerics, 2011), with every bound rounded
+    outward.  The float errors of A, Q' and of the float inverse of L
+    enter as explicit error bounds, and so does the float equilibrium's
+    residual, for ``V >= 1e-8 c*`` (``_proven_level``).  c is rounded down,
+    also by the rounding of the float test ``x^T P x < c``, and capped so
+    that the delta half-extent ``sqrt(c (P^-1)_33)`` is at most pi/2: the
+    copies of the set on neighbouring sheets stay apart.
+
+    Returns ``(P, c, boxes)``, with the number of boxes the proof bounded.
+    NumericalError when no positive level is proven.
     """
     if eq.classification is not Stability.STABLE:
         raise ValueError("a local basin needs a stable equilibrium")
@@ -304,12 +438,62 @@ def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
     G_1 = np.sqrt(P_inv[:, 2] * P_inv[:, 1]) + half_VL * P_inv[:, 3]
     G_2 = np.sqrt(P_inv[:, 2] * P_inv[:, 0]) + half_VL * P_inv[:, 3]
     S = np.sqrt(P[:, 0, 0]) * G_1 + np.sqrt(P[:, 1, 1]) * G_2
-    c = _BASIN_LEVEL_SHRINK * (np.maximum(lam, 0.0) / (2.0 * S)) ** 2
-    extent = np.min(np.sqrt(c[:, None] * P_inv) / scales, axis=1)
+    c_star = (np.maximum(lam, 0.0) / (2.0 * S)) ** 2
+    extent = np.min(np.sqrt(c_star[:, None] * P_inv) / scales, axis=1)
     best = int(np.argmax(extent))
     if not extent[best] > 0.0:
         raise NumericalError("no Lyapunov weight gives a proven local basin")
-    return P[best], float(c[best])
+    c, boxes = _proven_level(params, s, A, P[best], Q[best], L_inv[best], c_star[best])
+    return P[best], c, boxes
+
+
+def _proven_level(params, s, A, P, Q, T, c_star) -> tuple:
+    """The level c of ``local_basin`` for one P, and the boxes bounded.
+
+    ``T``, the float inverse of the Cholesky factor, stands for ``L^-1``:
+    ``x = T^T z`` exactly, ``Px = P T^T z`` within the rounding of
+    ``W = P T^T``, ``q(z) = z^T M z`` within the rounding of ``M = T Q' T^T``
+    and of A and Q', and ``V = z^T T P T^T z`` within ``eps |z|^2``.
+    """
+    # Error bounds: A against the exact Jacobian at the float equilibrium,
+    # Q' against -(A^T P + P A) for that Jacobian, then W, M and T P T^T.
+    A_err = _ROUND * np.abs(A)
+    A_err[1, 2] = _ROUND * (abs(s.i_d) + params.m_if / params.L_s)
+    aA, aP, aT = np.abs(A), np.abs(P), np.abs(T)
+    Q_err = A_err.T @ aP + aP @ A_err + _ROUND * (aA.T @ aP + aP @ aA)
+    W = P @ T.T
+    W_err = _ROUND * (aP @ aT.T)
+    M = T @ Q @ T.T
+    M_err = aT @ Q_err @ aT.T + _ROUND * (aT @ np.abs(Q) @ aT.T)
+    eps = _up(np.linalg.norm(T @ P @ T.T - np.eye(4))
+              + _ROUND * np.linalg.norm(aT @ aP @ aT.T))
+    VL = _up(params.V / params.L_s * (1.0 + _ROUND))
+
+    # The float equilibrium's residual f adds 2 (Px) . f, at most
+    # 2 |W| |z| |f|, which is at most m_f |z|^2 once V >= V_0.  Below V_0
+    # the set is too small to carry a state out of the exact point's basin.
+    p, a, w = params.R_s / params.L_s, params.m_if / params.L_s, s.omega
+    size = np.array([p * abs(s.i_d) + w * abs(s.i_q) + VL,
+                     w * abs(s.i_d) + p * abs(s.i_q) + a * w + VL,
+                     (params.m_if * abs(s.i_q) + params.D_p * w + params.T_m) / params.J,
+                     0.0])
+    f = np.linalg.norm(np.abs(full_rhs(params)(0.0, s.as_array().tolist()))
+                       + 8.0 * np.finfo(float).eps * size)
+    V_0 = 1e-8 * c_star
+    m_f = _up(2.0 * np.linalg.norm(aP @ aT.T + W_err) * f
+              / np.sqrt(V_0 / (1.0 + eps)) * (1.0 + _ROUND))
+
+    M_err = M_err + _ROUND * m_f * np.eye(4)
+    ratio, boxes = _decay_ratio(T, W, W_err, 0.5 * (M + M.T) - m_f * np.eye(4),
+                                M_err + M_err.T, VL)
+    cap = (0.5 * math.pi) ** 2 / _up(np.sum(T[:, 3] ** 2) * (1.0 + _ROUND))
+    # The float test x^T P x < c is off by at most 16 unit roundoffs of
+    # |x|^T |P| |x| <= |P| |T|^2 V / (1 - eps).
+    test = 16.0 * np.finfo(float).eps * np.linalg.norm(aP) * np.sum(T ** 2) / (1.0 - eps)
+    c = float(_down((1.0 - eps) * min(ratio * ratio, cap) * (1.0 - _ROUND - test)))
+    if not c > V_0:
+        raise NumericalError("no positive level of the local basin is proven")
+    return c, boxes
 
 
 def a0_closed_form(params: SgParameters, delta_e: float) -> float:

@@ -516,7 +516,7 @@ def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
 @lru_cache(maxsize=32)
 def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | None:
     try:
-        P, c = local_basin(params, point)
+        P, c, _ = local_basin(params, point)
     except NumericalError:
         return None
     return LocalBasin(point, P, c)

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import swingcert as sc
-from swingcert.core import TWO_PI, scaled_residual
+from swingcert import equilibria
+from swingcert.core import TWO_PI, NumericalError, scaled_residual
 from swingcert.equilibria import (
     Stability,
     char_poly,
@@ -13,6 +15,8 @@ from swingcert.equilibria import (
     quartic_eigenvalues,
     routh_hurwitz_unstable_count,
 )
+
+from basin_soundness import sampled_level, shell_rates, stable_point
 
 
 
@@ -198,11 +202,12 @@ def test_local_basin_decreases_lyapunov_function(design, request):
     params = request.getfixturevalue(design)
     stable = [pt for pt in sc.solve_equilibria(params)
               if pt.classification is Stability.STABLE][0]
-    P, c = local_basin(params, stable)
+    P, c, _ = local_basin(params, stable)
     assert c > 0.0
     assert np.allclose(P, P.T, rtol=0.0, atol=0.0)
     P_inv = np.linalg.inv(P)
-    assert math.sqrt(c * P_inv[3, 3]) < 0.1  # far below pi: sheets stay apart
+    # The library's cap, well short of the pi at which sheets would merge.
+    assert math.sqrt(c * P_inv[3, 3]) <= math.pi / 2
 
     rng = np.random.default_rng(2016)
     n = 10_000
@@ -221,6 +226,115 @@ def test_local_basin_decreases_lyapunov_function(design, request):
         dx[3] = math.remainder(dx[3], TWO_PI)
         rates.append(2.0 * float(dx @ P @ np.array(rhs(0.0, row))))
     assert max(rates) < 0.0
+
+
+def _drawn_design(index: int):
+    """A seeded design drawn as the certify-sweep benchmark draws them."""
+    rng = np.random.default_rng([2016, index])
+    spec = sc.NominalSpec(
+        P_n=500e3, V=6000.0 * math.sqrt(3.0), omega_g=100.0 * math.pi,
+        d_p=rng.uniform(1.0, 6.0), H_seconds=rng.uniform(1.0, 10.0),
+        L_drop_pct=rng.uniform(2.0, 6.0), R_drop_pct=rng.uniform(0.2, 1.0),
+        n=math.exp(rng.uniform(0.0, math.log(100.0))))
+    params = sc.size_parameters(spec)
+    return sc.apply_virtual_inductor(params, spec.n) if spec.n > 1.0 else params
+
+
+@functools.lru_cache(maxsize=None)
+def _proof(params):
+    point = stable_point(params)
+    return (point, *local_basin(params, point))
+
+
+SOUNDNESS_DESIGNS = ["params_n30", "params_rs216"] + [f"draw-{i}" for i in range(10)]
+
+
+def _design(name, request):
+    if name.startswith("draw-"):
+        return _drawn_design(int(name[5:]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("design", SOUNDNESS_DESIGNS)
+def test_local_basin_level_within_sampled_minimum(design, request):
+    # The proven level never exceeds min (q/K)^2 over 10**5 directions.  A
+    # second, independent sample finds a minimum within 10% of the first,
+    # so a level 1.1x above the sampled minimum would fail this check.
+    params = _design(design, request)
+    point, P, c, _ = _proof(params)
+    level = sampled_level(params, point, P, 100_000, seed=1)
+    assert 0.0 < c <= level
+    assert sampled_level(params, point, P, 100_000, seed=2) < 1.1 * level
+
+
+@pytest.mark.parametrize("design", SOUNDNESS_DESIGNS)
+def test_local_basin_shell_decreases(design, request):
+    # dV/dt from the exact model at 10**4 points of the shell 0.9c <= V <= c,
+    # delta on its own sheet and one to either side.
+    params = _design(design, request)
+    point, P, c, _ = _proof(params)
+    assert np.max(shell_rates(params, point, P, c, 10_000, seed=3)) < 0.0
+
+
+@pytest.mark.parametrize("design, ceiling", [("params_n30", 60_000),
+                                             ("params_rs216", 120_000)])
+def test_local_basin_proof_size(design, ceiling, request):
+    # The box count is deterministic: about four times what the proof takes
+    # now is a fixed ceiling on its cost.  The level reaches at least 80% of
+    # the sampled minimum, and the delta half-extent stays below the cap.
+    params = request.getfixturevalue(design)
+    point, P, c, boxes = _proof(params)
+    assert boxes <= ceiling
+    assert c >= 0.8 * sampled_level(params, point, P, 100_000, seed=1)
+    assert math.sqrt(c * np.linalg.inv(P)[3, 3]) < math.pi / 2
+
+
+def test_local_basin_tight_proof_meets_sampled_minimum(params_n30, monkeypatch):
+    # Settling boxes only within 1% of the best centre ratio brings the
+    # proven level to within 5% of the sampled minimum and never above it,
+    # so a remainder term left out of the proof would show.
+    monkeypatch.setattr(equilibria, "_BNB_SETTLE", 0.99)
+    point = stable_point(params_n30)
+    P, c, _ = local_basin(params_n30, point)
+    level = sampled_level(params_n30, point, P, 100_000, seed=1)
+    assert 0.95 * level <= c <= level
+
+
+@pytest.mark.parametrize("delta_weight", [0.0, 1.0])
+def test_decay_ratio_meets_sampled_minimum(delta_weight, params_n30):
+    # The branch and bound on the n=30 design's matrices, with the delta
+    # term of K at full weight and left out (so that the bilinear term
+    # alone sets the minimum), against min |u| q(u)/K(u) over 10**5
+    # directions: never above it, and within the settle share below it.
+    point, P, _, _ = _proof(params_n30)
+    A = sc.linearize(params_n30, point)
+    T = np.linalg.inv(np.linalg.cholesky(P))
+    W = P @ T.T
+    M = T @ -(A.T @ P + P @ A) @ T.T
+    M = 0.5 * (M + M.T)
+    VL = delta_weight * params_n30.V / params_n30.L_s
+    proven, _ = equilibria._decay_ratio(T, W, np.zeros((4, 4)), M, np.zeros((4, 4)), VL)
+
+    u = np.random.default_rng(7).standard_normal((100_000, 4))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    x, g = u @ T, u @ W.T
+    K = (2.0 * np.abs(x[:, 2] * (g[:, 0] * x[:, 1] - g[:, 1] * x[:, 0]))
+         + VL * x[:, 3] ** 2 * (np.abs(g[:, 0]) + np.abs(g[:, 1])))
+    sampled = float(np.min(np.einsum("ni,ij,nj->n", u, M, u) / K))
+    assert 0.9 * sampled <= proven <= sampled
+
+
+def test_local_basin_proof_stops_at_its_box_budget(params_n30, monkeypatch):
+    # A proof that would need more boxes settles the open ones at their
+    # lower bounds: a smaller level, or none, but never a larger one.
+    point, _, c, _ = _proof(params_n30)
+    monkeypatch.setattr(equilibria, "_BNB_MAX_BOXES", 6000)
+    _, c_small, boxes = local_basin(params_n30, point)
+    assert boxes <= 6000
+    assert 0.0 < c_small < c
+    monkeypatch.setattr(equilibria, "_BNB_MAX_BOXES", 1000)
+    with pytest.raises(NumericalError):
+        local_basin(params_n30, point)
 
 
 def test_local_basin_needs_stable_point(params_n30, equilibria_n30):

@@ -457,11 +457,13 @@ def test_verdict_serialisation(equilibria_n30):
 def test_undecided_reason_names_both_failed_tests(turns, power, failure, params_n30,
                                                   equilibria_n30):
     # delta falls by ``turns`` full turns over the first 0.8 s, at a rate
-    # growing with t**power, and then rests 0.2 rad above the stable angle.
+    # growing with t**power, and then rests 1.7 rad above the stable angle:
+    # beyond the basin's delta half-extent (at most pi/2) and short of the
+    # section level (about 1.9 rad above it).
     stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
     times = np.linspace(0.0, 1.0, 1001)
     fall = np.minimum(times / 0.8, 1.0) ** power
-    delta = stable.state.delta + 0.2 + TWO_PI * turns * (1.0 - fall)
+    delta = stable.state.delta + 1.7 + TWO_PI * turns * (1.0 - fall)
     states = np.column_stack([np.tile(stable.state.as_array()[:3], (len(times), 1)), delta])
     verdict = sc.detect_convergence(Trajectory(times=times, states=states), equilibria_n30,
                                     params=params_n30)
@@ -894,6 +896,19 @@ def test_import_generates_no_stage_function():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import swingcert, swingcert.cli; "
             "print(swingcert.simulator._stages_for.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+def test_import_builds_no_basin():
+    # The local basin is proven by the first run that needs it, so
+    # importing the package proves nothing.
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import swingcert, swingcert.cli; "
+            "print(swingcert.simulator._basin_of.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0"
