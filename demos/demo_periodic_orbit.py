@@ -5,7 +5,9 @@ drop 1% instead of 0.5% of phase rms) keeps a locally stable equilibrium
 but creates an attracting pole-slipping orbit: from a stalled start the
 rotor never synchronises, the power angle decreases monotonically and
 the currents oscillate with a period of about 0.16 s, with the rotor
-speed below the grid frequency throughout.
+speed below the grid frequency throughout.  The verdict comes from Newton
+on the return map of the Poincare section: the fixed point it finds, and
+the moduli of the return map's multipliers, all inside the unit circle.
 """
 
 import math
@@ -35,6 +37,12 @@ for label, initial in [
         print(f"  mean rotor speed on orbit = {verdict.mean_omega:.1f} rad/s "
               f"(grid: {params.omega_g:.1f})")
         print(f"  rotor slower than grid throughout: {verdict.omega_below_grid}")
+        i_d, i_q, omega = verdict.fixed_point
+        print(f"  fixed point on the section: i_d = {i_d:.2f} A, i_q = {i_q:.2f} A, "
+              f"omega = {omega:.2f} rad/s (found at crossing {verdict.crossing})")
+        print("  return-map multipliers |mu| = "
+              + ", ".join(f"{m:.3g}" for m in verdict.multipliers)
+              + f" (all < 1: attracting); residual {verdict.residual:.2g} error norms")
         tail = traj.times > 15.0
         print(f"  power angle drops {-(traj.column('delta')[-1] - traj.column('delta')[tail][0]) / (20.0 - 15.0) / (2 * math.pi):.2f} "
               f"turns per second in the tail")

@@ -5,9 +5,10 @@ per-step hook and an rhs-call budget, and one classifier that reads a run
 as a stream of segments (integrator steps or stored samples): converged
 to the stable equilibrium (modulo 2*pi, the integer sheet recorded),
 decided only by its proven local basin, which also ends basin runs early;
-periodic, on a fixed Poincare section of the power angle, on which
-slipping basin runs end once their crossings repeat; or undecided.  All
-operations are deterministic given their inputs and seeds.
+periodic, once Newton on the return map of a fixed Poincare section of
+the power angle finds an attracting fixed point that the run approaches,
+which ends slipping basin runs early; or undecided.  All operations are
+deterministic given their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -87,13 +88,27 @@ class ConvergedToEquilibrium:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """``t_decided`` is the section time at which an early-stopped run
-    passed the periodic test, None for a run classified at its horizon."""
+    """A run that approaches an attracting fixed point of the section's
+    return map (``Classifier``).
+
+    ``fixed_point`` is that point (i_d, i_q, omega), ``residual`` its
+    |P(x*) - x*| in the run's error norm and ``multipliers`` the moduli of
+    the eigenvalues of P's Jacobian, largest first; ``period``,
+    ``mean_omega`` and ``omega_below_grid`` (largest omega of the turn below
+    the grid's) come from the turn that verified it.  ``crossing`` is the
+    number of section crossings the run had made when it was decided, and
+    ``t_decided`` the time of that crossing in an early-stopped run, None
+    for a run classified at its horizon.
+    """
 
     period: float
     mean_omega: float
     omega_below_grid: bool
     t_decided: float | None = None
+    fixed_point: tuple | None = None
+    residual: float | None = None
+    multipliers: tuple | None = None
+    crossing: int | None = None
 
     kind = "periodic"
 
@@ -119,6 +134,10 @@ def verdict_to_dict(verdict) -> dict:
         out["mean_omega"] = verdict.mean_omega
         out["omega_below_grid"] = verdict.omega_below_grid
         out["t_decided"] = verdict.t_decided
+        out["fixed_point"] = verdict.fixed_point
+        out["residual"] = verdict.residual
+        out["multipliers"] = verdict.multipliers
+        out["crossing"] = verdict.crossing
     elif isinstance(verdict, Undecided):
         out["reason"] = verdict.reason
     return out
@@ -469,12 +488,6 @@ def simulate_ese(params: SgParameters, initial: SgState,
 
 # Classification ------------------------------------------------------------
 
-# Section-crossing agreement required of a periodic orbit (``_periodic_test``).
-PERIODIC_INTERVAL_TOL = 0.01
-PERIODIC_STATE_TOL = 0.02
-PERIODIC_MAX_CROSSINGS = 12
-
-
 class LocalBasin:
     """Membership test of the proven local basin ``x^T P x < c`` of a
     stable equilibrium (``equilibria.local_basin``), delta taken modulo
@@ -544,37 +557,6 @@ def _top_sheet(delta_s: float, delta0: float) -> int:
     return math.ceil((delta0 - delta_s) / TWO_PI) - 1
 
 
-def _periodic_test(times, states, lows, highs, omega_g: float, t_decided=None):
-    """The periodic test on consecutive section crossings.
-
-    ``times`` and ``states`` (i_d, i_q, omega) are the crossings, at most
-    ``PERIODIC_MAX_CROSSINGS``; ``lows``/``highs`` are the per-component
-    extrema of each turn between two of them.  PeriodicOrbit when the
-    crossing intervals agree within ``PERIODIC_INTERVAL_TOL`` and the
-    crossing states within ``PERIODIC_STATE_TOL`` of the orbit's own
-    excursion (omega can hover near zero on a stalled orbit); fewer than 3
-    crossings give Undecided.  Delta falls by 2*pi per turn and
-    d(delta)/dt = omega - omega_g, so the last turn's mean rotor speed is
-    omega_g - 2*pi / its length.
-    """
-    if len(times) < 3:
-        return Undecided(reason=f"{len(times)} section crossings, fewer than 3")
-    times = np.asarray(times, dtype=float)
-    intervals = np.diff(times)
-    period = float(np.mean(intervals))
-    if period <= 0 or np.any(np.abs(intervals - period) > PERIODIC_INTERVAL_TOL * period):
-        return Undecided(reason="section crossing intervals not repeating")
-    scales = np.maximum(1.0, np.max(np.asarray(highs, dtype=float), axis=0)
-                        - np.min(np.asarray(lows, dtype=float), axis=0))
-    states = np.asarray(states, dtype=float)
-    if float(np.max(np.abs(states - states[0]) / scales)) > PERIODIC_STATE_TOL:
-        return Undecided(reason="section states not repeating")
-    last_turn = float(times[-1] - times[-2])
-    return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / last_turn,
-                         omega_below_grid=bool(highs[-1][2] < omega_g),
-                         t_decided=t_decided)
-
-
 def _crossing(h, y_old, K, y, level):
     """Fraction of a segment at which delta falls to ``level``, and the
     (i_d, i_q, omega) there: on the step's DP5 interpolant when K holds its
@@ -586,14 +568,127 @@ def _crossing(h, y_old, K, y, level):
     return x, _step_state(h, y_old, K, x)[:3]
 
 
-def _widen(lo, hi, y):
-    """Stretch the running (i_d, i_q, omega) extrema ``lo``/``hi`` to ``y``."""
-    for c in range(3):
-        v = y[c]
-        if v < lo[c]:
-            lo[c] = v
-        elif v > hi[c]:
-            hi[c] = v
+# Newton on the return map of the section (``Classifier``, ``_attempt``).
+# An attempt starts at a crossing whose step from the crossing before is
+# shorter than the step before that and below ``_STEP_GATE`` of the
+# crossing state (in the run's error norm, times its rel_tol).  It spends
+# at most ``_NEWTON_TURNS`` turns after the three Jacobian turns, and a
+# fixed point is verified when its residual |P(x*) - x*| is at most
+# ``_RESIDUAL_NORMS`` error norms.  A turn that has not reached the next
+# level within ``_TURN_SLACK`` times the run's last crossing interval
+# misses it.
+_STEP_GATE = 0.05
+_NEWTON_TURNS = 6
+_RESIDUAL_NORMS = 10.0
+_TURN_SLACK = 2.0
+
+
+def _distance(u, v, x, rtol, atol) -> float:
+    """|u - v| in the integrator's error norm at x: the RMS of u - v scaled
+    by atol + rtol*|x|."""
+    return math.sqrt(sum(((a - b) / (atol + rtol * abs(c))) ** 2
+                         for a, b, c in zip(u, v, x)) / len(x))
+
+
+def _turn_fn(rhs, delta_s, rtol, atol, contains):
+    """``turn(x, t_max)``: the return map P of the section delta = delta_s at
+    x = (i_d, i_q, omega), one nested ``integrate`` of ``rhs`` from (x,
+    delta_s) until delta first falls to delta_s - 2*pi, located on the DP5
+    interpolant.  Returns (time, P(x), largest omega over the turn), or a
+    str naming why the turn failed: it entered the local basin
+    (``contains``, None without one), missed the level by ``t_max`` or
+    failed to integrate.
+    """
+    level = delta_s - TWO_PI
+
+    def turn(x, t_max):
+        found = []
+        top = x[2]
+
+        def stop(t, h, y_old, K, y):
+            nonlocal top
+            if contains is not None and contains(y):
+                found.append("entered the local basin")
+                return True
+            if y[3] > level:
+                if y[2] > top:
+                    top = y[2]
+                return False
+            frac, image = _crossing(h, y_old, K, y, level)
+            found.append((t + frac * h, image, max(top, image[2])))
+            return True
+
+        config = IntegratorConfig(rel_tol=rtol, abs_tol=atol, t_end=t_max, n_samples=2)
+        try:
+            integrate(rhs, [*x, delta_s], config, stop=stop)
+        except StiffnessError:
+            return "failed to integrate"
+        return found[0] if found else f"missed the next level within {t_max:.3g} s"
+
+    return turn
+
+
+def _attempt(turn, base, image, interval, rtol, atol):
+    """Newton on P(x) = x from the crossing ``base``, whose image P(base)
+    is ``image``, ``interval`` seconds later.
+
+    The Jacobian of P comes from forward differences of three turns (steps
+    of sqrt(rtol) relative) against ``image``.  Each Newton step on
+    F(x) = P(x) - x is one turn; a step whose turn fails or does not lower
+    the residual is halved, and an accepted one refines F' by Broyden's
+    update from its secant, so no further Jacobian turns are needed
+    (Dennis & Schnabel, *Numerical Methods for Unconstrained Optimization
+    and Nonlinear Equations*, Sec. 8.1).  Returns (x*, period, largest omega,
+    residual, multiplier moduli) for a fixed point whose residual is at
+    most ``_RESIDUAL_NORMS`` error norms, whose refined Jacobian's
+    multipliers are all inside the unit circle, and which ``image`` is
+    closer to than ``base`` is; the period and largest omega are those of
+    the turn from x*.  Otherwise a str naming the check that failed.
+    """
+    t_max = _TURN_SLACK * interval
+    slope = np.empty((3, 3))  # F'(base) = P'(base) - I
+    for j in range(3):
+        eps = math.sqrt(rtol) * max(abs(base[j]), 1.0)
+        x = list(base)
+        x[j] += eps
+        out = turn(x, t_max)
+        if isinstance(out, str):
+            return f"a Jacobian turn {out}"
+        slope[:, j] = [(a - b) / eps for a, b in zip(out[1], image)]
+        slope[j, j] -= 1.0
+    x, f = list(base), np.subtract(image, base)
+    residual = _distance(image, base, base, rtol, atol)
+    turns, why = 0, None
+    while True:  # at least one turn, from which the period is read
+        step = -np.linalg.solve(slope, f)
+        while True:
+            if turns == _NEWTON_TURNS:
+                return why or (f"return-map residual {residual:.3g} error norms after "
+                               f"{_NEWTON_TURNS} Newton turns, above {_RESIDUAL_NORMS:g}")
+            turns += 1
+            x_try = [a + b for a, b in zip(x, step.tolist())]
+            out = turn(x_try, t_max)
+            if isinstance(out, str):
+                why = f"a Newton turn {out}"
+            else:
+                f_try = np.subtract(out[1], x_try)
+                r_try = _distance(out[1], x_try, x_try, rtol, atol)
+                if r_try < residual or r_try <= _RESIDUAL_NORMS:
+                    break
+                why = f"no Newton convergence (residual {r_try:.3g} error norms)"
+            step = 0.5 * step
+        if step.any():  # base == image exactly gives a zero step
+            slope += np.outer(f_try - f - slope @ step, step) / (step @ step)
+        x, f, residual, verified, why = x_try, f_try, r_try, out, None
+        if residual <= _RESIDUAL_NORMS:
+            break
+    moduli = sorted(np.abs(np.linalg.eigvals(slope + np.eye(3))).tolist(), reverse=True)
+    if not moduli[0] < 1.0:
+        return f"return-map multiplier |mu| = {moduli[0]:.3g} >= 1"
+    if not _distance(image, x, x, rtol, atol) < _distance(base, x, x, rtol, atol):
+        return "section crossings not approaching the fixed point"
+    period, _, top = verified
+    return x, period, top, residual, moduli
 
 
 class Classifier:
@@ -606,43 +701,77 @@ class Classifier:
 
     1. the final state lies in the stable equilibrium's proven local basin
        (invariant and attracting, so no tolerance is involved);
-    2. the periodic test on the last ``PERIODIC_MAX_CROSSINGS`` crossings
-       of the Poincare section delta = ``section_angle(equilibria)`` (mod
-       2*pi), one per sheet, where delta first falls below a level below
-       delta0 and every earlier segment end, so a decaying oscillation
-       gives at most a few; each turn's extrema span its crossings and
-       segment ends;
-    3. Undecided, naming the basin outcome and the periodic failure.
+    2. a fixed point of the return map P: (i_d, i_q, omega) -> (i_d, i_q,
+       omega) of the Poincare section delta = ``section_angle(equilibria)``
+       (mod 2*pi), located by Newton (``_attempt``) and verified by a turn;
+    3. Undecided, naming the basin outcome and the check that failed last.
+
+    The crossings are where delta first falls below a level below delta0
+    and every earlier segment end, one per sheet, so a decaying
+    oscillation gives at most a few.  Once three crossings x_{k-2},
+    x_{k-1}, x_k are known and the step x_k - x_{k-1} has contracted
+    (shorter than the one before and below ``_STEP_GATE`` of the state),
+    an attempt runs Newton from x_{k-1}, whose image P(x_{k-1}) is x_k; a
+    stored trajectory's crossings are linear interpolants, so there a turn
+    recomputes that image.  Each turn is a nested run of ``rhs``
+    (``full_rhs(params)`` by default) at ``rel_tol``/``abs_tol``, the run's
+    own settings, from sheet 0.  A failed attempt leaves the run going and
+    the next contracted crossing tries again; the first fixed point found
+    is the verdict, decided at crossing number k.
 
     With ``stop``, ``segment`` ends the run once a segment end lies in the
-    local basin or the crossings pass the periodic test, and the verdict
+    local basin or an attempt finds the fixed point, and the verdict
     carries that time as ``t_decided``.  Memory stays bounded: the last
-    crossings and their turns' running extrema.  So does time: a segment
-    locates only about its last ``PERIODIC_MAX_CROSSINGS`` crossings, and
-    a power angle of magnitude 2**55 or more, where section levels a turn
-    apart coincide, raises ValueError as delta0 (at the first segment) and
-    StiffnessError at a segment end.
+    three crossings.  So does time: a segment locates at most its last
+    three crossings and makes at most one attempt, and a power angle of
+    magnitude 2**55 or more, where section levels a turn apart coincide,
+    raises ValueError as delta0 (at the first segment) and StiffnessError
+    at a segment end.
     """
 
-    def __init__(self, params: SgParameters, equilibria, delta0: float, stop: bool):
+    def __init__(self, params: SgParameters, equilibria, delta0: float, stop: bool,
+                 rhs=None, rel_tol: float = IntegratorConfig.rel_tol,
+                 abs_tol: float = IntegratorConfig.abs_tol):
         # The closures keep no reference to self, so a finished run's
         # state is freed at once rather than by the cycle collector.
         basin = stable_basin(params, equilibria)
         contains = basin.contains if stop and basin is not None else None
         omega_g = params.omega_g
         delta_s = section_angle(equilibria)
+        turn = _turn_fn(full_rhs(params) if rhs is None else rhs, delta_s, rel_tol, abs_tol,
+                        None if basin is None else basin.contains)
         # The top level is placed at the first segment, so a run whose first
         # step fails reports that failure rather than a bad delta0.
         sheet = level = None
-        times = deque(maxlen=PERIODIC_MAX_CROSSINGS)
-        states = deque(maxlen=PERIODIC_MAX_CROSSINGS)
-        lows = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
-        highs = deque(maxlen=PERIODIC_MAX_CROSSINGS - 1)
-        lo = hi = None  # extrema of the turn since the last crossing
+        times, states = deque(maxlen=3), deque(maxlen=3)
+        count = 0  # section crossings so far
+        found = None  # (crossing number, _attempt's fixed point) once one succeeds
+        failure = None  # why the last crossing gave no fixed point
         stopped = []  # the time at which the run was decided and stopped
 
+        def attempt(stored: bool) -> None:
+            nonlocal found, failure
+            (x0, x1, x2), interval = states, times[2] - times[1]
+            step = _distance(x2, x1, x2, rel_tol, abs_tol)
+            if not (step < _distance(x1, x0, x2, rel_tol, abs_tol)
+                    and step * rel_tol < _STEP_GATE):
+                failure = "steps not contracting"
+                return
+            image = x2
+            if stored:
+                out = turn(x1, _TURN_SLACK * interval)
+                if isinstance(out, str):
+                    failure = f"a turn from the crossing {out}"
+                    return
+                image = out[1]
+            out = _attempt(turn, x1, image, interval, rel_tol, abs_tol)
+            if isinstance(out, str):
+                failure = out
+            else:
+                found = (count, out)
+
         def segment(t, h, y_old, K, y) -> bool:
-            nonlocal sheet, level, lo, hi
+            nonlocal sheet, level, count
             if sheet is None:
                 sheet = _top_sheet(delta_s, delta0)
                 level = delta_s + TWO_PI * sheet
@@ -650,35 +779,30 @@ class Classifier:
                 stopped.append(t + h)
                 return True
             if y[3] > level:
-                if lo is not None:
-                    _widen(lo, hi, y)
                 return False
             if not math.ulp(y[3]) < TWO_PI:
                 raise StiffnessError(f"power angle {y[3]!r} at t={t + h!r} is too large "
                                      "to place section levels a turn apart", t=t + h,
                                      state=np.array(y, dtype=float))
-            # Only the last PERIODIC_MAX_CROSSINGS crossings are kept, so a
-            # segment that falls through more levels skips the earlier ones.
-            skip = int((level - y[3]) / TWO_PI) - PERIODIC_MAX_CROSSINGS - 1
+            # Only the last three crossings are kept, so a segment that
+            # falls through more levels skips the earlier ones.
+            skip = int((level - y[3]) / TWO_PI) - 4
             if skip > 0:
                 sheet -= skip
                 level = delta_s + TWO_PI * sheet
+                count += skip
             while y[3] <= level:
                 x, crossing = _crossing(h, y_old, K, y, level)
-                if lo is not None:
-                    _widen(lo, hi, crossing)
-                    lows.append(lo)
-                    highs.append(hi)
                 times.append(t + x * h)
                 states.append(crossing)
-                lo, hi = list(crossing), list(crossing)
+                count += 1
                 sheet -= 1
                 level = delta_s + TWO_PI * sheet
-            _widen(lo, hi, y)
-            if (stop and len(times) == PERIODIC_MAX_CROSSINGS and isinstance(
-                    _periodic_test(times, states, lows, highs, omega_g), PeriodicOrbit)):
-                stopped.append(times[-1])
-                return True
+            if found is None and len(times) == 3:
+                attempt(K is None)
+                if stop and found is not None:
+                    stopped.append(times[-1])
+                    return True
             return False
 
         def finish(y_final):
@@ -687,13 +811,19 @@ class Classifier:
                 turns = int(round((y_final[3] - basin.point.state.delta) / TWO_PI))
                 return ConvergedToEquilibrium(equilibrium=basin.point, sheet=turns,
                                               t_decided=t_decided)
-            periodic = _periodic_test(times, states, lows, highs, omega_g, t_decided)
-            if isinstance(periodic, PeriodicOrbit):
-                return periodic
+            if found is not None:
+                # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
+                crossing, (x, period, top, residual, moduli) = found
+                return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
+                                     omega_below_grid=bool(top < omega_g),
+                                     t_decided=t_decided, fixed_point=tuple(x),
+                                     residual=residual, multipliers=tuple(moduli),
+                                     crossing=crossing)
             outcome = ("no proven local basin" if basin is None else
                        "final state outside the proven local basin of the branch "
                        f"{basin.point.branch} equilibrium")
-            return Undecided(reason=f"{outcome}; {periodic.reason}")
+            return Undecided(reason=f"{outcome}; {count} section crossings, "
+                                    f"{failure or 'fewer than 3'}")
 
         self.segment = segment
         self.finish = finish
@@ -703,8 +833,10 @@ def detect_convergence(traj: Trajectory, equilibria, params: SgParameters, tol=N
     """Classify a stored full-model trajectory of the design ``params``
     (other integrators' solutions): the ``Classifier`` fed the
     intervals between its samples, up to the last.  A final state in the
-    proven local basin decides the run without reading the others.
-    ``tol`` is accepted and ignored: no verdict rests on a tolerance.
+    proven local basin decides the run without reading the others.  There
+    is no run rhs, so the return-map turns integrate ``full_rhs(params)``
+    at ``IntegratorConfig``'s default tolerances.  ``tol`` is accepted and
+    ignored: no verdict rests on a tolerance.
     """
     final = traj.states[-1].tolist()
     clf = Classifier(params, equilibria, float(traj.states[0, 3]), False)
@@ -789,8 +921,10 @@ def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
     """Full-model run of ``initial`` with its verdict: the run feeds the
     ``Classifier`` from its step hook (and with ``stop`` ends at its early
     verdict)."""
-    clf = Classifier(params, equilibria, initial.delta, stop)
-    traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
+    rhs = full_rhs(params)
+    clf = Classifier(params, equilibria, initial.delta, stop, rhs, config.rel_tol,
+                     config.abs_tol)
+    traj = integrate(rhs, initial.as_array(), config, stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())
     return traj
 
@@ -799,8 +933,9 @@ def classify_initial_state(params, initial, equilibria, config):
     """Simulate one initial state and classify the outcome.
 
     The ``Classifier`` reads each step of the run and stops it as soon as
-    it enters the proven local basin or its section crossings repeat; the
-    verdict then carries ``t_decided``.  A run that reaches
+    it enters the proven local basin or Newton on the section's return map
+    finds the attracting fixed point it approaches; the verdict then
+    carries ``t_decided``.  A run that reaches
     ``config.t_end`` is classified there.  No verdict reads the samples.
     """
     return _classified(params, initial, equilibria, config, stop=True).verdict
@@ -815,11 +950,11 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     which states are classified.  Each run (``classify_initial_state``,
     over ``t_end``, by default ``default_horizon``) stops when it enters
     the stable equilibrium's proven local basin, built at most once, or
-    when its section crossings repeat, and keeps only its two endpoint
-    samples.  ``decided_by`` counts the converged runs as "local_basin",
-    the only rule that decides them, and the periodic runs as "section"
-    when they stopped early and "horizon" otherwise, so its values sum to
-    n - undecided.
+    when the section's return map has a verified fixed point that it
+    approaches, and keeps only its two endpoint samples.  ``decided_by``
+    counts the converged runs as "local_basin", the only rule that
+    decides them, and the periodic runs as "section" when they stopped
+    early and "horizon" otherwise, so its values sum to n - undecided.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

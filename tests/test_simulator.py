@@ -289,22 +289,22 @@ def test_basin_tally_independent_of_order(params_rs216):
 
 
 def test_basin_decided_by_counts_every_decided_run(params_rs216):
-    # Over 2.5 s some slipping runs stop on the section and some are left
+    # Over 0.8 s some slipping runs stop on the section and some are left
     # undecided; every other run is counted by the rule that decided it.
-    stats = sc.basin_sample(params_rs216, n=12, seed=1, t_end=2.5)
+    stats = sc.basin_sample(params_rs216, n=12, seed=1, t_end=0.8)
     assert stats.undecided > 0 and stats.decided_by.get("section", 0) > 0
     assert sum(stats.decided_by.values()) == stats.n - stats.undecided
     assert set(stats.decided_by) <= {"local_basin", "section", "horizon"}
     assert stats.converged_unstable == 0
-    # A run that starts on the orbit repeats its fewer than 12 crossings
-    # within 1 s: periodic, decided at the horizon.
+    # A run that starts on the orbit finds its fixed point within 1 s:
+    # periodic, decided on the section.
     on_orbit = sc.simulate_full(params_rs216, sc.SgState(0.0, 0.0, 0.0, 0.0),
                                 IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=5.0,
                                                  n_samples=2)).final_state
     stats = sc.basin_sample(params_rs216, n=2, seed=0, box=[(v, v) for v in on_orbit],
                             t_end=1.0)
     assert stats.periodic == 2
-    assert stats.decided_by == {"horizon": 2}
+    assert stats.decided_by == {"section": 2}
 
 
 def test_basin_sample_rejects_bad_n(params_n30):
@@ -370,9 +370,8 @@ def test_periodic_verdict_equivariant_under_sheet_shift(params_rs216):
         traj = sc.simulate_full(params_rs216,
                                 sc.SgState(0.0, 0.0, 100.0, 0.5 + shift), config)
         verdicts.append(sc.detect_convergence(traj, eqs, params=params_rs216))
-    assert type(verdicts[0]) is type(verdicts[1])
-    if isinstance(verdicts[0], PeriodicOrbit):
-        assert abs(verdicts[0].period - verdicts[1].period) < 1e-6
+    assert type(verdicts[0]) is type(verdicts[1]) is PeriodicOrbit
+    assert abs(verdicts[0].period - verdicts[1].period) < 1e-6
 
 
 def test_energy_rate_bounded_along_trajectory(params_n30):
@@ -439,12 +438,17 @@ def test_verdict_serialisation(equilibria_n30):
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
                                       omega_below_grid=True))
     assert d == {"kind": "periodic", "period": 0.16, "mean_omega": 275.0,
-                 "omega_below_grid": True, "t_decided": None}
+                 "omega_below_grid": True, "t_decided": None, "fixed_point": None,
+                 "residual": None, "multipliers": None, "crossing": None}
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
-                                      omega_below_grid=True, t_decided=2.5))
+                                      omega_below_grid=True, t_decided=2.5,
+                                      fixed_point=(1.0, 2.0, 3.0), residual=0.5,
+                                      multipliers=(0.35, 0.01, 0.0), crossing=7))
     assert d["t_decided"] == 2.5
-    d = verdict_to_dict(Undecided(reason="section states not repeating"))
-    assert d == {"kind": "undecided", "reason": "section states not repeating"}
+    assert d["fixed_point"] == (1.0, 2.0, 3.0) and d["residual"] == 0.5
+    assert d["multipliers"] == (0.35, 0.01, 0.0) and d["crossing"] == 7
+    d = verdict_to_dict(Undecided(reason="4 section crossings, steps not contracting"))
+    assert d == {"kind": "undecided", "reason": "4 section crossings, steps not contracting"}
     unclassified = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 4)))
     assert verdict_to_dict(unclassified.verdict) == {"kind": "undecided",
                                                      "reason": "not classified"}
@@ -452,26 +456,51 @@ def test_verdict_serialisation(equilibria_n30):
 
 @pytest.mark.parametrize("turns, power, failure", [
     (2, 1, "2 section crossings, fewer than 3"),
-    (4, 2, "section crossing intervals not repeating"),
+    (4, 2, "4 section crossings, steps not contracting"),
 ])
 def test_undecided_reason_names_both_failed_tests(turns, power, failure, params_n30,
                                                   equilibria_n30):
     # delta falls by ``turns`` full turns over the first 0.8 s, at a rate
     # growing with t**power, and then rests 1.7 rad above the stable angle:
     # beyond the basin's delta half-extent (at most pi/2) and short of the
-    # section level (about 1.9 rad above it).
-    stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
-    times = np.linspace(0.0, 1.0, 1001)
-    fall = np.minimum(times / 0.8, 1.0) ** power
-    delta = stable.state.delta + 1.7 + TWO_PI * turns * (1.0 - fall)
-    states = np.column_stack([np.tile(stable.state.as_array()[:3], (len(times), 1)), delta])
-    verdict = sc.detect_convergence(Trajectory(times=times, states=states), equilibria_n30,
-                                    params=params_n30)
+    # section level (about 1.9 rad above it).  The other components stay
+    # put, so the crossing steps are zero and never contract.
+    verdict = sc.detect_convergence(_falling(equilibria_n30, turns, power, 0.0),
+                                    equilibria_n30, params=params_n30)
     assert isinstance(verdict, Undecided)
     basin, section = verdict.reason.split("; ")
     assert basin == ("final state outside the proven local basin "
-                     f"of the branch {stable.branch} equilibrium")
+                     f"of the branch {_stable(equilibria_n30).branch} equilibrium")
     assert section == failure
+
+
+def test_undecided_reason_names_the_failed_turn(params_n30, equilibria_n30):
+    # The same fall through six turns, with (i_d, i_q, omega) contracting
+    # onto the stable point's: the steps contract, so an attempt runs, but
+    # the stored crossings are no solution of the model, and the turn that
+    # recomputes the last one's image never reaches the next level.
+    verdict = sc.detect_convergence(_falling(equilibria_n30, 6, 1, 1.0), equilibria_n30,
+                                    params=params_n30)
+    assert isinstance(verdict, Undecided)
+    assert verdict.reason.split("; ")[1] == ("6 section crossings, a turn from the crossing "
+                                             "missed the next level within 0.267 s")
+
+
+def _stable(equilibria):
+    return [pt for pt in equilibria if pt.classification.value == "stable"][0]
+
+
+def _falling(equilibria, turns, power, offset):
+    """Stored 1 s trajectory whose delta falls by ``turns`` turns over the
+    first 0.8 s (rate growing with t**power) to rest 1.7 rad above the
+    stable angle, while (i_d, i_q, omega) decay onto the stable point's
+    from ``offset`` times (1, -1, 0.2) at the rate 6/s."""
+    stable = _stable(equilibria)
+    times = np.linspace(0.0, 1.0, 1001)
+    fall = np.minimum(times / 0.8, 1.0) ** power
+    delta = stable.state.delta + 1.7 + TWO_PI * turns * (1.0 - fall)
+    rest = stable.state.as_array()[:3] + offset * np.exp(-6.0 * times)[:, None] * [1.0, -1.0, 0.2]
+    return Trajectory(times=times, states=np.column_stack([rest, delta]))
 
 
 # Early stop in the proven local basin and the rhs-call budget --------------
@@ -673,6 +702,108 @@ def test_section_stop_verdicts_equal_full_horizon(params_rs216):
     assert periodic > 0
 
 
+# Period of the doubled-resistor orbit: the interval between consecutive
+# section crossings of the run from rest at t = 20 s, at rel_tol 1e-11.
+ORBIT_PERIOD_RS216 = 0.1593055
+
+
+def test_periodic_verdicts_locate_the_orbit(params_rs216):
+    # Each periodic verdict of a basin run comes from a verified fixed point
+    # of the return map, so its period is that of the orbit, not a mean of
+    # crossing intervals that are still settling.
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, n_samples=2,
+                              t_end=default_horizon(params_rs216, equilibria))
+    box = default_basin_box(params_rs216)
+    periodic = [v for v in (classify_initial_state(params_rs216, sample_initial_state(box, 7, i),
+                                                   equilibria, config) for i in range(40))
+                if isinstance(v, PeriodicOrbit)]
+    assert periodic
+    for v in periodic:
+        assert abs(v.period - ORBIT_PERIOD_RS216) <= 5e-4 * ORBIT_PERIOD_RS216
+        assert v.residual <= simulator._RESIDUAL_NORMS
+        assert len(v.multipliers) == 3 and max(v.multipliers) < 1.0
+        assert len(v.fixed_point) == 3 and v.fixed_point[2] < params_rs216.omega_g
+        assert v.crossing >= 3 and 0.0 < v.t_decided < config.t_end
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_converged_verdicts_independent_of_the_periodic_rule(design, request, monkeypatch):
+    # Turns are nested runs that leave the run's own steps alone, so a
+    # converged verdict, t_decided included, is the same bit for bit when
+    # no attempt ever finds a fixed point.
+    params = request.getfixturevalue(design)
+    equilibria = sc.solve_equilibria(params)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, n_samples=2,
+                              t_end=default_horizon(params, equilibria))
+    box = default_basin_box(params)
+    states = [sample_initial_state(box, 29, i) for i in range(30)]
+
+    def verdicts():
+        return [verdict_to_dict(classify_initial_state(params, s, equilibria, config))
+                for s in states]
+
+    with_rule = verdicts()
+    monkeypatch.setattr(simulator, "_attempt", lambda *args: "disabled")
+    without = verdicts()
+    converged = [k for k, v in enumerate(without) if v["kind"] == "converged"]
+    assert converged
+    assert repr([with_rule[k] for k in converged]) == repr([without[k] for k in converged])
+    assert all(with_rule[k]["kind"] == "periodic" for k in range(30) if k not in converged)
+
+
+def test_periodic_soundness_sweep_on_a_small_sample():
+    # The push-only CI sweep (tests/periodic_soundness.py) on the first
+    # state of each rotor-speed slice of seed 1.
+    from periodic_soundness import designs, full_horizon, violation
+
+    _, params, states = designs()[0]
+    equilibria = sc.solve_equilibria(params)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, n_samples=2,
+                              t_end=default_horizon(params, equilibria))
+    kinds = Counter()
+    for initial in states[:80:10]:
+        early = classify_initial_state(params, initial, equilibria, config)
+        assert violation(early, *full_horizon(params, equilibria, initial, config)) is None
+        kinds[early.kind] += 1
+    assert kinds["periodic"] > 0 and kinds["converged"] > 0
+
+
+def _affine_turn(A):
+    """A stand-in for a turn of 0.16 s: the return map x -> c + A (x - c)
+    around c = (1, 2, 3), or a turn that fails when A is a str."""
+    def turn(x, t_max):
+        if isinstance(A, str):
+            return A
+        y = np.add([1.0, 2.0, 3.0], np.dot(A, np.subtract(x, [1.0, 2.0, 3.0])))
+        return 0.16, y.tolist(), x[2]
+    return turn
+
+
+@pytest.mark.parametrize("A, failure", [
+    ("entered the local basin", "a Jacobian turn entered the local basin"),
+    (np.diag([1.5, 0.2, 0.1]), "return-map multiplier |mu| = 1.5 >= 1"),
+    # Multipliers 0.5 and 0.1, but a step that moves the crossing away first.
+    ([[0.5, 40.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.1]],
+     "section crossings not approaching the fixed point"),
+], ids=["turn", "multiplier", "approach"])
+def test_attempt_names_the_check_that_failed(A, failure):
+    base = [1.0, 2.1, 3.0]
+    turn = _affine_turn(A)
+    image = [1.0, 2.1, 3.0] if isinstance(A, str) else turn(base, 1.0)[1]
+    assert simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8) == failure
+
+
+def test_attempt_finds_the_fixed_point_of_a_contraction():
+    turn = _affine_turn(np.diag([0.3, 0.2, 0.1]))
+    base = [1.1, 2.1, 2.9]
+    x, period, top, residual, moduli = simulator._attempt(turn, base, turn(base, 1.0)[1],
+                                                          0.16, 1e-6, 1e-8)
+    assert x == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+    assert period == 0.16 and top == x[2] and residual <= simulator._RESIDUAL_NORMS
+    assert moduli == pytest.approx([0.3, 0.2, 0.1], abs=1e-6)
+
+
 def test_section_stop_verdict_independent_of_sampling(params_rs216):
     # The crossings come from the step interpolant, not from the samples.
     equilibria = sc.solve_equilibria(params_rs216)
@@ -735,54 +866,64 @@ def test_classifier_rejects_power_angles_without_distinct_levels(params_n30, equ
 
 
 def test_segment_through_many_levels_keeps_the_last_crossings(params_n30):
-    # One stored segment falls through about 1.6e11 section levels; only the
-    # last PERIODIC_MAX_CROSSINGS are located, evenly spaced by 2 pi / 1e12.
+    # One stored segment falls through 159,154,943,091 section levels
+    # (delta = -2 pi k down to -1e12); the count covers every one, but only
+    # the last three are located, so the call returns at once.  The segment
+    # is no solution of the model and its crossing states do not move, so
+    # the steps never contract and no attempt is made on it.
     verdict = sc.detect_convergence(_line(0.0, -1e12), [], params=params_n30)
-    assert isinstance(verdict, PeriodicOrbit)
-    assert verdict.period == pytest.approx(TWO_PI / 1e12, rel=1e-6)
+    assert isinstance(verdict, Undecided)
+    assert verdict.reason == ("no proven local basin; 159154943091 section crossings, "
+                              "steps not contracting")
 
 
 @pytest.mark.parametrize("as_array", [False, True])
 def test_section_crossings_located_on_interpolant(as_array, params_n30):
-    # delta(t) = delta0 - c t + a sin(c t) falls by 2 pi every 2 pi / c
-    # seconds, with the other components constant, so the section rule must
-    # stop at the 12th crossing of delta = 0 (mod 2 pi) with period 2 pi / c.
-    c, a, delta0 = TWO_PI / 0.16, 0.5, 1.0
+    # delta' = -c / (1 + b c cos delta) reaches delta at the time
+    # t(delta) = (delta0 - delta) / c + b (sin delta0 - sin delta), so it
+    # falls by 2 pi every 2 pi / c seconds, and (i_d, i_q, omega) decay onto
+    # (1, 2, 3) at the rates lam: the return map of delta = 0 (mod 2 pi) is
+    # linear, with fixed point (1, 2, 3) and multipliers exp(-lam 2 pi / c).
+    c, b, delta0 = TWO_PI / 0.16, 0.5 / (TWO_PI / 0.16), 1.0
+    centre, lam, y0 = np.array([1.0, 2.0, 3.0]), np.array([5.0, 10.0, 20.0]), \
+        [1.02, 1.98, 3.01, delta0]
 
     def rhs(t, y):
-        d = (0.0, 0.0, 0.0, -c + a * c * math.cos(c * t))
+        d = (*(-lam * (np.array(y[:3]) - centre)).tolist(),
+             -c / (1.0 + b * c * math.cos(y[3])))
         return np.array(d) if as_array else d
 
-    def delta(t):
-        return delta0 - c * t + a * math.sin(c * t)
-
-    def crossing(level):
-        lo, hi = 0.0, 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if delta(mid) > level:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+    def time_of(delta, start=delta0):  # from delta = start
+        return (start - delta) / c + b * (math.sin(start) - math.sin(delta))
 
     config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=5.0, n_samples=11)
     steps = []  # a hook that records each accepted step and never fires
-    integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=lambda *step: steps.append(step))
+    integrate(rhs, y0, config, stop=lambda *step: steps.append(step))
     for t, h, y_old, K, _ in steps[::50]:
         state = simulator._step_state(h, y_old, K, 0.3)
-        assert state[:3] == [1.0, 2.0, 3.0]
-        assert state[3] == pytest.approx(delta(t + 0.3 * h), abs=1e-6)
-    # No equilibria: the section is delta = 0 and there is no basin.
-    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, True)
-    traj = integrate(rhs, [1.0, 2.0, 3.0, delta0], config, stop=rule.segment)
+        # Against the solution through the step's start: delta within 1e-6
+        # rad, read as a time, and the decaying components within 1e-6.
+        assert time_of(state[3], y_old[3]) == pytest.approx(0.3 * h, abs=1e-6 / c)
+        assert state[:3] == pytest.approx(
+            centre + (np.array(y_old[:3]) - centre) * np.exp(-lam * 0.3 * h), abs=1e-6)
+    # No equilibria: the section is delta = 0 and there is no basin.  Its
+    # k-th crossing is the level -2 pi (k - 1).
+    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, True, rhs,
+                                config.rel_tol, config.abs_tol)
+    traj = integrate(rhs, y0, config, stop=rule.segment)
     assert traj.stopped
     verdict = rule.finish(traj.final_state.tolist())
-    expected = crossing(-TWO_PI * (simulator.PERIODIC_MAX_CROSSINGS - 1))
-    assert verdict.t_decided == pytest.approx(expected, abs=1e-9)
+    assert isinstance(verdict, PeriodicOrbit)
+    # The steps contract from the start and stay below 5% of the state, so
+    # the first attempt, at the third crossing, decides the run.
+    assert verdict.crossing == 3
+    assert verdict.t_decided == pytest.approx(time_of(-TWO_PI * 2), abs=1e-9)
     assert verdict.period == pytest.approx(0.16, rel=1e-9)
     assert verdict.mean_omega == pytest.approx(100.0 - c, abs=1e-6)
     assert verdict.omega_below_grid is True
+    assert verdict.fixed_point == pytest.approx(centre.tolist(), abs=1e-8)
+    assert verdict.residual <= simulator._RESIDUAL_NORMS
+    assert verdict.multipliers == pytest.approx(np.exp(-lam * 0.16).tolist(), rel=1e-4)
 
 
 # The generated stage function against the per-component formula --------------
