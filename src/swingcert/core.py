@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,32 +194,69 @@ def emf(theta: float, omega: float, m_if: float) -> np.ndarray:
     )
 
 
-def full_rhs(params: SgParameters):
-    """Right-hand side of the fourth-order model as a fast ``f(t, y)`` closure.
+class RhsSource(NamedTuple):
+    """An autonomous right-hand side ``f(t, y)`` as Python expression source.
 
-    ``y = (i_d, i_q, omega, delta)``.  The angle is reduced with IEEE
-    remainder before the trigonometric evaluation, which makes the closure
-    exactly 2*pi-periodic in delta.
+    ``state`` names the components of y and ``constants`` the design
+    constants; each evaluation runs the ``prelude`` assignments and then
+    one ``derivative`` expression per component.  Besides these names the
+    source reads only ``RHS_NAMESPACE``, and never the time.
     """
-    p = params.R_s / params.L_s
-    a = params.m_if / params.L_s
-    VL = params.V / params.L_s
-    mi_J = params.m_if / params.J
-    Dp_J = params.D_p / params.J
-    Tm_J = params.T_m / params.J
-    omega_g = params.omega_g
 
-    def rhs(t, y):
-        i_d, i_q, omega, delta = y
-        r = math.remainder(delta, TWO_PI)
-        s, c = math.sin(r), math.cos(r)
-        return (
-            -p * i_d + omega * i_q + VL * s,
-            -omega * i_d - p * i_q - a * omega + VL * c,
-            mi_J * i_q - Dp_J * omega + Tm_J,
-            omega - omega_g,
-        )
+    state: tuple
+    constants: tuple
+    prelude: tuple
+    derivative: tuple
 
+
+# The model's dynamics (module docstring) divided through by L_s and J, with
+# p = R_s/L_s, a = m_if/L_s, VL = V/L_s, mi_J = m_if/J, Dp_J = D_p/J and
+# Tm_J = T_m/J.  The angle is reduced with IEEE remainder before the
+# trigonometric evaluation, which makes the rhs exactly 2*pi-periodic in delta.
+FULL_MODEL = RhsSource(
+    state=("i_d", "i_q", "omega", "delta"),
+    constants=("p", "a", "VL", "mi_J", "Dp_J", "Tm_J", "omega_g"),
+    prelude=("r = remainder(delta, TWO_PI)", "s = sin(r)", "c = cos(r)"),
+    derivative=("-p * i_d + omega * i_q + VL * s",
+                "-omega * i_d - p * i_q - a * omega + VL * c",
+                "mi_J * i_q - Dp_J * omega + Tm_J",
+                "omega - omega_g"),
+)
+RHS_NAMESPACE = {"remainder": math.remainder, "sin": math.sin, "cos": math.cos,
+                 "TWO_PI": TWO_PI}
+
+
+def _rhs_factory(source: RhsSource):
+    """``make(*constants)``: the closure ``rhs(t, y)`` that ``source``
+    describes, for one set of constant values."""
+    lines = [f"def make({', '.join(source.constants)}):",
+             "    def rhs(t, y):",
+             f"        {', '.join(source.state)} = y",
+             *[f"        {line}" for line in source.prelude],
+             f"        return ({', '.join(source.derivative)})",
+             "    return rhs"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<full_rhs>", "exec"), dict(RHS_NAMESPACE), namespace)
+    return namespace["make"]
+
+
+_make_full_rhs = _rhs_factory(FULL_MODEL)
+
+
+def full_rhs(params: SgParameters):
+    """Right-hand side of the fourth-order model as a fast ``f(t, y)`` closure,
+    compiled from ``FULL_MODEL``.
+
+    ``y = (i_d, i_q, omega, delta)``; the derivative is a tuple of four
+    floats.  The closure carries its description as ``model_source`` and
+    the constant values as ``model_constants``, from which the integrator
+    inlines it into its Dormand-Prince stages.
+    """
+    constants = (params.R_s / params.L_s, params.m_if / params.L_s,
+                 params.V / params.L_s, params.m_if / params.J, params.D_p / params.J,
+                 params.T_m / params.J, params.omega_g)
+    rhs = _make_full_rhs(*constants)
+    rhs.model_source, rhs.model_constants = FULL_MODEL, constants
     return rhs
 
 

@@ -98,21 +98,28 @@ def linearize(params: SgParameters, eq: EquilibriumPoint | SgState) -> np.ndarra
     return _linearize_at(params, state)
 
 
+# The principal minors of a 4x4 matrix, one (rows, columns) index pair per
+# minor size k: A[rows, cols] stacks the C(4, k) k-by-k minors in the order
+# of itertools.combinations.
+_MINOR_INDEX = tuple((idx[:, :, None], idx[:, None, :])
+                     for idx in (np.array(list(combinations(range(4), k))) for k in (1, 2, 3, 4)))
+
+
 def char_poly(matrix) -> tuple:
     """Coefficients (a3, a2, a1, a0) of det(sI - A) = s^4 + a3 s^3 + ... + a0.
 
-    Computed from sums of principal minors, so a0 equals det(A) exactly as
-    evaluated by the same routine.
+    Computed from sums of principal minors, one ``det`` call per minor size
+    over the stacked minors, each sum taken in ``combinations`` order, so
+    a0 equals det(A) exactly as evaluated by the same routine.
     """
     A = np.asarray(matrix, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {A.shape}")
     minor_sums = []
-    for k in (1, 2, 3, 4):
+    for rows, cols in _MINOR_INDEX:
         total = 0.0
-        for idx in combinations(range(4), k):
-            sub = A[np.ix_(idx, idx)]
-            total += float(np.linalg.det(sub))
+        for det in np.linalg.det(A[rows, cols]).tolist():
+            total += det
         minor_sums.append(total)
     e1, e2, e3, e4 = minor_sums
     return (-e1, e2, -e3, e4)

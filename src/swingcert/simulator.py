@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     NumericalError,
     SgParameters,
+    RHS_NAMESPACE,
     SgState,
     TWO_PI,
     derive_constants,
@@ -211,7 +212,7 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 @lru_cache(maxsize=16)
-def _stages_for(n: int):
+def _stages_for(n: int, model=None):
     """The Dormand-Prince attempt ``stages(rhs, t, y, k1, h, rtol, atol)``
     for states of length ``n``, generated on first use and then cached.
 
@@ -221,8 +222,18 @@ def _stages_for(n: int):
     ``u + h*(A.k)``, the new state ``u + h*(B.k)`` and the error
     ``hypot(h*(E.k) / (atol + max(|u|, |v|)*rtol)) / sqrt(n)``, the sums
     running over the nonzero tableau entries in tableau order, so every
-    result rounds as the per-component formula does.  Each derivative is
-    unpacked into n names, so one of another length raises ValueError.
+    result rounds as the per-component formula does.  ``max`` and ``abs``
+    are spelled as conditional expressions, which can differ from the
+    builtins only in the sign of a zero or a NaN; ``atol + m*rtol`` and
+    ``hypot`` pass neither on, so the error is the same, NaN included.
+    Each derivative is unpacked into n names, so one of another length
+    raises ValueError.
+
+    With ``model``, the ``core.RhsSource`` of an rhs of n components, the
+    derivatives are not called for: the source's prelude and expressions
+    are written into the code at each stage's arguments, with the constant
+    values read from ``rhs.model_constants`` once per attempt.  Each value,
+    and each exception the rhs would raise, is the same as a call's.
     """
     names = "abcdefg"  # component i of k1..k7 is a{i}..g{i}
 
@@ -230,27 +241,44 @@ def _stages_for(n: int):
         return " + ".join(f"{row}{j + 1} * {names[j]}{i}"
                           for j, w in enumerate(weights) if w)
 
-    def state(row, weights):  # the list [u_i + h * (row . k)_i]
-        return "[" + ", ".join(f"u{i} + h * ({dot(row, weights, i)})"
-                               for i in range(n)) + "]"
+    def state(row, weights):  # the components u_i + h * (row . k)_i
+        return [f"u{i} + h * ({dot(row, weights, i)})" for i in range(n)]
 
     def unpack(var, letter):
         return "    [" + ", ".join(f"{letter}{i}" for i in range(n)) + "] = " + var
 
+    def derivative(s, at, args, var=None):  # k{s} = rhs(at, args), the list var if named
+        letter = names[s - 1]
+        if model is None:
+            return [f"    k{s} = rhs({at}, {var or '[' + ', '.join(args) + ']'})",
+                    unpack(f"k{s}", letter)]
+        return ([f"    {name} = {value}" for name, value in zip(model.state, args)]
+                + [f"    {line}" for line in model.prelude]
+                + [f"    {letter}{i} = {expr}" for i, expr in enumerate(model.derivative)]
+                + [f"    k{s} = ({', '.join(f'{letter}{i}' for i in range(n))},)"])
+
     lines = ["def stages(rhs, t, y, k1, h, rtol, atol):", unpack("y", "u"),
              unpack("k1", "a")]
+    if model is not None:
+        lines.append(f"    {', '.join(model.constants)} = rhs.model_constants")
     for s in range(2, 7):
-        at = "t + h" if _C[s - 1] == 1.0 else f"t + _C{s} * h"
-        lines += [f"    k{s} = rhs({at}, {state(f'_A{s}', _A[s - 1])})",
-                  unpack(f"k{s}", names[s - 1])]
-    errors = ", ".join(f"h * ({dot('_E', _E, i)}) / (atol + max(abs(u{i}), abs(v{i})) * rtol)"
-                       for i in range(n))
-    lines += [f"    y_new = {state('_B', _B)}", unpack("y_new", "v"),
-              "    k7 = rhs(t + h, y_new)", unpack("k7", "g"),
-              f"    err = math.hypot({errors}) / math.sqrt({n})",
+        lines += derivative(s, "t + h" if _C[s - 1] == 1.0 else f"t + _C{s} * h",
+                            state(f"_A{s}", _A[s - 1]))
+    v = [f"v{i}" for i in range(n)]
+    lines += [f"    {name} = {value}" for name, value in zip(v, state("_B", _B))]
+    lines += [f"    y_new = [{', '.join(v)}]", *derivative(7, "t + h", v, "y_new")]
+    # m{i} = |u{i}|, n{i} = |v{i}|, and max(m, n) = (n if n > m else m), as
+    # the builtin picks, NaN included.
+    for i in range(n):
+        lines += [f"    m{i} = u{i} if u{i} >= 0.0 else -u{i}",
+                  f"    n{i} = v{i} if v{i} >= 0.0 else -v{i}"]
+    errors = ", ".join(f"h * ({dot('_E', _E, i)}) / (atol + (n{i} if n{i} > m{i} else m{i})"
+                       " * rtol)" for i in range(n))
+    lines += [f"    err = math.hypot({errors}) / {math.sqrt(n)!r}",
               "    return y_new, (k1, k2, k3, k4, k5, k6, k7), err"]
     namespace = {}
-    exec(compile("\n".join(lines), f"<dopri5 stages, n={n}>", "exec"), globals(), namespace)
+    exec(compile("\n".join(lines), f"<dopri5 stages, n={n}>", "exec"),
+         {**globals(), **RHS_NAMESPACE}, namespace)
     return namespace["stages"]
 
 
@@ -341,8 +369,9 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     same error is raised when a step attempt would take the rhs calls past
     ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
     a domain error (ValueError) is rejected.  Every attempt runs the
-    straight-line stage function generated for the state's length
-    (``_stages_for``, looked up once per run, same arithmetic order).
+    straight-line stage function generated for the state's length and
+    the rhs's ``model_source``, if it carries one (``_stages_for``, looked
+    up once per run, same arithmetic order).
     Each sample is the DP5 interpolant (``_step_state``) of the first
     accepted step whose end is at or past it, evaluated when that step is
     taken and appended to one flat buffer.  ``rhs`` gets each state as a
@@ -374,7 +403,7 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     if len(f) != len(y):
         raise ValueError(f"rhs returned a derivative of length {len(f)} "
                          f"for a state of length {len(y)}")
-    stages = _stages_for(len(y))
+    stages = _stages_for(len(y), getattr(rhs, "model_source", None))
 
     n_samples = len(samples)
     out = array("d")  # the sampled states, row after row
@@ -462,6 +491,14 @@ def integrate(rhs, initial, config: IntegratorConfig,
     initial derivative of another length raises ValueError; a later one
     fails every step that meets it, so the run ends in StiffnessError with
     the last full-length state instead of being truncated.
+
+    An rhs that carries its model description (``model_source`` and
+    ``model_constants``, as a ``full_rhs`` closure does) is called only for
+    the initial derivative and the initial-step probe: the stage function
+    of that description has the model's expressions written in, with the
+    same values and domain errors as calls.  Any other callable, a wrapper
+    around such a closure included, is called at every stage, unless it
+    copies those attributes (as ``functools.wraps`` does).
     """
     y0 = np.asarray(initial, dtype=float)
     t_eval = np.linspace(0.0, config.t_end, config.n_samples)
@@ -576,11 +613,16 @@ def _crossing(h, y_old, K, y, level):
 # fixed point is verified when its residual |P(x*) - x*| is at most
 # ``_RESIDUAL_NORMS`` error norms.  A turn that has not reached the next
 # level within ``_TURN_SLACK`` times the run's last crossing interval
-# misses it.
+# misses it.  A fixed point farther than ``_REACH_STEPS`` crossing steps
+# |x_k - x_{k-1}| from the attempt's crossing x_{k-1} is rejected, since the
+# residual, measured at x*, shrinks as x* runs away: a return map that
+# contracts by a factor 0.99 or less has its fixed point within
+# 1/(1 - 0.99) = 100 steps, and the bundled orbits' lie within 1.9.
 _STEP_GATE = 0.05
 _NEWTON_TURNS = 6
 _RESIDUAL_NORMS = 10.0
 _TURN_SLACK = 2.0
+_REACH_STEPS = 100.0
 
 
 def _distance(u, v, x, rtol, atol) -> float:
@@ -640,10 +682,12 @@ def _attempt(turn, base, image, interval, rtol, atol):
     (Dennis & Schnabel, *Numerical Methods for Unconstrained Optimization
     and Nonlinear Equations*, Sec. 8.1).  Returns (x*, period, largest omega,
     residual, multiplier moduli) for a fixed point whose residual is at
-    most ``_RESIDUAL_NORMS`` error norms, whose refined Jacobian's
-    multipliers are all inside the unit circle, and which ``image`` is
-    closer to than ``base`` is; the period and largest omega are those of
-    the turn from x*.  Otherwise a str naming the check that failed.
+    most ``_RESIDUAL_NORMS`` error norms, which lies within ``_REACH_STEPS``
+    crossing steps |image - base| of ``base`` (both distances in the error
+    norm at ``base``), whose refined Jacobian's multipliers are all inside
+    the unit circle, and which ``image`` is closer to than ``base`` is; the
+    period and largest omega are those of the turn from x*.  Otherwise a
+    str naming the check that failed, in that order.
     """
     t_max = _TURN_SLACK * interval
     slope = np.empty((3, 3))  # F'(base) = P'(base) - I
@@ -682,6 +726,10 @@ def _attempt(turn, base, image, interval, rtol, atol):
         x, f, residual, verified, why = x_try, f_try, r_try, out, None
         if residual <= _RESIDUAL_NORMS:
             break
+    reach = _distance(x, base, base, rtol, atol)
+    if reach > _REACH_STEPS * _distance(image, base, base, rtol, atol):
+        return (f"fixed point {reach:.3g} error norms from the crossing, beyond "
+                f"{_REACH_STEPS:g} crossing steps")
     moduli = sorted(np.abs(np.linalg.eigvals(slope + np.eye(3))).tolist(), reverse=True)
     if not moduli[0] < 1.0:
         return f"return-map multiplier |mu| = {moduli[0]:.3g} >= 1"

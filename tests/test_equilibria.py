@@ -114,6 +114,32 @@ def test_char_poly_matches_numpy():
         assert np.max(np.abs(coeffs - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
+def _per_minor_char_poly(A):
+    """char_poly as one det call per principal minor, summed in
+    combinations order: the oracle for the batched minors."""
+    from itertools import combinations
+
+    sums = []
+    for k in (1, 2, 3, 4):
+        total = 0.0
+        for idx in combinations(range(4), k):
+            total += float(np.linalg.det(A[np.ix_(idx, idx)]))
+        sums.append(total)
+    return (-sums[0], sums[1], -sums[2], sums[3])
+
+
+def test_char_poly_equals_per_minor_loop_bit_for_bit(params_n1, params_n30, params_rs216,
+                                                      params_dp15):
+    rng = np.random.default_rng(23)
+    matrices = [rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-6, 6, size=(4, 4))
+                for _ in range(2000)]
+    matrices += [np.ones((4, 4)), np.diag([1.0, 0.0, -2.0, 3.0])]
+    for params in (params_n1, params_n30, params_rs216, params_dp15):
+        matrices += [sc.linearize(params, pt) for pt in sc.solve_equilibria(params)]
+    for A in matrices:
+        assert [c.hex() for c in char_poly(A)] == [c.hex() for c in _per_minor_char_poly(A)]
+
+
 def test_a0_sign_flips_between_branches(params_n30, equilibria_n30):
     a0_1 = equilibria_n30[0].char_coeffs[3]
     a0_2 = equilibria_n30[1].char_coeffs[3]

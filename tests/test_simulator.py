@@ -794,6 +794,21 @@ def test_attempt_names_the_check_that_failed(A, failure):
     assert simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8) == failure
 
 
+def test_attempt_rejects_a_fixed_point_far_from_the_crossing():
+    # P(x) = x + (0.1, 0, 0) has no fixed point.  Its Jacobian differences
+    # are rounding noise, so Newton jumps about 1e12 away, where a residual
+    # of 0.1 is a tiny share of the error norm; only the reach check, which
+    # runs first, rejects the point.
+    def turn(x, t_max):
+        return 0.16, [x[0] + 0.1, x[1], x[2]], x[2]
+
+    base = [1.0, 2.0, 3.0]
+    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8)
+    assert failure.startswith("fixed point ") and failure.endswith(
+        " error norms from the crossing, beyond 100 crossing steps")
+    assert float(failure.split()[2]) > 1e15
+
+
 def test_attempt_finds_the_fixed_point_of_a_contraction():
     turn = _affine_turn(np.diag([0.3, 0.2, 0.1]))
     base = [1.1, 2.1, 2.9]
@@ -1022,11 +1037,90 @@ def test_verdicts_equal_with_reference_stages(design, request, monkeypatch):
         return verdicts, simulator.cross_validate(params, states[0], t_end=2.0)
 
     generated = outputs()
-    monkeypatch.setattr(simulator, "_stages_for", lambda n: _reference_stages)
+    # The oracle replaces the inlined model stages as well as the called ones.
+    monkeypatch.setattr(simulator, "_stages_for", lambda n, model=None: _reference_stages)
     assert repr(outputs()) == repr(generated)
     kinds = Counter(v["kind"] for v in generated[0])
     assert kinds["converged"] > 0
     assert kinds["periodic"] > 0 or design == "params_n30"
+
+
+def _stage_outputs(stages, rhs, t, y, k1, h, rtol, atol):
+    """An attempt's outputs as bit patterns, or the exception it raised."""
+    try:
+        y_new, K, err = stages(rhs, t, y, k1, h, rtol, atol)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _hex(y_new), [_hex(k) for k in K], _hex([err])
+
+
+@pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
+def test_inlined_model_stages_match_reference_bit_for_bit(design, request):
+    # The model's expressions written into the stage code give every value,
+    # and every domain error, of the stages that call full_rhs.
+    rhs = sc.full_rhs(request.getfixturevalue(design))
+    stages = simulator._stages_for(4, rhs.model_source)
+    rng = np.random.default_rng([22, len(design)])
+    raised = non_finite = 0
+    for case in range(400):
+        # Ordinary states, states and steps large enough to overflow, and
+        # power angles that are huge, infinite or NaN, where remainder raises
+        # or the derivative is NaN.
+        kind = case % 5
+        scale = np.array([50.0, 50.0, 300.0, 3.0]) * (1.0, 1e150, 1.0, 1e300, 1.0)[kind]
+        y = (rng.normal(size=4) * scale).tolist()
+        if kind == 2:
+            y[3] = float(rng.choice([math.inf, -math.inf, math.nan]))
+        k1 = list(rhs(0.0, y)) if kind != 2 else (rng.normal(size=4) * 1e3).tolist()
+        if kind == 4:
+            k1[int(rng.integers(4))] = float(rng.choice([math.inf, -math.inf, math.nan]))
+        h = float(10.0 ** rng.uniform(-8, 0)) * (1e200 if kind == 3 else 1.0)
+        t = float(rng.uniform(0.0, 10.0))
+        rtol, atol = float(10.0 ** rng.uniform(-12, -3)), float(10.0 ** rng.uniform(-14, -6))
+        got = _stage_outputs(stages, rhs, t, y, k1, h, rtol, atol)
+        assert got == _stage_outputs(_reference_stages, rhs, t, y, k1, h, rtol, atol)
+        raised += got[0] is ValueError
+        non_finite += got[0] is not ValueError and not math.isfinite(float.fromhex(got[2][0]))
+    assert raised >= 50 and non_finite >= 30  # both failure kinds really ran
+
+
+@pytest.mark.parametrize("y0", [[5.0, -5.0, 320.0, 0.3], [0.0, 0.0, 0.0, 1e300],
+                                [1e100, 0.0, 0.0, 0.0], [0.0, 0.0, -1e10, 0.0]],
+                         ids=["basin", "huge-angle", "huge-current", "budget"])
+def test_inlined_run_equals_called_run(y0, params_n30, monkeypatch):
+    # A whole run on the inlined stages and one that calls the rhs through a
+    # counting wrapper end the same way: the same samples, or the same
+    # StiffnessError at the same time and state (the last two spend the
+    # rhs-call budget).  The wrapper carries no model description, so it is
+    # called for every stage derivative.
+    monkeypatch.setattr(simulator, "MAX_RHS_CALLS", 20_000)
+    real, asked, attempts = simulator._stages_for, [], [0]
+
+    def stages_for(n, model=None):
+        asked.append(model)
+        stages = real(n, model)
+
+        def counted(*args):
+            attempts[0] += 1
+            return stages(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulator, "_stages_for", stages_for)
+    rhs = sc.full_rhs(params_n30)
+    wrapped = _counted(rhs)
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=0.5, n_samples=51)
+    outcomes = []
+    for f in (rhs, wrapped):
+        attempts[0] = 0
+        try:
+            traj = integrate(f, y0, config)
+            outcomes.append((_hex(traj.times), [_hex(row) for row in traj.states]))
+        except StiffnessError as exc:
+            outcomes.append((str(exc), exc.t, _hex(exc.state)))
+    assert asked == [sc.core.FULL_MODEL, None]
+    assert outcomes[0] == outcomes[1]
+    assert wrapped.calls == 2 + (simulator._N_STAGES - 1) * attempts[0]
 
 
 def test_import_generates_no_stage_function():
