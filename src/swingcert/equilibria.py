@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -22,10 +23,12 @@ from .core import (
     ParameterError,
     SgParameters,
     SgState,
+    TWO_PI,
     derive_constants,
     full_rhs,
     scaled_residual,
 )
+from .interval import ROUND, down, face_minimum, linear, magnitude, product, quadratic, up
 
 # Unit-cosine clamp for the arccos argument at the |Lambda| = 1 boundary.
 _COS_CLAMP = 1e-12
@@ -255,126 +258,41 @@ def solve_equilibria(params: SgParameters) -> list:
 # each relative to the state's scale; every pair is tried in one pass.
 _BASIN_WEIGHTS = np.logspace(1.0, 7.0, 13)
 
-# Relative allowance added to every enclosure of the basin proof.  Each is
-# built by a few float sums and products of at most four terms, whose
-# rounding stays below 20 unit roundoffs (4.4e-15) of the magnitudes
-# involved, and a matrix known only to within rounding carries its own
-# error bound.
-_ROUND = 1e-12
-
-# A box of the branch and bound is settled once its lower bound on the
-# decay ratio is at least this share of the smallest ratio met at a box
-# centre.  The boxes still open are all settled, at their lower bounds,
-# after _BNB_GENERATIONS rounds of bisection or when the next round would
-# take the count past _BNB_MAX_BOXES; they are bounded _BNB_CHUNK at a time.
-_BNB_SETTLE = 0.95
-_BNB_GENERATIONS = 60
-_BNB_MAX_BOXES = 200_000
-_BNB_CHUNK = 1024
-
-
-def _up(v):
-    return np.nextafter(v, np.inf)
-
-
-def _down(v):
-    return np.nextafter(v, -np.inf)
-
-
-def _linear(mid, rad, A, err):
-    """Enclosure ``(centre, radius)`` of ``z -> A' z`` over the boxes
-    ``mid +- rad`` (one per row), for every A' within ``err`` of A."""
-    bound = np.abs(A) + err
-    centre = mid @ A.T
-    r = rad @ bound.T + np.abs(mid) @ err.T
-    return centre, _up(r + _ROUND * ((np.abs(mid) + rad) @ bound.T))
-
-
-def _quadratic(mid, rad, M, M_err):
-    """Enclosure ``(centre, radius)`` of ``z -> z^T M' z`` over the boxes
-    ``mid +- rad``, for every symmetric M' within ``M_err`` of the
-    symmetric M: ``z^T M' z = c^T M' c + 2 (M' c) . d + d^T M' d``."""
-    Mc = mid @ M.T
-    a = np.abs(mid)
-    bound = np.abs(M) + M_err
-    spread = np.sum(a * (a @ M_err.T) + 2.0 * rad * (np.abs(Mc) + a @ M_err.T)
-                    + rad * (rad @ bound.T), axis=1)
-    size = np.sum((a + rad) * ((a + rad) @ bound.T), axis=1)
-    return np.sum(mid * Mc, axis=1), _up(spread + _ROUND * size)
-
-
-def _product(a, b):
-    (ma, ra), (mb, rb) = a, b
-    centre = ma * mb
-    r = np.abs(ma) * rb + ra * (np.abs(mb) + rb)
-    return centre, _up(r + _ROUND * (np.abs(centre) + r))
-
-
-def _magnitude(a):
-    return _up(np.abs(a[0]) + a[1])
-
 
 def _decay_ratio(T, W, W_err, M, M_err, VL):
     """Lower bound on ``|z| q(z) / K(z)`` over the faces of ``|z|_inf = 1``,
-    by branch and bound, and the number of boxes bounded.
+    by ``interval.face_minimum``, and the number of boxes bounded.
 
     ``x = T^T z``, ``Px`` is within ``W_err`` of ``W z``, and
-    ``q(z) = z^T M' z`` for a symmetric M' within ``M_err`` of M.  Each
-    face box ``mid +- rad`` is bisected along its widest side until it is
-    settled.
+    ``q(z) = z^T M' z`` for a symmetric M' within ``M_err`` of M.
     """
     # (Px)_0 x_iq - (Px)_1 x_id as a quadratic form z^T H z.
     half = 0.5 * (np.outer(W[0], T[:, 1]) - np.outer(W[1], T[:, 0]))
     H = half + half.T
-    E = (np.outer(W_err[0] + _ROUND * np.abs(W[0]), np.abs(T[:, 1]))
-         + np.outer(W_err[1] + _ROUND * np.abs(W[1]), np.abs(T[:, 0])))
+    E = (np.outer(W_err[0] + ROUND * np.abs(W[0]), np.abs(T[:, 1]))
+         + np.outer(W_err[1] + ROUND * np.abs(W[1]), np.abs(T[:, 0])))
     H_err = E + E.T
     exact = np.zeros((4, 4))
 
     def bounds(mid, rad):
         """Lower bound on the ratio over each box, and its value at the centre."""
-        x, x_r = _linear(mid, rad, T.T, exact)
-        g, g_r = _linear(mid, rad, W, W_err)
-        q, q_r = _quadratic(mid, rad, M, M_err)
-        bilinear = _product((x[:, 2], x_r[:, 2]), _quadratic(mid, rad, H, H_err))
-        K = _up((2.0 * _magnitude(bilinear) + VL * _magnitude((x[:, 3], x_r[:, 3])) ** 2
-                 * (_magnitude((g[:, 0], g_r[:, 0])) + _magnitude((g[:, 1], g_r[:, 1]))))
-                * (1.0 + _ROUND))
+        x, x_r = linear(mid, rad, T.T, exact)
+        g, g_r = linear(mid, rad, W, W_err)
+        q, q_r = quadratic(mid, rad, M, M_err)
+        bilinear = product((x[:, 2], x_r[:, 2]), quadratic(mid, rad, H, H_err))
+        K = up((2.0 * magnitude(bilinear) + VL * magnitude((x[:, 3], x_r[:, 3])) ** 2
+                * (magnitude((g[:, 0], g_r[:, 0])) + magnitude((g[:, 1], g_r[:, 1]))))
+               * (1.0 + ROUND))
         near = np.sqrt(np.sum(np.maximum(np.abs(mid) - rad, 0.0) ** 2, axis=1))
-        q_low = _down(q - q_r)
+        q_low = down(q - q_r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            low = np.where(q_low > 0.0, _down(near * q_low / K * (1.0 - _ROUND)), 0.0)
+            low = np.where(q_low > 0.0, down(near * q_low / K * (1.0 - ROUND)), 0.0)
             at_centre = np.linalg.norm(mid, axis=1) * q / (
                 2.0 * np.abs(bilinear[0]) + VL * x[:, 3] ** 2
                 * (np.abs(g[:, 0]) + np.abs(g[:, 1])))
         return low, np.where(q > 0.0, at_centre, 0.0)
 
-    mid = np.zeros((8, 4))
-    mid[np.arange(8), np.arange(8) % 4] = np.repeat([1.0, -1.0], 4)
-    rad = 1.0 - np.abs(mid)
-    best = proven = np.inf
-    boxes = 0
-    for generation in range(_BNB_GENERATIONS):
-        boxes += len(mid)
-        low, at_centre = (np.concatenate(parts) for parts in zip(*(
-            bounds(mid[i:i + _BNB_CHUNK], rad[i:i + _BNB_CHUNK])
-            for i in range(0, len(mid), _BNB_CHUNK))))
-        best = min(best, float(np.min(at_centre)))
-        settled = low >= _BNB_SETTLE * best
-        if (generation == _BNB_GENERATIONS - 1
-                or boxes + 2 * np.count_nonzero(~settled) > _BNB_MAX_BOXES):
-            settled[:] = True
-        if settled.any():
-            proven = min(proven, float(np.min(low[settled])))
-        mid, rad = mid[~settled], rad[~settled]
-        if not len(mid):
-            break
-        rows, k = np.arange(len(mid)), np.argmax(rad, axis=1)
-        rad[rows, k] *= 0.5
-        step = np.zeros_like(mid)
-        step[rows, k] = rad[rows, k]
-        mid, rad = np.concatenate([mid - step, mid + step]), np.concatenate([rad, rad])
-    return proven, boxes
+    return face_minimum(bounds)
 
 
 def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
@@ -405,13 +323,13 @@ def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
     ``eq`` (Khalil, Nonlinear Systems, Sec. 8.2).
 
     ``_decay_ratio`` bounds that minimum from below by interval branch and
-    bound (Tucker, Validated Numerics, 2011), with every bound rounded
-    outward.  The float errors of A, Q' and of the float inverse of L
-    enter as explicit error bounds, and so does the float equilibrium's
-    residual, for ``V >= 1e-8 c*`` (``_proven_level``).  c is rounded down,
-    also by the rounding of the float test ``x^T P x < c``, and capped so
-    that the delta half-extent ``sqrt(c (P^-1)_33)`` is at most pi/2: the
-    copies of the set on neighbouring sheets stay apart.
+    bound (``swingcert.interval``), every bound rounded outward.  The float
+    errors of A, Q' and of the float inverse of L enter as explicit error
+    bounds, and so does the float equilibrium's residual, for ``V >= 1e-8
+    c*`` (``_proven_level``).  c is rounded down, also by the rounding of
+    ``LocalBasin.contains``, and capped so that the delta half-extent
+    ``sqrt(c (P^-1)_33)`` is at most pi/2: the copies of the set on
+    neighbouring sheets stay apart.
 
     Returns ``(P, c, boxes)``, with the number of boxes the proof bounded.
     NumericalError when no positive level is proven.
@@ -464,17 +382,17 @@ def _proven_level(params, s, A, P, Q, T, c_star) -> tuple:
     """
     # Error bounds: A against the exact Jacobian at the float equilibrium,
     # Q' against -(A^T P + P A) for that Jacobian, then W, M and T P T^T.
-    A_err = _ROUND * np.abs(A)
-    A_err[1, 2] = _ROUND * (abs(s.i_d) + params.m_if / params.L_s)
+    A_err = ROUND * np.abs(A)
+    A_err[1, 2] = ROUND * (abs(s.i_d) + params.m_if / params.L_s)
     aA, aP, aT = np.abs(A), np.abs(P), np.abs(T)
-    Q_err = A_err.T @ aP + aP @ A_err + _ROUND * (aA.T @ aP + aP @ aA)
+    Q_err = A_err.T @ aP + aP @ A_err + ROUND * (aA.T @ aP + aP @ aA)
     W = P @ T.T
-    W_err = _ROUND * (aP @ aT.T)
+    W_err = ROUND * (aP @ aT.T)
     M = T @ Q @ T.T
-    M_err = aT @ Q_err @ aT.T + _ROUND * (aT @ np.abs(Q) @ aT.T)
-    eps = _up(np.linalg.norm(T @ P @ T.T - np.eye(4))
-              + _ROUND * np.linalg.norm(aT @ aP @ aT.T))
-    VL = _up(params.V / params.L_s * (1.0 + _ROUND))
+    M_err = aT @ Q_err @ aT.T + ROUND * (aT @ np.abs(Q) @ aT.T)
+    eps = up(np.linalg.norm(T @ P @ T.T - np.eye(4))
+             + ROUND * np.linalg.norm(aT @ aP @ aT.T))
+    VL = up(params.V / params.L_s * (1.0 + ROUND))
 
     # The float equilibrium's residual f adds 2 (Px) . f, at most
     # 2 |W| |z| |f|, which is at most m_f |z|^2 once V >= V_0.  Below V_0
@@ -487,20 +405,68 @@ def _proven_level(params, s, A, P, Q, T, c_star) -> tuple:
     f = np.linalg.norm(np.abs(full_rhs(params)(0.0, s.as_array().tolist()))
                        + 8.0 * np.finfo(float).eps * size)
     V_0 = 1e-8 * c_star
-    m_f = _up(2.0 * np.linalg.norm(aP @ aT.T + W_err) * f
-              / np.sqrt(V_0 / (1.0 + eps)) * (1.0 + _ROUND))
+    m_f = up(2.0 * np.linalg.norm(aP @ aT.T + W_err) * f
+             / np.sqrt(V_0 / (1.0 + eps)) * (1.0 + ROUND))
 
-    M_err = M_err + _ROUND * m_f * np.eye(4)
+    M_err = M_err + ROUND * m_f * np.eye(4)
     ratio, boxes = _decay_ratio(T, W, W_err, 0.5 * (M + M.T) - m_f * np.eye(4),
                                 M_err + M_err.T, VL)
-    cap = (0.5 * math.pi) ** 2 / _up(np.sum(T[:, 3] ** 2) * (1.0 + _ROUND))
-    # The float test x^T P x < c is off by at most 16 unit roundoffs of
-    # |x|^T |P| |x| <= |P| |T|^2 V / (1 - eps).
+    cap = (0.5 * math.pi) ** 2 / up(np.sum(T[:, 3] ** 2) * (1.0 + ROUND))
+    # The float test x^T P x < c of LocalBasin.contains is off by at most 16
+    # unit roundoffs of |x|^T |P| |x| <= |P| |T|^2 V / (1 - eps).
     test = 16.0 * np.finfo(float).eps * np.linalg.norm(aP) * np.sum(T ** 2) / (1.0 - eps)
-    c = float(_down((1.0 - eps) * min(ratio * ratio, cap) * (1.0 - _ROUND - test)))
+    c = float(down((1.0 - eps) * min(ratio * ratio, cap) * (1.0 - ROUND - test)))
     if not c > V_0:
         raise NumericalError("no positive level of the local basin is proven")
     return c, boxes
+
+
+class LocalBasin:
+    """Membership test of the proven local basin ``x^T P x < c`` of a
+    stable equilibrium (``local_basin``), delta taken modulo 2*pi.
+    ``contains(y)`` takes a state as a sequence of four floats; the
+    rounding of its sum is what ``_proven_level`` charges to c.
+    """
+
+    def __init__(self, point: EquilibriumPoint, P: np.ndarray, c: float):
+        self.point = point
+        e0, e1, e2, e3 = point.state.as_array().tolist()
+        (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = \
+            P.tolist()
+        q01, q02, q03, q12, q13, q23 = (2.0 * v for v in (p01, p02, p03, p12, p13, p23))
+        remainder = math.remainder
+
+        def contains(y) -> bool:
+            a, b, w = y[0] - e0, y[1] - e1, y[2] - e2
+            d = remainder(y[3] - e3, TWO_PI)
+            return (a * (p00 * a + q01 * b + q02 * w + q03 * d)
+                    + b * (p11 * b + q12 * w + q13 * d)
+                    + w * (p22 * w + q23 * d) + p33 * d * d) < c
+
+        self.contains = contains
+
+
+def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
+    """The proven local basin of the stable equilibrium in ``equilibria``.
+
+    None when there is no stable equilibrium or no level can be proven;
+    no run is then classified as converged.  Each basin is
+    built once per (params, point) and then served from a cache, so asking
+    for it per trajectory costs a dictionary lookup.
+    """
+    for pt in equilibria:
+        if pt.classification is Stability.STABLE:
+            return _basin_of(params, pt)
+    return None
+
+
+@lru_cache(maxsize=32)
+def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | None:
+    try:
+        P, c, _ = local_basin(params, point)
+    except NumericalError:
+        return None
+    return LocalBasin(point, P, c)
 
 
 def a0_closed_form(params: SgParameters, delta_e: float) -> float:

@@ -30,7 +30,7 @@ from .core import (
     derive_constants,
     full_rhs,
 )
-from .equilibria import EquilibriumPoint, Stability, local_basin, solve_equilibria
+from .equilibria import EquilibriumPoint, Stability, solve_equilibria, stable_basin
 from .swing import delta_from_eta, ese_from_full, ese_rhs_fn
 
 FULL_COLUMNS = ("i_d", "i_q", "omega", "delta")
@@ -525,53 +525,6 @@ def simulate_ese(params: SgParameters, initial: SgState,
 
 # Classification ------------------------------------------------------------
 
-class LocalBasin:
-    """Membership test of the proven local basin ``x^T P x < c`` of a
-    stable equilibrium (``equilibria.local_basin``), delta taken modulo
-    2*pi.  ``contains(y)`` takes a state as a sequence of four floats.
-    """
-
-    def __init__(self, point: EquilibriumPoint, P: np.ndarray, c: float):
-        self.point = point
-        e0, e1, e2, e3 = point.state.as_array().tolist()
-        (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = \
-            P.tolist()
-        q01, q02, q03, q12, q13, q23 = (2.0 * v for v in (p01, p02, p03, p12, p13, p23))
-        remainder = math.remainder
-
-        def contains(y) -> bool:
-            a, b, w = y[0] - e0, y[1] - e1, y[2] - e2
-            d = remainder(y[3] - e3, TWO_PI)
-            return (a * (p00 * a + q01 * b + q02 * w + q03 * d)
-                    + b * (p11 * b + q12 * w + q13 * d)
-                    + w * (p22 * w + q23 * d) + p33 * d * d) < c
-
-        self.contains = contains
-
-
-def stable_basin(params: SgParameters, equilibria) -> LocalBasin | None:
-    """The proven local basin of the stable equilibrium in ``equilibria``.
-
-    None when there is no stable equilibrium or no level can be proven;
-    no run is then classified as converged.  Each basin is
-    built once per (params, point) and then served from a cache, so asking
-    for it per trajectory costs a dictionary lookup.
-    """
-    for pt in equilibria:
-        if pt.classification is Stability.STABLE:
-            return _basin_of(params, pt)
-    return None
-
-
-@lru_cache(maxsize=32)
-def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | None:
-    try:
-        P, c, _ = local_basin(params, point)
-    except NumericalError:
-        return None
-    return LocalBasin(point, P, c)
-
-
 def section_angle(equilibria) -> float:
     """delta_s of the Poincare section delta = delta_s (mod 2*pi): the angle
     of the first equilibrium in ``equilibria`` that is not stable (the
@@ -687,7 +640,8 @@ def _attempt(turn, base, image, interval, rtol, atol):
     norm at ``base``), whose refined Jacobian's multipliers are all inside
     the unit circle, and which ``image`` is closer to than ``base`` is; the
     period and largest omega are those of the turn from x*.  Otherwise a
-    str naming the check that failed, in that order.
+    str naming the check that failed, in that order; a singular F' fails
+    the attempt too.
     """
     t_max = _TURN_SLACK * interval
     slope = np.empty((3, 3))  # F'(base) = P'(base) - I
@@ -704,7 +658,10 @@ def _attempt(turn, base, image, interval, rtol, atol):
     residual = _distance(image, base, base, rtol, atol)
     turns, why = 0, None
     while True:  # at least one turn, from which the period is read
-        step = -np.linalg.solve(slope, f)
+        try:
+            step = -np.linalg.solve(slope, f)
+        except np.linalg.LinAlgError:
+            return "singular return-map Jacobian"
         while True:
             if turns == _NEWTON_TURNS:
                 return why or (f"return-map residual {residual:.3g} error norms after "

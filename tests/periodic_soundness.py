@@ -12,10 +12,12 @@ uses (``default_horizon``, rel_tol 1e-6, abs_tol 1e-8):
 A violation is an early verdict of another kind than the full one, an
 early periodic verdict that differs from the full one in anything but
 ``t_decided``, or a run called periodic whose full run enters the local
-basin before the horizon.  The runs are the doubled-resistor design's
-seeded states over eight equal slices of the default box's rotor speed,
-ten per slice, for seeds 1-5 and 917 (480 runs), and the weak-droop
-design from rest.  Exit 1 on any violation:
+basin before the horizon.  The runs are seeded states over eight equal
+slices of the default box's rotor speed: ten per slice for seeds 1-5 and
+917 on the doubled-resistor design (480 runs), and five per slice for
+seeds 1 and 917 on three more slipping designs (240 runs), whose orbits
+have other periods and multipliers; and the weak-droop design from rest.
+Exit 1 on any violation:
 
     PYTHONPATH=src python tests/periodic_soundness.py
 """
@@ -28,10 +30,30 @@ import sys
 
 import swingcert as sc
 from swingcert import simulator
+from swingcert.equilibria import stable_basin
 
 SEEDS = (1, 2, 3, 4, 5, 917)
 SLICES = 8
 PER_SLICE = 10
+
+# Further slipping variants of the nominal design, each run for these seeds
+# with this many states per slice.
+VARIANTS = (["R_drop_pct=1.5"], ["H_seconds=5", "R_drop_pct=1.0"],
+            ["L_drop_pct=3", "R_drop_pct=1.0"])
+VARIANT_SEEDS = (1, 917)
+VARIANT_PER_SLICE = 5
+
+
+def sliced_states(params, seeds, per_slice):
+    """Seeded states over the SLICES equal slices of the default box's
+    rotor speed, ``per_slice`` of each for every seed."""
+    box = simulator.default_basin_box(params)
+    lo, hi = box[2]
+    width = (hi - lo) / SLICES
+    return [simulator.sample_initial_state(
+                (box[0], box[1], (lo + k * width, lo + (k + 1) * width), box[3]),
+                seed * SLICES + k, i)
+            for seed in seeds for k in range(SLICES) for i in range(per_slice)]
 
 
 def designs():
@@ -41,19 +63,17 @@ def designs():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     nominal = os.path.join(root, "demos", "configs", "500kw_nominal.json")
     slip = cli.params_from_config(cli.load_config(nominal, ["R_drop_pct=1.0"]))
-    box = simulator.default_basin_box(slip)
-    lo, hi = box[2]
-    width = (hi - lo) / SLICES
-    states = [simulator.sample_initial_state(
-                  (box[0], box[1], (lo + k * width, lo + (k + 1) * width), box[3]),
-                  seed * SLICES + k, i)
-              for seed in SEEDS for k in range(SLICES) for i in range(PER_SLICE)]
     # Weak droop: D_p = 15 with the mechanical torque P_n / omega_g + D_p * omega_g.
     spec = cli.load_config(nominal, None)
     base = cli.params_from_config(spec)
     droop = base.replace(D_p=15.0, T_m=spec["P_n"] / base.omega_g + 15.0 * base.omega_g)
-    return [("500kw_nominal.json R_drop_pct=1.0", slip, states),
+    runs = [("500kw_nominal.json R_drop_pct=1.0", slip, sliced_states(slip, SEEDS, PER_SLICE)),
             ("500kw_nominal.json D_p=15 (weak droop)", droop, [sc.SgState(0.0, 0.0, 0.0, 0.0)])]
+    for sets in VARIANTS:
+        params = cli.params_from_config(cli.load_config(nominal, sets))
+        runs.append((f"500kw_nominal.json {' '.join(sets)}", params,
+                     sliced_states(params, VARIANT_SEEDS, VARIANT_PER_SLICE)))
+    return runs
 
 
 def full_horizon(params, equilibria, initial, config):
@@ -62,7 +82,7 @@ def full_horizon(params, equilibria, initial, config):
     rhs = sc.full_rhs(params)
     clf = simulator.Classifier(params, equilibria, initial.delta, False, rhs,
                                config.rel_tol, config.abs_tol)
-    basin = simulator.stable_basin(params, equilibria)
+    basin = stable_basin(params, equilibria)
     entered = []
 
     def step(t, h, y_old, K, y):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swingcert as sc
-from swingcert import equilibria
+from swingcert import equilibria, interval
 from swingcert.core import TWO_PI, NumericalError, scaled_residual
 from swingcert.equilibria import (
     Stability,
@@ -319,7 +319,7 @@ def test_local_basin_tight_proof_meets_sampled_minimum(params_n30, monkeypatch):
     # Settling boxes only within 1% of the best centre ratio brings the
     # proven level to within 5% of the sampled minimum and never above it,
     # so a remainder term left out of the proof would show.
-    monkeypatch.setattr(equilibria, "_BNB_SETTLE", 0.99)
+    monkeypatch.setattr(interval, "_BNB_SETTLE", 0.99)
     point = stable_point(params_n30)
     P, c, _ = local_basin(params_n30, point)
     level = sampled_level(params_n30, point, P, 100_000, seed=1)
@@ -354,11 +354,11 @@ def test_local_basin_proof_stops_at_its_box_budget(params_n30, monkeypatch):
     # A proof that would need more boxes settles the open ones at their
     # lower bounds: a smaller level, or none, but never a larger one.
     point, _, c, _ = _proof(params_n30)
-    monkeypatch.setattr(equilibria, "_BNB_MAX_BOXES", 6000)
+    monkeypatch.setattr(interval, "_BNB_MAX_BOXES", 6000)
     _, c_small, boxes = local_basin(params_n30, point)
     assert boxes <= 6000
     assert 0.0 < c_small < c
-    monkeypatch.setattr(equilibria, "_BNB_MAX_BOXES", 1000)
+    monkeypatch.setattr(interval, "_BNB_MAX_BOXES", 1000)
     with pytest.raises(NumericalError):
         local_basin(params_n30, point)
 

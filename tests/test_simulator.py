@@ -14,6 +14,7 @@ from scipy.linalg import expm
 import swingcert as sc
 from swingcert import simulator
 from swingcert.core import TWO_PI
+from swingcert.equilibria import stable_basin
 from swingcert.simulator import (
     ConvergedToEquilibrium,
     IntegratorConfig,
@@ -26,7 +27,6 @@ from swingcert.simulator import (
     default_horizon,
     integrate,
     sample_initial_state,
-    stable_basin,
     trajectory_csv,
     verdict_to_dict,
 )
@@ -809,6 +809,19 @@ def test_attempt_rejects_a_fixed_point_far_from_the_crossing():
     assert float(failure.split()[2]) > 1e15
 
 
+def test_attempt_reports_a_singular_jacobian():
+    # P(x) = x + (0.5, 0, 0) from the crossing (0, 0, 0): the difference
+    # turns give an F' = P' - I whose last two columns are exactly zero
+    # (the first holds only rounding), so F' is singular, and the attempt
+    # fails with a reason instead of raising, so the run goes on.
+    def turn(x, t_max):
+        return 0.16, [x[0] + 0.5, x[1], x[2]], x[2]
+
+    base = [0.0, 0.0, 0.0]
+    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8)
+    assert failure == "singular return-map Jacobian"
+
+
 def test_attempt_finds_the_fixed_point_of_a_contraction():
     turn = _affine_turn(np.diag([0.3, 0.2, 0.1]))
     base = [1.1, 2.1, 2.9]
@@ -1143,7 +1156,7 @@ def test_import_builds_no_basin():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import swingcert, swingcert.cli; "
-            "print(swingcert.simulator._basin_of.cache_info().currsize)")
+            "print(swingcert.equilibria._basin_of.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0"
