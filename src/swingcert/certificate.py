@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedConstants, SgParameters, derive_constants
+from .core import DerivedConstants, SgParameters, TWO_PI, derive_constants
 from .equilibria import Stability, solve_equilibria
 
 _HALF_PI = 0.5 * math.pi
-_TWO_PI = 2.0 * math.pi
 
 # Slack for floating-point comparisons on interval endpoints.
 _EDGE_EPS = 1e-9
@@ -152,13 +151,13 @@ def _pieces(omega_min, omega_max) -> tuple:
         (0.0, b1, omega_max, 0.0),
         (b1, b2, 0.0, _HALF_PI),
         (b2, b3, omega_min, 0.0),
-        (b3, _TWO_PI / omega_max, omega_max, 0.0),
+        (b3, TWO_PI / omega_max, omega_max, 0.0),
     )
     h = (
         (0.0, c1, omega_min, 0.0),
         (c1, c2, omega_max, 0.0),
         (c2, c3, 0.0, -_HALF_PI),
-        (c3, _TWO_PI / omega_min, omega_min, 0.0),
+        (c3, TWO_PI / omega_min, omega_min, 0.0),
     )
     return g, h
 

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-PARAM_KEYS = ("J", "D_p", "T_m", "m_if", "L_s", "R_s", "V", "omega_g")
 
 
 class ParameterError(ValueError):
@@ -49,6 +47,31 @@ def config_float(key: str, value) -> float:
         except (ValueError, OverflowError):
             pass
     raise ParameterError(f"value of {key!r} must be a number, got {value!r}")
+
+
+def record_from_dict(cls, data: dict, noun: str):
+    """The config record ``cls`` (a dataclass) read from ``data``: every key
+    must name a field and every field without a default must be present,
+    else ParameterError names the first offending key in sorted order as an
+    unknown or missing ``noun`` key; each value goes through
+    ``config_float``, in field order."""
+    names = [f.name for f in fields(cls)]
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ParameterError(f"unknown {noun} key {sorted(unknown)[0]!r}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    if missing:
+        raise ParameterError(f"missing {noun} key {sorted(missing)[0]!r}")
+    return cls(**{name: config_float(name, data[name]) for name in names if name in data})
+
+
+def require_positive(record, noun: str) -> None:
+    """Raise ParameterError naming the first field of the dataclass
+    ``record``, as ``noun`` 'name', that is not finite and > 0."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value) or value <= 0.0:
+            raise ParameterError(f"{noun} {f.name!r} must be finite and > 0, got {value!r}")
 
 
 def wrap_angle(angle):
@@ -80,28 +103,17 @@ class SgParameters:
     omega_g: float
 
     def __post_init__(self):
-        for name in PARAM_KEYS:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(
-                    f"parameter {name!r} must be finite and > 0, got {value!r}"
-                )
+        require_positive(self, "parameter")
 
     def replace(self, **changes) -> "SgParameters":
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in PARAM_KEYS}
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SgParameters":
-        unknown = set(data) - set(PARAM_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown parameter key {sorted(unknown)[0]!r}")
-        missing = set(PARAM_KEYS) - set(data)
-        if missing:
-            raise ParameterError(f"missing parameter key {sorted(missing)[0]!r}")
-        return cls(**{name: config_float(name, data[name]) for name in PARAM_KEYS})
+        return record_from_dict(cls, data, "parameter")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ then commands g = ((n-1) v + e) / n per phase.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, SgParameters, config_float
+from .core import ParameterError, SgParameters, record_from_dict, require_positive
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,7 @@ class NominalSpec:
     n: float = 1.0
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(
-                    f"spec field {name!r} must be finite and > 0, got {value!r}"
-                )
+        require_positive(self, "spec field")
         if self.n < 1.0:
             raise ParameterError(f"virtual-inductor factor n must be >= 1, got {self.n!r}")
 
@@ -66,13 +62,7 @@ class NominalSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NominalSpec":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ParameterError(f"unknown spec key {sorted(unknown)[0]!r}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
-        if missing:
-            raise ParameterError(f"missing spec key {sorted(missing)[0]!r}")
-        return cls(**{k: config_float(k, v) for k, v in data.items()})
+        return record_from_dict(cls, data, "spec")
 
 
 def _field_flux(V_rms: float, I_rms: float, omega_g: float, L_s: float) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +73,10 @@ class IntegratorConfig:
 
 # Verdicts ------------------------------------------------------------------
 
+# Each verdict type names its ``kind``, the ``BasinStatistics`` count it
+# adds to (``tally``) and the rule that decided it (``decided_by``, None
+# for an undecided run).
+
 @dataclass(frozen=True)
 class ConvergedToEquilibrium:
     """A run whose final state lies in the proven local basin of the stable
@@ -84,6 +88,7 @@ class ConvergedToEquilibrium:
     t_decided: float | None = None
 
     kind = "converged"
+    tally = "converged_stable"  # only the stable point has a proven basin
     decided_by = "local_basin"
 
 
@@ -99,7 +104,8 @@ class PeriodicOrbit:
     the grid's) come from the turn that verified it.  ``crossing`` is the
     number of section crossings the run had made when it was decided, and
     ``t_decided`` the time of that crossing in an early-stopped run, None
-    for a run classified at its horizon.
+    for a run classified at its horizon; ``decided_by`` tells the two
+    apart as "section" and "horizon".
     """
 
     period: float
@@ -112,6 +118,11 @@ class PeriodicOrbit:
     crossing: int | None = None
 
     kind = "periodic"
+    tally = "periodic"
+
+    @property
+    def decided_by(self) -> str:
+        return "horizon" if self.t_decided is None else "section"
 
 
 @dataclass(frozen=True)
@@ -119,28 +130,22 @@ class Undecided:
     reason: str
 
     kind = "undecided"
+    tally = "undecided"
+    decided_by = None
 
 
 def verdict_to_dict(verdict) -> dict:
+    """The verdict's ``kind`` and fields; a converged run's equilibrium is
+    given as its branch, angle and classification, with ``decided_by``."""
     out = {"kind": verdict.kind}
-    if isinstance(verdict, ConvergedToEquilibrium):
-        out["branch"] = verdict.equilibrium.branch
-        out["delta_e"] = verdict.equilibrium.state.delta
-        out["sheet"] = verdict.sheet
-        out["classification"] = verdict.equilibrium.classification.value
-        out["decided_by"] = verdict.decided_by
-        out["t_decided"] = verdict.t_decided
-    elif isinstance(verdict, PeriodicOrbit):
-        out["period"] = verdict.period
-        out["mean_omega"] = verdict.mean_omega
-        out["omega_below_grid"] = verdict.omega_below_grid
-        out["t_decided"] = verdict.t_decided
-        out["fixed_point"] = verdict.fixed_point
-        out["residual"] = verdict.residual
-        out["multipliers"] = verdict.multipliers
-        out["crossing"] = verdict.crossing
-    elif isinstance(verdict, Undecided):
-        out["reason"] = verdict.reason
+    for f in fields(verdict):
+        value = getattr(verdict, f.name)
+        if isinstance(value, EquilibriumPoint):
+            out.update(branch=value.branch, delta_e=value.state.delta,
+                       classification=value.classification.value,
+                       decided_by=verdict.decided_by)
+        else:
+            out[f.name] = value
     return out
 
 
@@ -359,35 +364,60 @@ def _delta_fraction(h, y_old, K, level) -> float:
     return hi
 
 
-def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
-    """Adaptive Dormand-Prince 5(4) from t=0 to t_eval[-1], sampled at t_eval.
+def integrate(rhs, initial, config: IntegratorConfig,
+              columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
+    """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end by adaptive
+    Dormand-Prince 5(4).
 
     Step control is scipy's RK45: RMS error norm scaled by
-    atol + max(|y|, |y_new|)*rtol, factors SAFETY/MIN/MAX with no growth
-    right after a rejection, and a floor of 10 ulp(t) on the step, below
-    which StiffnessError is raised with the last accepted (t, y).  The
-    same error is raised when a step attempt would take the rhs calls past
-    ``MAX_RHS_CALLS``.  A step whose arithmetic overflows or whose rhs raises
-    a domain error (ValueError) is rejected.  Every attempt runs the
-    straight-line stage function generated for the state's length and
-    the rhs's ``model_source``, if it carries one (``_stages_for``, looked
-    up once per run, same arithmetic order).
-    Each sample is the DP5 interpolant (``_step_state``) of the first
-    accepted step whose end is at or past it, evaluated when that step is
-    taken and appended to one flat buffer.  ``rhs`` gets each state as a
-    list of floats, and its initial derivative must have one component per
-    component of ``y0`` (else ValueError); a later derivative of another
-    length does not unpack, so its step is rejected like a domain error.
+    atol + max(|y|, |y_new|)*rtol, rtol raised to scipy's floor of 100 eps,
+    factors SAFETY/MIN/MAX with no growth right after a rejection, and a
+    floor of 10 ulp(t) on the step.  A step whose arithmetic overflows or
+    whose rhs raises a domain error (ValueError) is rejected.
 
-    ``stop(t, h, y_old, K, y)``, unless None, is read after each accepted
-    step from (t, y_old) to (t + h, y), K being its stage derivatives
-    (``_step_state`` evaluates the step's interpolant from them); when it
-    fires the run ends there, and the output is the samples before that
-    time followed by the stop time and state.  Returns
-    ``(times, states, stopped)``.
+    Samples are taken at ``config.n_samples`` uniform times on [0, t_end],
+    each on the DP5 interpolant (``_step_state``) of the accepted step that
+    covers it, evaluated as that step is taken and appended to one flat
+    buffer; the steps do not depend on the samples, so a time two sample
+    grids share gets the same row.
+
+    Raises StiffnessError, carrying the last accepted time and state, when
+    the step size falls below its floor or is NaN, including when the
+    derivative keeps coming back non-finite, overflowing or raising a
+    domain error, when the initial derivative overflows or raises one, and
+    when a step attempt would take the rhs calls past ``MAX_RHS_CALLS``.
+
+    ``stop(t, h, y_old, K, y)`` is an optional predicate on each accepted
+    step: from time t to t + h, from state y_old to y, with stage
+    derivatives K.  When it fires the run ends: the trajectory holds the
+    samples before that time and then the stop time and state, and
+    ``Trajectory.stopped`` is set.  Until it fires, the output and the rhs
+    calls do not depend on the hook existing.
+
+    ``rhs(t, y)`` always gets ``y`` as a list of floats, from the first
+    call ``rhs(0.0, y0)`` on, and may return any sequence of floats with
+    one component per state component, an ndarray included.  The stage
+    arithmetic runs on Python floats, in one straight-line stage function
+    per state length (``_stages_for``, looked up once per run); it sums
+    each component in tableau order, so every value rounds as
+    ``u + h*(A.k)`` does.  An initial derivative of another length raises
+    ValueError; a later one fails every step that meets it, so the run
+    ends in StiffnessError with the last full-length state instead of
+    being truncated.
+
+    An rhs that carries its model description (``model_source`` and
+    ``model_constants``, as a ``full_rhs`` closure does) is called only for
+    the initial derivative and the initial-step probe: the stage function
+    of that description has the model's expressions written in, with the
+    same values and domain errors as calls.  Any other callable, a wrapper
+    around such a closure included, is called at every stage, unless it
+    copies those attributes (as ``functools.wraps`` does).
     """
+    y0 = np.asarray(initial, dtype=float)
+    t_eval = np.linspace(0.0, config.t_end, config.n_samples)
     # scipy raises rtol to the same floor.
-    rtol = max(rtol, 100 * np.finfo(float).eps)
+    rtol = max(config.rel_tol, 100 * np.finfo(float).eps)
+    atol = config.abs_tol
     t_bound = float(t_eval[-1])
     samples = t_eval.tolist()
     y = y0.tolist()
@@ -457,53 +487,6 @@ def _dopri5(rhs, y0, t_eval, rtol, atol, stop):
     if stopped:
         times = np.append(times, t)
         states = np.vstack([states, np.asarray(y, dtype=float)])
-    return times, states, stopped
-
-
-def integrate(rhs, initial, config: IntegratorConfig,
-              columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
-    """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end.
-
-    Samples are taken at ``config.n_samples`` uniform times on [0, t_end],
-    each on the DP5 interpolant (``_step_state``) of the accepted step that
-    covers it, as that step is taken; the steps do not depend on the
-    samples, so a time two sample grids share gets the same row.
-
-    Raises StiffnessError, carrying the last accepted time and state, when
-    the integrator underflows its step size, including when the derivative
-    keeps coming back non-finite, overflowing or raising a domain error
-    (ValueError), and when the run would need more than ``MAX_RHS_CALLS``
-    rhs evaluations.
-
-    ``stop(t, h, y_old, K, y)`` is an optional predicate on each accepted
-    step: from time t to t + h, from state y_old to y, with stage
-    derivatives K.  When it fires the run ends: the trajectory holds the
-    samples before that time and then the stop time and state, and
-    ``Trajectory.stopped`` is set.  Until it fires, the output and the rhs
-    calls do not depend on the hook existing.
-
-    ``rhs(t, y)`` always gets ``y`` as a list of floats, from the first
-    call ``rhs(0.0, y0)`` on, and may return any sequence of floats with
-    one component per state component, an ndarray included.  The stage
-    arithmetic runs on Python floats, in one straight-line stage function
-    per state length, generated on its first run; it sums each component
-    in tableau order, so every value rounds as ``u + h*(A.k)`` does.  An
-    initial derivative of another length raises ValueError; a later one
-    fails every step that meets it, so the run ends in StiffnessError with
-    the last full-length state instead of being truncated.
-
-    An rhs that carries its model description (``model_source`` and
-    ``model_constants``, as a ``full_rhs`` closure does) is called only for
-    the initial derivative and the initial-step probe: the stage function
-    of that description has the model's expressions written in, with the
-    same values and domain errors as calls.  Any other callable, a wrapper
-    around such a closure included, is called at every stage, unless it
-    copies those attributes (as ``functools.wraps`` does).
-    """
-    y0 = np.asarray(initial, dtype=float)
-    t_eval = np.linspace(0.0, config.t_end, config.n_samples)
-    times, states, stopped = _dopri5(rhs, y0, t_eval, config.rel_tol,
-                                     config.abs_tol, stop)
     return Trajectory(times=times, states=states, columns=columns,
                       stopped=stopped)
 
@@ -899,16 +882,9 @@ class BasinStatistics:
     decided_by: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "converged_stable": self.converged_stable,
-            "converged_unstable": self.converged_unstable,
-            "periodic": self.periodic,
-            "undecided": self.undecided,
-            "exemplars": {k: list(v) for k, v in self.exemplars.items()},
-            "decided_by": dict(sorted(self.decided_by.items())),
-        }
+        out = asdict(self)
+        out["exemplars"] = {k: list(v) for k, v in self.exemplars.items()}
+        return out
 
 
 def sample_initial_state(box, seed: int, index: int) -> SgState:
@@ -956,10 +932,9 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     over ``t_end``, by default ``default_horizon``) stops when it enters
     the stable equilibrium's proven local basin, built at most once, or
     when the section's return map has a verified fixed point that it
-    approaches, and keeps only its two endpoint samples.  ``decided_by``
-    counts the converged runs as "local_basin", the only rule that
-    decides them, and the periodic runs as "section" when they stopped
-    early and "horizon" otherwise, so its values sum to n - undecided.
+    approaches, and keeps only its two endpoint samples.  Each verdict
+    adds to its ``tally`` count and to its ``decided_by`` count, which
+    every decided run has, so those counts sum to n - undecided.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -973,15 +948,7 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     for i in range(n):
         initial = sample_initial_state(box, seed, i)
         verdict = classify_initial_state(params, initial, equilibria, config)
-        decided_by = None
-        if isinstance(verdict, ConvergedToEquilibrium):
-            # Only the stable point has a proven basin.
-            key, decided_by = "converged_stable", verdict.decided_by
-        elif isinstance(verdict, PeriodicOrbit):
-            key = "periodic"
-            decided_by = "horizon" if verdict.t_decided is None else "section"
-        else:
-            key = "undecided"
+        key, decided_by = verdict.tally, verdict.decided_by
         setattr(stats, key, getattr(stats, key) + 1)
         if decided_by is not None:
             stats.decided_by[decided_by] = stats.decided_by.get(decided_by, 0) + 1

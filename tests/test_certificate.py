@@ -12,6 +12,7 @@ import swingcert as sc
 from swingcert.certificate import (
     DEFAULT_GRID_FLOOR,
     DEFAULT_GRID_POINTS,
+    REL_MARGIN_THRESHOLD,
     certificate_grid,
     envelope_g,
     envelope_h,
@@ -463,6 +464,22 @@ def test_check_certificate_fails_design_a_coarse_grid_would_pass(spec_500kw):
     assert failing.sum() == 268
     d_fail = report.d_grid[failing] / report.d_grid[-1]
     assert 8e-3 < d_fail.min() and d_fail.max() < 6e-2
+
+
+def test_check_certificate_refuses_a_margin_below_grid_resolution(spec_500kw):
+    # At n = 18.325 every grid point passes, but the relative margin is
+    # 6.43e-4, below REL_MARGIN_THRESHOLD, so the design is not certified
+    # and the report says why.
+    params = sc.apply_virtual_inductor(sc.size_parameters(spec_500kw), 18.325)
+    report = sc.check_certificate(params)
+    assert bool(np.all(report.nscr_values < report.d_grid))
+    assert bool(np.all(report.band_ok)) and report.hyperbolicity_ok
+    assert 0.0 < report.rel_margin < REL_MARGIN_THRESHOLD
+    assert report.rel_margin == pytest.approx(6.43e-4, abs=1e-6)
+    assert report.verdict == "not-certified"
+    assert report.notes == [
+        f"grid-resolution: relative margin {report.rel_margin:.3e} below threshold "
+        "1.0e-03; condition may fail between grid points"]
 
 
 @pytest.mark.parametrize("design", ["params_n1", "params_n30"])

@@ -114,6 +114,16 @@ def test_check_not_certified_exit_code(nominal_config, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "not-certified"
 
 
+def test_check_refuses_a_margin_below_grid_resolution(nominal_config, capsys):
+    # Every grid point passes, but the relative margin is below the threshold.
+    rc = cli.main(["check", "--config", nominal_config, "--set", "n=18.325"])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out.partition("d,nscr,")[0])
+    assert report["verdict"] == "not-certified" and report["band_ok_all"]
+    assert report["notes"] == ["grid-resolution: relative margin 6.428e-04 below threshold "
+                               "1.0e-03; condition may fail between grid points"]
+
+
 def test_check_fails_design_a_coarse_grid_would_pass(nominal_config, capsys):
     # Points for d in about [8.9e-3, 5.6e-2]*Gamma fail; a 2-point grid
     # steps over all of them.
@@ -263,6 +273,8 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["basin", "--t-end", "nan", "--samples", "1"], "t_end must be finite and > 0"),
     (["simulate", "--initial", "0,0,314,1e50", "--t-end", "1", "--samples", "3"],
      "too large to place section levels"),
+    (["simulate", "--initial", "0,0,x,0"], "--initial has a non-numeric component: '0,0,x,0'"),
+    (["check", "--set", "J"], "--set expects key=value, got 'J'"),
 ])
 def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
     rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",

@@ -454,6 +454,18 @@ def test_verdict_serialisation(equilibria_n30):
                                                      "reason": "not classified"}
 
 
+def test_verdict_types_carry_their_tally_and_rule(equilibria_n30):
+    stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
+    orbit = dict(period=0.16, mean_omega=275.0, omega_below_grid=True)
+    verdicts = [ConvergedToEquilibrium(stable, sheet=0), PeriodicOrbit(**orbit),
+                PeriodicOrbit(**orbit, t_decided=2.5), Undecided(reason="4 section crossings")]
+    assert [(v.tally, v.decided_by) for v in verdicts] == [
+        ("converged_stable", "local_basin"), ("periodic", "horizon"),
+        ("periodic", "section"), ("undecided", None)]
+    stats = simulator.BasinStatistics(n=len(verdicts), seed=0)
+    assert all(getattr(stats, v.tally) == 0 for v in verdicts)
+
+
 @pytest.mark.parametrize("turns, power, failure", [
     (2, 1, "2 section crossings, fewer than 3"),
     (4, 2, "4 section crossings, steps not contracting"),
@@ -830,6 +842,94 @@ def test_attempt_finds_the_fixed_point_of_a_contraction():
     assert x == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
     assert period == 0.16 and top == x[2] and residual <= simulator._RESIDUAL_NORMS
     assert moduli == pytest.approx([0.3, 0.2, 0.1], abs=1e-6)
+
+
+def _newton_turns(newton):
+    """A stand-in turn whose three Jacobian turns see the contraction
+    diag(0.3, 0.2, 0.1) around (1, 2, 3) and whose k-th Newton turn from x
+    returns ``newton(x, k)``; the states it was asked for are in the list."""
+    affine, seen = _affine_turn(np.diag([0.3, 0.2, 0.1])), []
+
+    def turn(x, t_max):
+        seen.append(list(x))
+        return affine(x, t_max) if len(seen) <= 3 else newton(x, len(seen) - 3)
+
+    return turn, seen
+
+
+def test_attempt_halves_the_step_of_a_failed_newton_turn():
+    # Every Newton turn fails, so each halves the step and the attempt ends
+    # after _NEWTON_TURNS of them, naming the last failure.
+    turn, seen = _newton_turns(lambda x, k: "missed the next level within 0.32 s")
+    base = [1.1, 2.1, 2.9]
+    image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    assert failure == "a Newton turn missed the next level within 0.32 s"
+    steps = [np.subtract(x, base) for x in seen[3:]]
+    assert len(steps) == simulator._NEWTON_TURNS
+    for k, step in enumerate(steps):
+        assert step == pytest.approx(0.5 ** k * steps[0], rel=1e-12)
+
+
+def test_attempt_reports_no_newton_convergence():
+    # The Newton turns land 1e3 off in i_d, a residual of about 5e8 error
+    # norms, above the crossing's, so no step is accepted however short.
+    turn, seen = _newton_turns(lambda x, k: (0.16, [x[0] + 1e3, x[1], x[2]], x[2]))
+    base = [1.1, 2.1, 2.9]
+    image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    assert failure.startswith("no Newton convergence (residual ")
+    assert failure.endswith(" error norms)") and float(failure.split()[4]) > 1e8
+    assert len(seen) == 3 + simulator._NEWTON_TURNS
+
+
+def test_attempt_reports_the_residual_after_the_last_newton_turn():
+    # Each Newton turn is accepted, since its residual halves, but after
+    # _NEWTON_TURNS of them it is still far above _RESIDUAL_NORMS.
+    base = [1.1, 2.1, 2.9]
+    image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
+    f0 = np.subtract(image, base)
+    turn, seen = _newton_turns(lambda x, k: (0.16, np.add(x, 0.5 ** k * f0).tolist(), x[2]))
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    assert failure.startswith("return-map residual ")
+    assert failure.endswith(" error norms after 6 Newton turns, above 10")
+    assert float(failure.split()[2]) > simulator._RESIDUAL_NORMS
+    assert len(seen) == 3 + simulator._NEWTON_TURNS
+
+
+def test_turn_stops_when_it_enters_the_local_basin(params_n30, equilibria_n30):
+    turn = simulator._turn_fn(sc.full_rhs(params_n30), simulator.section_angle(equilibria_n30),
+                              1e-6, 1e-8, lambda y: True)
+    assert turn([0.0, 0.0, 300.0], 1.0) == "entered the local basin"
+
+
+def test_turn_reports_a_run_that_fails_to_integrate():
+    def rhs(t, y):
+        raise ValueError("math domain error")
+
+    turn = simulator._turn_fn(rhs, 0.0, 1e-6, 1e-8, None)
+    assert turn([0.0, 0.0, 300.0], 1.0) == "failed to integrate"
+
+
+def test_no_proven_basin_leaves_every_run_undecided(params_n30, monkeypatch):
+    # A design of its own, so the cached basins of the others stay as they are.
+    params = params_n30.replace(J=1.01 * params_n30.J)
+    equilibria = sc.solve_equilibria(params)
+
+    def no_level(params, point):
+        raise sc.core.NumericalError("no positive level of the local basin is proven")
+
+    monkeypatch.setattr(sc.equilibria, "local_basin", no_level)
+    assert stable_basin(params, equilibria) is None
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=1.0, n_samples=2)
+    box = default_basin_box(params)
+    for i in range(2):
+        verdict = classify_initial_state(params, sample_initial_state(box, 0, i), equilibria,
+                                         config)
+        assert isinstance(verdict, Undecided)
+        assert verdict.reason.startswith("no proven local basin; ")
+    stats = sc.basin_sample(params, n=2, seed=0, t_end=1.0)
+    assert (stats.undecided, stats.decided_by) == (2, {})
 
 
 def test_section_stop_verdict_independent_of_sampling(params_rs216):
