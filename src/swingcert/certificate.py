@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedConstants, SgParameters, TWO_PI, derive_constants
+from .core import DerivedConstants, NumericalError, SgParameters, TWO_PI, derive_constants
 from .equilibria import Stability, solve_equilibria
 
 _HALF_PI = 0.5 * math.pi
@@ -326,9 +326,14 @@ def check_certificate(params: SgParameters) -> CertificateReport:
 
     Certified iff nscr(d) < d and the rate band applies at every grid
     point, all equilibria are hyperbolic, and the relative margin clears
-    ``REL_MARGIN_THRESHOLD``.
+    ``REL_MARGIN_THRESHOLD``.  A design whose own arithmetic takes alpha,
+    p*rho, V_r or Gamma out of (0, inf) raises NumericalError.
     """
     dc = derive_constants(params)
+    for name, value in (("alpha", dc.alpha), ("p*rho", dc.p * dc.rho), ("V_r", dc.V_r),
+                        ("Gamma", dc.Gamma)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise NumericalError(f"{name} = {value!r} is not finite and > 0")
     grid = certificate_grid(dc.Gamma)
     values, _, _, w_min, w_max, ok = _certificate_map(dc, grid)
 

@@ -244,12 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config value (repeatable)")
-        if out:
-            p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("design", help="size machine parameters from nominal ratings")
     common(p)

@@ -226,7 +226,7 @@ class RhsSource(NamedTuple):
 # Tm_J = T_m/J.  The angle is reduced with IEEE remainder before the
 # trigonometric evaluation, which makes the rhs exactly 2*pi-periodic in delta.
 FULL_MODEL = RhsSource(
-    state=("i_d", "i_q", "omega", "delta"),
+    state=tuple(f.name for f in fields(SgState)),
     constants=("p", "a", "VL", "mi_J", "Dp_J", "Tm_J", "omega_g"),
     prelude=("r = remainder(delta, TWO_PI)", "s = sin(r)", "c = cos(r)"),
     derivative=("-p * i_d + omega * i_q + VL * s",

@@ -132,9 +132,12 @@ def quartic_eigenvalues(coeffs) -> np.ndarray:
     """Roots of s^4 + a3 s^3 + a2 s^2 + a1 s + a0.
 
     Companion-matrix solve (np.roots) followed by one Newton polish per
-    root; sorted by (real, imag) for determinism.
+    root; sorted by (real, imag) for determinism.  A coefficient that is
+    not finite, or a failed solve, raises NumericalError.
     """
     a3, a2, a1, a0 = (float(c) for c in coeffs)
+    if not all(map(math.isfinite, (a3, a2, a1, a0))):
+        raise NumericalError(f"non-finite characteristic coefficients {(a3, a2, a1, a0)}")
     roots = np.roots([1.0, a3, a2, a1, a0])
     if len(roots) != 4 or not np.all(np.isfinite(roots)):
         raise NumericalError("companion-matrix eigenvalue solve failed")

@@ -31,10 +31,10 @@ from .core import (
     full_rhs,
 )
 from .equilibria import EquilibriumPoint, Stability, solve_equilibria, stable_basin
-from .swing import delta_from_eta, ese_from_full, ese_rhs_fn
+from .swing import EseState, delta_from_eta, ese_from_full, ese_rhs_fn
 
-FULL_COLUMNS = ("i_d", "i_q", "omega", "delta")
-ESE_COLUMNS = ("eta", "eta_dot", "w_re", "w_im")
+FULL_COLUMNS = tuple(f.name for f in fields(SgState))
+ESE_COLUMNS = tuple(f.name for f in fields(EseState))
 
 
 class StiffnessError(NumericalError):
@@ -207,14 +207,6 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 _N_STAGES = 7  # six stages plus the first-same-as-last derivative
 
-_C2, _C3, _C4, _C5 = _C[1:5]
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65) = _A[1:]
-_B1, _, _B3, _B4, _B5, _B6 = _B
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
-(_P10, _P11, _P12, _P13), _, (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43), \
-    (_P50, _P51, _P52, _P53), (_P60, _P61, _P62, _P63), (_P70, _P71, _P72, _P73) = _P_ROWS
-
 
 @lru_cache(maxsize=16)
 def _stages_for(n: int, model=None):
@@ -222,13 +214,11 @@ def _stages_for(n: int, model=None):
     for states of length ``n``, generated on first use and then cached.
 
     It returns the fifth-order state, the seven stage derivatives (the last
-    is rhs at the new state) and the RMS norm of the scaled error estimate.
-    The code is straight-line on named floats: each stage argument is
-    ``u + h*(A.k)``, the new state ``u + h*(B.k)`` and the error
-    ``hypot(h*(E.k) / (atol + max(|u|, |v|)*rtol)) / sqrt(n)``, the sums
-    running over the nonzero tableau entries in tableau order, so every
-    result rounds as the per-component formula does.  ``max`` and ``abs``
-    are spelled as conditional expressions, which can differ from the
+    is rhs at the new state) and the RMS norm of the scaled error estimate,
+    ``hypot(h*(E.k) / (atol + max(|u|, |v|)*rtol)) / sqrt(n)``, in
+    straight-line code on named floats with the tableau written in as
+    literals, rounding as ``integrate`` states.  ``max`` and ``abs`` are
+    spelled as conditional expressions, which can differ from the
     builtins only in the sign of a zero or a NaN; ``atol + m*rtol`` and
     ``hypot`` pass neither on, so the error is the same, NaN included.
     Each derivative is unpacked into n names, so one of another length
@@ -242,12 +232,11 @@ def _stages_for(n: int, model=None):
     """
     names = "abcdefg"  # component i of k1..k7 is a{i}..g{i}
 
-    def dot(row, weights, i):  # "_A31 * a0 + _A32 * b0" for row "_A3", i = 0
-        return " + ".join(f"{row}{j + 1} * {names[j]}{i}"
-                          for j, w in enumerate(weights) if w)
+    def dot(weights, i):  # "0.075 * a0 + 0.225 * b0" for the weights of k3, i = 0
+        return " + ".join(f"{w!r} * {names[j]}{i}" for j, w in enumerate(weights) if w)
 
-    def state(row, weights):  # the components u_i + h * (row . k)_i
-        return [f"u{i} + h * ({dot(row, weights, i)})" for i in range(n)]
+    def state(weights):  # the components u_i + h * (weights . k)_i
+        return [f"u{i} + h * ({dot(weights, i)})" for i in range(n)]
 
     def unpack(var, letter):
         return "    [" + ", ".join(f"{letter}{i}" for i in range(n)) + "] = " + var
@@ -267,23 +256,23 @@ def _stages_for(n: int, model=None):
     if model is not None:
         lines.append(f"    {', '.join(model.constants)} = rhs.model_constants")
     for s in range(2, 7):
-        lines += derivative(s, "t + h" if _C[s - 1] == 1.0 else f"t + _C{s} * h",
-                            state(f"_A{s}", _A[s - 1]))
+        lines += derivative(s, "t + h" if _C[s - 1] == 1.0 else f"t + {_C[s - 1]!r} * h",
+                            state(_A[s - 1]))
     v = [f"v{i}" for i in range(n)]
-    lines += [f"    {name} = {value}" for name, value in zip(v, state("_B", _B))]
+    lines += [f"    {name} = {value}" for name, value in zip(v, state(_B))]
     lines += [f"    y_new = [{', '.join(v)}]", *derivative(7, "t + h", v, "y_new")]
     # m{i} = |u{i}|, n{i} = |v{i}|, and max(m, n) = (n if n > m else m), as
     # the builtin picks, NaN included.
     for i in range(n):
         lines += [f"    m{i} = u{i} if u{i} >= 0.0 else -u{i}",
                   f"    n{i} = v{i} if v{i} >= 0.0 else -v{i}"]
-    errors = ", ".join(f"h * ({dot('_E', _E, i)}) / (atol + (n{i} if n{i} > m{i} else m{i})"
+    errors = ", ".join(f"h * ({dot(_E, i)}) / (atol + (n{i} if n{i} > m{i} else m{i})"
                        " * rtol)" for i in range(n))
     lines += [f"    err = math.hypot({errors}) / {math.sqrt(n)!r}",
               "    return y_new, (k1, k2, k3, k4, k5, k6, k7), err"]
     namespace = {}
     exec(compile("\n".join(lines), f"<dopri5 stages, n={n}>", "exec"),
-         {**globals(), **RHS_NAMESPACE}, namespace)
+         {"math": math, **RHS_NAMESPACE}, namespace)
     return namespace["stages"]
 
 
@@ -317,17 +306,15 @@ def _initial_step(rhs, y0, f0, t_bound, rtol, atol) -> float:
 
 def _step_state(h, y_old, K, x):
     """An accepted step's DP5 interpolant at fraction ``x`` of the step, on
-    Python floats.  The second stage has no weight and is skipped."""
-    k1, _, k3, k4, k5, k6, k7 = K
+    Python floats: u + (w1*k1 + w3*k3 + ... + w7*k7), summed in stage
+    order, with w_j = h*x*(P_j0 + x*(P_j1 + x*(P_j2 + x*P_j3))) from row j
+    of ``_P_ROWS``.  The second stage has no weight (its row is zero) and
+    is skipped."""
     hx = h * x
-    w1 = hx * (_P10 + x * (_P11 + x * (_P12 + x * _P13)))
-    w3 = hx * (_P30 + x * (_P31 + x * (_P32 + x * _P33)))
-    w4 = hx * (_P40 + x * (_P41 + x * (_P42 + x * _P43)))
-    w5 = hx * (_P50 + x * (_P51 + x * (_P52 + x * _P53)))
-    w6 = hx * (_P60 + x * (_P61 + x * (_P62 + x * _P63)))
-    w7 = hx * (_P70 + x * (_P71 + x * (_P72 + x * _P73)))
+    w1, _, w3, w4, w5, w6, w7 = [hx * (p0 + x * (p1 + x * (p2 + x * p3)))
+                                 for p0, p1, p2, p3 in _P_ROWS]
     return [u + (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
-            for u, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
+            for u, a, _, c, d, e, f, g in zip(y_old, *K)]
 
 
 def _delta_fraction(h, y_old, K, level) -> float:
@@ -398,11 +385,14 @@ def integrate(rhs, initial, config: IntegratorConfig,
     call ``rhs(0.0, y0)`` on, and may return any sequence of floats with
     one component per state component, an ndarray included.  The stage
     arithmetic runs on Python floats, in one straight-line stage function
-    per state length (``_stages_for``, looked up once per run); it sums
-    each component in tableau order, so every value rounds as
-    ``u + h*(A.k)`` does.  An initial derivative of another length raises
-    ValueError; a later one fails every step that meets it, so the run
-    ends in StiffnessError with the last full-length state instead of
+    per state length (``_stages_for``, looked up once per run) with the
+    tableau's nonzero coefficients written in as literals.  Each stage
+    argument is ``u + h*(A.k)``, the new state ``u + h*(B.k)`` and the
+    error estimate ``h*(E.k)``, every dot product summed over the nonzero
+    entries in tableau order, so every value rounds as the per-component
+    formula ``u + h*(A.k)`` does.  An initial derivative of another length
+    raises ValueError; a later one fails every step that meets it, so the
+    run ends in StiffnessError with the last full-length state instead of
     being truncated.
 
     An rhs that carries its model description (``model_source`` and

@@ -165,6 +165,26 @@ def test_extreme_parameters_exit_numerical(config, command, request, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("equilibria", "J=1e-308"), ("simulate", "J=1e-308"), ("basin", "J=1e-308"),
+    ("equilibria", "R_s=1e-308"), ("check", "R_s=1e-308"), ("simulate", "R_s=1e-308"),
+    ("basin", "R_s=1e-308"), ("check", "m_if=1e308"), ("check", "V=1e-308"),
+    ("check", "J=1e308"),
+])
+def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
+                                                            params_n30_config, capsys):
+    # The characteristic coefficients come out NaN (J, R_s tiny), or
+    # rho, V_r or alpha leaves (0, inf): a numerical failure, not bad input
+    # or a "not certified" verdict.
+    extra = {"simulate": ["--t-end", "0.01", "--samples", "3"],
+             "basin": ["--samples", "2"]}.get(command, [])
+    rc = cli.main([command, "--config", params_n30_config, "--set", setting, *extra])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("numerical failure: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_override_key(nominal_config, capsys):
     rc = cli.main(["check", "--config", nominal_config, "--set", "bogus=1"])
     assert rc == 2

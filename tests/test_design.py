@@ -112,6 +112,13 @@ def test_virtual_inductor_rejects_small_n(params_n1):
         sc.apply_virtual_inductor(params_n1, 0.5)
 
 
+def test_virtual_inductor_rejects_non_positive_nominal_power(params_n1):
+    # T_m = D_p*omega_g/2 implies P_n = (T_m - D_p*omega_g)*omega_g < 0.
+    params = params_n1.replace(T_m=0.5 * params_n1.D_p * params_n1.omega_g)
+    with pytest.raises(sc.ParameterError, match="non-positive nominal power"):
+        sc.apply_virtual_inductor(params, 30.0)
+
+
 def test_inverter_command_passthrough():
     v = np.array([1.0, -0.5, -0.5])
     e = np.array([2.0, -1.0, -1.0])

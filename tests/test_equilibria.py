@@ -33,18 +33,23 @@ def test_no_equilibria_when_lambda_exceeds_one(params_n1):
     assert sc.solve_equilibria(params) == []
 
 
-def test_single_nonhyperbolic_point_at_lambda_boundary(params_n1):
-    params = _params_with_lambda(params_n1, -1.0)
-    points = sc.solve_equilibria(params)
-    assert len(points) == 1
-    pt = points[0]
-    assert pt.classification is Stability.NON_HYPERBOLIC
-    a0 = pt.char_coeffs[3]
-    p = params.R_s / params.L_s
-    a0_scale = params.m_if * params.V * math.hypot(p, params.omega_g) / (
-        params.J * params.L_s
-    )
-    assert abs(a0) < 1e-9 * a0_scale
+def test_single_nonhyperbolic_point_at_lambda_boundary(params_n1, params_n30):
+    # Lambda = -1 up to rounding (n=30: -1.0000000000000013) leaves the one
+    # point of branch 2, a saddle-node with a zero eigenvalue.
+    for base in (params_n1, params_n30):
+        params = _params_with_lambda(base, -1.0)
+        points = sc.solve_equilibria(params)
+        assert len(points) == 1
+        pt = points[0]
+        assert pt.branch == 2
+        assert pt.state.delta == pytest.approx(-4.588, abs=1e-3)
+        assert pt.classification is Stability.NON_HYPERBOLIC
+        a0 = pt.char_coeffs[3]
+        p = params.R_s / params.L_s
+        a0_scale = params.m_if * params.V * math.hypot(p, params.omega_g) / (
+            params.J * params.L_s
+        )
+        assert abs(a0) < 1e-9 * a0_scale
 
 
 def test_two_equilibria_for_500kw(params_n30, equilibria_n30):
@@ -95,6 +100,11 @@ def test_linearize_rejects_non_equilibrium(params_n30):
 
 def test_char_poly_zero_matrix():
     assert sc.char_poly(np.zeros((4, 4))) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_char_poly_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(ValueError, match="4x4"):
+        sc.char_poly(np.eye(3))
 
 
 def test_char_poly_constant_term_is_determinant():
@@ -189,6 +199,29 @@ def test_quartic_eigenvalues_known_roots():
     coeffs = np.poly(roots)[1:]
     got = np.sort(quartic_eigenvalues(tuple(coeffs)).real)
     assert np.max(np.abs(got - np.sort(roots))) < 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1.0, 1.0), (1.0, 2.0, 2.0, 1.0),
+                                    (1.0, 3.0, 2.0, 2.0), (1.0, 3.0, 2.0, 0.0)],
+                         ids=["a3", "b1", "c1", "a0"])
+def test_routh_hurwitz_gives_no_count_at_a_zero_pivot(coeffs):
+    assert routh_hurwitz_unstable_count(coeffs) is None
+
+
+def test_classify_char_poly_rejects_roots_that_disagree_with_routh_hurwitz(monkeypatch):
+    # Stable coefficients, but the roots handed back are mirrored into the
+    # right half plane: 4 unstable roots against a Routh-Hurwitz count of 0.
+    roots = np.array([-4.0, -3.0, -2.0, -1.0])
+    coeffs = tuple(np.poly(roots)[1:].tolist())
+    monkeypatch.setattr(equilibria, "quartic_eigenvalues", lambda c: -roots[::-1] + 0j)
+    with pytest.raises(NumericalError, match="Routh-Hurwitz disagreement"):
+        classify_char_poly(coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quartic_eigenvalues_rejects_non_finite_coefficients(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        quartic_eigenvalues((1.0, bad, 1.0, 1.0))
 
 
 def test_classification_invariant_under_sheet_shift(params_n30, equilibria_n30):

@@ -1056,14 +1056,18 @@ def test_section_crossings_located_on_interpolant(as_array, params_n30):
 
 # The generated stage function against the per-component formula --------------
 
+# The tableau's nonzero entries, named after their row and column.
+_C2, _C3, _C4, _C5 = simulator._C[1:5]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = simulator._A[1:]
+_B1, _, _B3, _B4, _B5, _B6 = simulator._B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = simulator._E
+
+
 def _reference_stages(rhs, t, y, k1, h, rtol, atol):
     """One Dormand-Prince attempt as a list comprehension per stage: the
     oracle for ``simulator._stages_for``, which must round every value the
     same way."""
-    from swingcert.simulator import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
-                                     _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3,
-                                     _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4,
-                                     _E5, _E6, _E7)
     k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
     k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b)
                            for u, a, b in zip(y, k1, k2)])
@@ -1131,6 +1135,40 @@ def test_stage_function_matches_reference_bit_for_bit(n):
         assert _hex([got[2]]) == _hex([want[2]])
         non_finite += not all(map(math.isfinite, got[0] + [got[2]]))
     assert non_finite >= 100  # the overflow and inf/NaN cases really ran
+
+
+def test_stage_functions_read_only_math_and_the_rhs_namespace(params_n30):
+    # The tableau is written into the code as literals, so the only globals
+    # a stage function loads are math and, inlined, the model's functions.
+    import dis
+
+    model = sc.full_rhs(params_n30).model_source
+    loaded = [{ins.argval for ins in dis.get_instructions(simulator._stages_for(4, m))
+               if ins.opname == "LOAD_GLOBAL"} for m in (model, None)]
+    assert loaded == [{"remainder", "sin", "cos", "TWO_PI", "math"}, {"math"}]
+
+
+def test_step_state_matches_reference_bit_for_bit():
+    # The interpolant against a loop over the nonzero rows of _P_ROWS, in
+    # stage order, on ordinary, overflowing and non-finite derivatives; a
+    # non-finite second stage must be skipped, not weighted by zero.
+    rng = np.random.default_rng(25)
+    for case in range(300):
+        kind = case % 3
+        K = [(rng.normal(size=4) * (1e300 if kind == 1 else 1.0)).tolist() for _ in range(7)]
+        if kind == 2:
+            K[int(rng.integers(7))][int(rng.integers(4))] = float(
+                rng.choice([math.inf, -math.inf, math.nan]))
+        y_old, h, x = rng.normal(size=4).tolist(), float(rng.uniform(1e-6, 1.0)), float(
+            rng.uniform(0.0, 1.0))
+        total = None
+        for row, k in zip(simulator._P_ROWS, K):
+            if any(row):
+                w = h * x * (row[0] + x * (row[1] + x * (row[2] + x * row[3])))
+                total = ([w * a for a in k] if total is None
+                         else [s + w * a for s, a in zip(total, k)])
+        want = [u + s for u, s in zip(y_old, total)]
+        assert _hex(simulator._step_state(h, y_old, K, x)) == _hex(want)
 
 
 @pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
