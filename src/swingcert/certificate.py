@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DerivedConstants, NumericalError, SgParameters, TWO_PI, derive_constants
+from .csvtext import csv_rows
 from .equilibria import Stability, solve_equilibria
 
 _HALF_PI = 0.5 * math.pi
@@ -379,13 +380,10 @@ def certificate_csv(report: CertificateReport) -> str:
     """Per-d table as CSV text: d, nscr, omega_min_d, omega_max_d, band_ok.
 
     Floats carry 17 significant digits so downstream plots reproduce the
-    certificate exactly.
+    certificate exactly; ``csvtext.csv_rows`` writes them byte for byte as
+    printf ``%.17g`` does.
     """
-    rows = zip(
-        report.d_grid.tolist(), report.nscr_values.tolist(),
-        report.omega_min_d.tolist(), report.omega_max_d.tolist(),
-        report.band_ok.tolist(),
-    )
-    return "d,nscr,omega_min_d,omega_max_d,band_ok\n" + "".join(
-        ["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in rows]
-    )
+    return "d,nscr,omega_min_d,omega_max_d,band_ok\n" + csv_rows([
+        report.d_grid, report.nscr_values, report.omega_min_d, report.omega_max_d,
+        report.band_ok,
+    ])

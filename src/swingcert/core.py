@@ -165,7 +165,9 @@ def derive_constants(params: SgParameters) -> DerivedConstants:
 
     ``Lambda`` is evaluated both from its defining expression and as
     ``-beta``; the two agree analytically, and a relative discrepancy above
-    1e-12 indicates a transcription bug, reported as NumericalError.
+    1e-12 indicates a transcription bug, reported as NumericalError.  So
+    are a non-finite Lambda or beta, and an alpha or Gamma, which the
+    certificate divides by, whose reciprocal overflows.
     """
     p = params.R_s / params.L_s
     omega_g = params.omega_g
@@ -183,6 +185,11 @@ def derive_constants(params: SgParameters) -> DerivedConstants:
     Lambda = iq_e * params.L_s * root / params.V + params.m_if * omega_g * p / (
         params.V * root
     )
+    if not (math.isfinite(Lambda) and math.isfinite(beta)):
+        raise NumericalError(f"Lambda = {Lambda!r} and beta = {beta!r} must be finite")
+    for name, value in (("alpha", alpha), ("Gamma", Gamma)):
+        if value == 0.0 or math.isinf(1.0 / value):
+            raise NumericalError(f"1/{name} is not finite: {name} = {value!r}")
     scale = max(abs(Lambda), abs(beta), 1e-300)
     if abs(Lambda + beta) > 1e-12 * scale:
         raise NumericalError(

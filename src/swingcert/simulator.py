@@ -30,6 +30,7 @@ from .core import (
     derive_constants,
     full_rhs,
 )
+from .csvtext import csv_rows
 from .equilibria import EquilibriumPoint, Stability, solve_equilibria, stable_basin
 from .swing import EseState, delta_from_eta, ese_from_full, ese_rhs_fn
 
@@ -982,13 +983,13 @@ def cross_validate(params: SgParameters, initial: SgState,
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Trajectory as CSV: time column, one column per state component,
-    and a trailing structured verdict record.
+    and a trailing structured verdict record.  ``csvtext.csv_rows`` writes
+    the numbers byte for byte as printf ``%.17g`` does.
     """
     import json
 
-    row = ",".join(["%.17g"] * (1 + len(traj.columns))) + "\n"
     return (
         "t," + ",".join(traj.columns) + "\n"
-        + "".join([row % (t, *y) for t, y in zip(traj.times.tolist(), traj.states.tolist())])
+        + csv_rows([traj.times, *traj.states.T])
         + "# verdict: " + json.dumps(verdict_to_dict(traj.verdict), sort_keys=True) + "\n"
     )

@@ -169,13 +169,14 @@ def test_extreme_parameters_exit_numerical(config, command, request, capsys):
     ("equilibria", "J=1e-308"), ("simulate", "J=1e-308"), ("basin", "J=1e-308"),
     ("equilibria", "R_s=1e-308"), ("check", "R_s=1e-308"), ("simulate", "R_s=1e-308"),
     ("basin", "R_s=1e-308"), ("check", "m_if=1e308"), ("check", "V=1e-308"),
-    ("check", "J=1e308"),
+    ("check", "J=1e308"), ("equilibria", "T_m=1e308"), ("check", "D_p=1e-308"),
 ])
 def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
                                                             params_n30_config, capsys):
-    # The characteristic coefficients come out NaN (J, R_s tiny), or
-    # rho, V_r or alpha leaves (0, inf): a numerical failure, not bad input
-    # or a "not certified" verdict.
+    # The characteristic coefficients come out NaN (J, R_s tiny), rho, V_r
+    # or alpha leaves (0, inf), Lambda overflows (T_m huge) or 1/alpha does
+    # (D_p tiny): a numerical failure, not bad input or a "not certified"
+    # verdict.
     extra = {"simulate": ["--t-end", "0.01", "--samples", "3"],
              "basin": ["--samples", "2"]}.get(command, [])
     rc = cli.main([command, "--config", params_n30_config, "--set", setting, *extra])

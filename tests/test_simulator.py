@@ -424,9 +424,11 @@ def test_trajectory_csv_equals_reference_formatter(params_n30, equilibria_n30):
     traj = sc.simulate_full(params_n30, sc.SgState(5.0, -5.0, 320.0, 0.3), config)
     traj.verdict = sc.detect_convergence(traj, equilibria_n30, params=params_n30)
     assert trajectory_csv(traj) == _reference_trajectory_csv(traj)
-    special = Trajectory(times=np.array([0.0, 1e-300]),
+    special = Trajectory(times=np.array([0.0, 1e-300, 1.0]),
                          states=np.array([[np.nan, np.inf, -0.0, 1.0 / 3.0],
-                                          [-np.inf, 5e-324, 1e300, -2.5]]))
+                                          [-np.inf, 5e-324, 1e300, -2.5],
+                                          [1e-200, np.nextafter(1e-200, 0.0), 1e200,
+                                           9.9999999999999999e16]]))
     assert trajectory_csv(special) == _reference_trajectory_csv(special)
 
 
