@@ -328,11 +328,13 @@ def check_certificate(params: SgParameters) -> CertificateReport:
     Certified iff nscr(d) < d and the rate band applies at every grid
     point, all equilibria are hyperbolic, and the relative margin clears
     ``REL_MARGIN_THRESHOLD``.  A design whose own arithmetic takes alpha,
-    p*rho, V_r or Gamma out of (0, inf) raises NumericalError.
+    p*rho, V_r, Gamma or the band's largest slack 4 Gamma / alpha^2 out of
+    (0, inf) raises NumericalError.
     """
     dc = derive_constants(params)
+    slack = 4.0 * dc.Gamma / dc.alpha**2 if dc.alpha**2 else math.inf
     for name, value in (("alpha", dc.alpha), ("p*rho", dc.p * dc.rho), ("V_r", dc.V_r),
-                        ("Gamma", dc.Gamma)):
+                        ("Gamma", dc.Gamma), ("4*Gamma/alpha**2", slack)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise NumericalError(f"{name} = {value!r} is not finite and > 0")
     grid = certificate_grid(dc.Gamma)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -214,18 +215,22 @@ def emf(theta: float, omega: float, m_if: float) -> np.ndarray:
 
 
 class RhsSource(NamedTuple):
-    """An autonomous right-hand side ``f(t, y)`` as Python expression source.
+    """A right-hand side ``f(t, y)`` as Python expression source.
 
     ``state`` names the components of y and ``constants`` the design
     constants; each evaluation runs the ``prelude`` assignments and then
     one ``derivative`` expression per component.  Besides these names the
-    source reads only ``RHS_NAMESPACE``, and never the time.
+    source reads only the time ``t`` and ``RHS_NAMESPACE``.
     """
 
     state: tuple
     constants: tuple
     prelude: tuple
     derivative: tuple
+
+    @property
+    def reads_time(self) -> bool:
+        return "t" in compile("\n".join(self.prelude + self.derivative), "<rhs>", "exec").co_names
 
 
 # The model's dynamics (module docstring) divided through by L_s and J, with
@@ -242,9 +247,10 @@ FULL_MODEL = RhsSource(
                 "omega - omega_g"),
 )
 RHS_NAMESPACE = {"remainder": math.remainder, "sin": math.sin, "cos": math.cos,
-                 "TWO_PI": TWO_PI}
+                 "exp": math.exp, "TWO_PI": TWO_PI}
 
 
+@lru_cache(maxsize=16)
 def _rhs_factory(source: RhsSource):
     """``make(*constants)``: the closure ``rhs(t, y)`` that ``source``
     describes, for one set of constant values."""
@@ -252,31 +258,47 @@ def _rhs_factory(source: RhsSource):
              "    def rhs(t, y):",
              f"        {', '.join(source.state)} = y",
              *[f"        {line}" for line in source.prelude],
-             f"        return ({', '.join(source.derivative)})",
+             f"        return ({', '.join(source.derivative)},)",
              "    return rhs"]
     namespace = {}
-    exec(compile("\n".join(lines), "<full_rhs>", "exec"), dict(RHS_NAMESPACE), namespace)
+    exec(compile("\n".join(lines), "<model rhs>", "exec"), dict(RHS_NAMESPACE), namespace)
     return namespace["make"]
 
 
-_make_full_rhs = _rhs_factory(FULL_MODEL)
+def model_rhs(source: RhsSource, constants: tuple):
+    """The fast ``f(t, y)`` closure that ``source`` describes at the
+    ``constants`` values, returning a tuple of floats.  It carries its
+    description as ``model_source`` and the values as ``model_constants``,
+    from which the integrator inlines it into its Dormand-Prince stages.
+    """
+    rhs = _rhs_factory(source)(*constants)
+    rhs.model_source, rhs.model_constants = source, constants
+    return rhs
+
+
+def stacked_rhs(first, second):
+    """The ``model_rhs`` of two such closures' systems side by side, y the
+    first's state followed by the second's.  A constant both descriptions
+    name must have one value; no other name may occur in both."""
+    a, b = first.model_source, second.model_source
+    values = dict(zip(a.constants, first.model_constants))
+    for name, value in zip(b.constants, second.model_constants):
+        if values.setdefault(name, value) != value:
+            raise ValueError(f"the two descriptions differ in the constant {name!r}")
+    source = RhsSource(a.state + b.state, tuple(values), a.prelude + b.prelude,
+                       a.derivative + b.derivative)
+    names = [*source.state, *source.constants, *(line.split()[0] for line in source.prelude)]
+    if len(set(names)) < len(names):
+        raise ValueError("the two descriptions bind a name twice")
+    return model_rhs(source, tuple(values.values()))
 
 
 def full_rhs(params: SgParameters):
-    """Right-hand side of the fourth-order model as a fast ``f(t, y)`` closure,
-    compiled from ``FULL_MODEL``.
-
-    ``y = (i_d, i_q, omega, delta)``; the derivative is a tuple of four
-    floats.  The closure carries its description as ``model_source`` and
-    the constant values as ``model_constants``, from which the integrator
-    inlines it into its Dormand-Prince stages.
-    """
-    constants = (params.R_s / params.L_s, params.m_if / params.L_s,
-                 params.V / params.L_s, params.m_if / params.J, params.D_p / params.J,
-                 params.T_m / params.J, params.omega_g)
-    rhs = _make_full_rhs(*constants)
-    rhs.model_source, rhs.model_constants = FULL_MODEL, constants
-    return rhs
+    """Right-hand side of the fourth-order model, the ``model_rhs`` of
+    ``FULL_MODEL``: ``y = (i_d, i_q, omega, delta)``."""
+    return model_rhs(FULL_MODEL, (
+        params.R_s / params.L_s, params.m_if / params.L_s, params.V / params.L_s,
+        params.m_if / params.J, params.D_p / params.J, params.T_m / params.J, params.omega_g))
 
 
 def residual_scale(params: SgParameters) -> np.ndarray:

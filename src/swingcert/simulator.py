@@ -29,6 +29,7 @@ from .core import (
     TWO_PI,
     derive_constants,
     full_rhs,
+    stacked_rhs,
 )
 from .csvtext import csv_rows
 from .equilibria import EquilibriumPoint, Stability, solve_equilibria, stable_basin
@@ -211,7 +212,7 @@ _N_STAGES = 7  # six stages plus the first-same-as-last derivative
 
 @lru_cache(maxsize=16)
 def _stages_for(n: int, model=None):
-    """The Dormand-Prince attempt ``stages(rhs, t, y, k1, h, rtol, atol)``
+    """The Dormand-Prince attempt ``stages(rhs, t0, y, k1, h, rtol, atol)``
     for states of length ``n``, generated on first use and then cached.
 
     It returns the fifth-order state, the seven stage derivatives (the last
@@ -228,8 +229,9 @@ def _stages_for(n: int, model=None):
     With ``model``, the ``core.RhsSource`` of an rhs of n components, the
     derivatives are not called for: the source's prelude and expressions
     are written into the code at each stage's arguments, with the constant
-    values read from ``rhs.model_constants`` once per attempt.  Each value,
-    and each exception the rhs would raise, is the same as a call's.
+    values read from ``rhs.model_constants`` once per attempt, and ``t``
+    bound to each stage's time if the source reads it.  Each value, and
+    each exception the rhs would raise, is the same as a call's.
     """
     names = "abcdefg"  # component i of k1..k7 is a{i}..g{i}
 
@@ -247,21 +249,22 @@ def _stages_for(n: int, model=None):
         if model is None:
             return [f"    k{s} = rhs({at}, {var or '[' + ', '.join(args) + ']'})",
                     unpack(f"k{s}", letter)]
-        return ([f"    {name} = {value}" for name, value in zip(model.state, args)]
+        return ([f"    t = {at}"] * model.reads_time
+                + [f"    {name} = {value}" for name, value in zip(model.state, args)]
                 + [f"    {line}" for line in model.prelude]
                 + [f"    {letter}{i} = {expr}" for i, expr in enumerate(model.derivative)]
                 + [f"    k{s} = ({', '.join(f'{letter}{i}' for i in range(n))},)"])
 
-    lines = ["def stages(rhs, t, y, k1, h, rtol, atol):", unpack("y", "u"),
+    lines = ["def stages(rhs, t0, y, k1, h, rtol, atol):", unpack("y", "u"),
              unpack("k1", "a")]
     if model is not None:
         lines.append(f"    {', '.join(model.constants)} = rhs.model_constants")
     for s in range(2, 7):
-        lines += derivative(s, "t + h" if _C[s - 1] == 1.0 else f"t + {_C[s - 1]!r} * h",
+        lines += derivative(s, "t0 + h" if _C[s - 1] == 1.0 else f"t0 + {_C[s - 1]!r} * h",
                             state(_A[s - 1]))
     v = [f"v{i}" for i in range(n)]
     lines += [f"    {name} = {value}" for name, value in zip(v, state(_B))]
-    lines += [f"    y_new = [{', '.join(v)}]", *derivative(7, "t + h", v, "y_new")]
+    lines += [f"    y_new = [{', '.join(v)}]", *derivative(7, "t0 + h", v, "y_new")]
     # m{i} = |u{i}|, n{i} = |v{i}|, and max(m, n) = (n if n > m else m), as
     # the builtin picks, NaN included.
     for i in range(n):
@@ -397,7 +400,7 @@ def integrate(rhs, initial, config: IntegratorConfig,
     being truncated.
 
     An rhs that carries its model description (``model_source`` and
-    ``model_constants``, as a ``full_rhs`` closure does) is called only for
+    ``model_constants``, as a ``core.model_rhs`` closure does) is called only for
     the initial derivative and the initial-step probe: the stage function
     of that description has the model's expressions written in, with the
     same values and domain errors as calls.  Any other callable, a wrapper
@@ -950,16 +953,11 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
 # Cross-validation ----------------------------------------------------------
 
 def combined_full_ese_rhs(params: SgParameters, initial: SgState):
-    """Stacked 8-state system: full model and matched ESE, integrated together."""
-    rhs_full = full_rhs(params)
+    """Stacked 8-state system: full model and matched ESE, integrated
+    together, as the ``core.stacked_rhs`` of their closures."""
     ese0, init_currents = ese_from_full(initial, params)
-    rhs_ese = ese_rhs_fn(params, init_currents)
-    y0 = np.concatenate([initial.as_array(), ese0.as_array()])
-
-    def rhs(t, y):
-        return rhs_full(t, y[:4]) + rhs_ese(t, y[4:])
-
-    return rhs, y0
+    rhs = stacked_rhs(full_rhs(params), ese_rhs_fn(params, init_currents))
+    return rhs, np.concatenate([initial.as_array(), ese0.as_array()])
 
 
 def cross_validate(params: SgParameters, initial: SgState,

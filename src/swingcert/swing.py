@@ -17,6 +17,10 @@ state
 
 whose imaginary part equals the integral, so the ESE becomes a plain
 four-state ODE (eta, eta', Re w, Im w) -- O(1) memory, no stored history.
+``ESE_MODEL`` describes its right-hand side once, the forcing f included,
+as ``core.RhsSource`` expression source: ``ese_rhs_fn`` builds its closure
+from it, the integrator writes it into its stages, and ``gamma_along`` and
+``reconstruct_iq`` evaluate its f.
 There is a one-to-one correspondence between ESE solutions and full-model
 solutions with matching initial data.
 
@@ -28,15 +32,17 @@ gamma(s), with gamma determined by f and by P(s) = p * Im w(rho s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import (
     DerivedConstants,
+    RhsSource,
     SgParameters,
     SgState,
     derive_constants,
+    model_rhs,
 )
 
 
@@ -82,6 +88,25 @@ def delta_from_eta(eta, dc: DerivedConstants):
     return eta - 1.5 * math.pi - dc.phi
 
 
+# The ESE with p = R_s/L_s, m = m_if, k_mem = m_if^2 p / L_s, torque0 =
+# T_m - D_p omega_g, sin_amp = m_if i_v and shift = delta0 + phi.  f reads
+# the accumulated rotor phase theta = eta - eta0 + omega_g t; rate = omega.
+ESE_MODEL = RhsSource(
+    state=tuple(f.name for f in fields(EseState)),
+    constants=("p", "omega_g", "m", "k_mem", "D_p", "torque0", "sin_amp", "J",
+               "eta0", "i_d0", "i_q0", "m_over_L", "i_v", "shift"),
+    prelude=("theta = eta - eta0 + omega_g * t",
+             "forcing = (-sin(theta) * i_d0 + cos(theta) * i_q0 - m_over_L * sin(theta)"
+             " - i_v * cos(theta + shift))",
+             "rate = eta_dot + omega_g"),
+    derivative=("eta_dot",
+                "(torque0 + m * exp(-p * t) * forcing - k_mem * w_im - D_p * eta_dot"
+                " - sin_amp * sin(eta)) / J",
+                "1.0 - p * w_re - rate * w_im",
+                "-p * w_im + rate * w_re"),
+)
+
+
 def ese_from_full(state: SgState, params: SgParameters) -> tuple:
     """Initial ESE state and forcing data matching a full-model state.
 
@@ -93,76 +118,29 @@ def ese_from_full(state: SgState, params: SgParameters) -> tuple:
     return ese, (state.i_d, state.i_q, state.delta)
 
 
-def _f_closure(params: SgParameters, dc: DerivedConstants, init_currents):
-    """The bounded forcing function f(t) for given initial data.
-
-    Evaluated from the accumulated rotor phase Theta(t) = eta(t) - eta(0)
-    + omega_g t, which the ESE state carries implicitly.
-    """
-    i_d0, i_q0, delta0 = (float(v) for v in init_currents)
-    eta0 = eta_from_delta(delta0, dc)
-    m_over_L = params.m_if / params.L_s
-    shift = delta0 + dc.phi
-    omega_g = params.omega_g
-    i_v = dc.i_v
-
-    def f(t, eta):
-        theta = eta - eta0 + omega_g * t
-        return (
-            -math.sin(theta) * i_d0
-            + math.cos(theta) * i_q0
-            - m_over_L * math.sin(theta)
-            - i_v * math.cos(theta + shift)
-        )
-
-    return f
-
-
 def ese_rhs_fn(params: SgParameters, init_currents):
-    """Right-hand side of the ESE realisation as a fast ``f(t, y)`` closure.
-
-    ``y = (eta, eta_dot, w_re, w_im)``; ``init_currents`` = (i_d0, i_q0,
-    delta0) fixes the forcing term f for this trajectory.
+    """Right-hand side of the ESE realisation, the ``core.model_rhs`` of
+    ``ESE_MODEL``: ``y = (eta, eta_dot, w_re, w_im)``; ``init_currents`` =
+    (i_d0, i_q0, delta0) fixes the forcing term f for this trajectory.
     """
     dc = derive_constants(params)
-    f = _f_closure(params, dc, init_currents)
-    p = dc.p
-    omega_g = params.omega_g
-    m = params.m_if
-    k_mem = params.m_if**2 * p / params.L_s
-    D_p = params.D_p
-    torque0 = params.T_m - D_p * omega_g
-    sin_amp = m * dc.i_v
-    J = params.J
-
-    def rhs(t, y):
-        eta, eta_dot, w_re, w_im = y
-        omega = eta_dot + omega_g
-        eta_dd = (
-            torque0
-            + m * math.exp(-p * t) * f(t, eta)
-            - k_mem * w_im
-            - D_p * eta_dot
-            - sin_amp * math.sin(eta)
-        ) / J
-        return (
-            eta_dot,
-            eta_dd,
-            1.0 - p * w_re - omega * w_im,
-            -p * w_im + omega * w_re,
-        )
-
-    return rhs
+    i_d0, i_q0, delta0 = (float(v) for v in init_currents)
+    m, p = params.m_if, dc.p
+    return model_rhs(ESE_MODEL, (
+        p, params.omega_g, m, m**2 * p / params.L_s, params.D_p,
+        params.T_m - params.D_p * params.omega_g, m * dc.i_v, params.J,
+        eta_from_delta(delta0, dc), i_d0, i_q0, m / params.L_s, dc.i_v, delta0 + dc.phi))
 
 
 def _decaying_forcing(times, states, params: SgParameters, init_currents) -> tuple:
-    """(dc, states, e^{-p t} f(t)) along a sampled ESE trajectory, with
-    ``derive_constants`` and f built once for the whole trajectory."""
+    """(dc, states, e^{-p t} f(t)) along a sampled ESE trajectory, with f
+    read from ``ESE_MODEL``'s prelude and its constants set once."""
     dc = derive_constants(params)
-    f = _f_closure(params, dc, init_currents)
+    f = model_rhs(ESE_MODEL._replace(derivative=("forcing",)),
+                  ese_rhs_fn(params, init_currents).model_constants)
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    fvals = np.array([f(t, eta) for t, eta in zip(times, states[:, 0])])
+    fvals = np.array([f(t, y)[0] for t, y in zip(times.tolist(), states.tolist())])
     return dc, states, np.exp(-dc.p * times) * fvals
 
 

@@ -170,12 +170,14 @@ def test_extreme_parameters_exit_numerical(config, command, request, capsys):
     ("equilibria", "R_s=1e-308"), ("check", "R_s=1e-308"), ("simulate", "R_s=1e-308"),
     ("basin", "R_s=1e-308"), ("check", "m_if=1e308"), ("check", "V=1e-308"),
     ("check", "J=1e308"), ("equilibria", "T_m=1e308"), ("check", "D_p=1e-308"),
+    ("check", "D_p=1e-200"),
 ])
 def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
                                                             params_n30_config, capsys):
     # The characteristic coefficients come out NaN (J, R_s tiny), rho, V_r
-    # or alpha leaves (0, inf), Lambda overflows (T_m huge) or 1/alpha does
-    # (D_p tiny): a numerical failure, not bad input or a "not certified"
+    # or alpha leaves (0, inf), Lambda overflows (T_m huge), 1/alpha does
+    # (D_p tiny) or the velocity band's slack 4 Gamma / alpha^2 does (alpha^2
+    # underflows): a numerical failure, not bad input or a "not certified"
     # verdict.
     extra = {"simulate": ["--t-end", "0.01", "--samples", "3"],
              "basin": ["--samples", "2"]}.get(command, [])

@@ -160,6 +160,24 @@ def test_model_rhs_two_pi_equivariance(params_n30):
         assert np.allclose(rhs(0.0, y), rhs(0.0, shifted), rtol=1e-12, atol=1e-9)
 
 
+def test_stacked_rhs_is_the_two_side_by_side(params_n30):
+    # The stacked closure gives every component of the two closures it
+    # stacks, bit for bit; stacking a description with itself, or two that
+    # differ in a constant they share, is refused.
+    full = sc.full_rhs(params_n30)
+    ese = sc.ese_rhs_fn(params_n30, (5.0, -5.0, 0.3))
+    stacked = sc.core.stacked_rhs(full, ese)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        y = rng.normal(scale=[100, 100, 400, 5, 5, 30, 0.01, 0.01]).tolist()
+        t = float(rng.uniform(0.0, 10.0))
+        assert stacked(t, y) == full(t, y[:4]) + ese(t, y[4:])
+    with pytest.raises(ValueError, match="bind a name twice"):
+        sc.core.stacked_rhs(full, full)
+    with pytest.raises(ValueError, match="omega_g"):
+        sc.core.stacked_rhs(full, sc.ese_rhs_fn(params_n30.replace(omega_g=100.0), (0, 0, 0)))
+
+
 def test_model_rhs_vanishes_at_equilibria(params_n30, equilibria_n30):
     for pt in equilibria_n30:
         assert scaled_residual(pt.state, params_n30) < 1e-9

@@ -1139,15 +1139,32 @@ def test_stage_function_matches_reference_bit_for_bit(n):
     assert non_finite >= 100  # the overflow and inf/NaN cases really ran
 
 
-def test_stage_functions_read_only_math_and_the_rhs_namespace(params_n30):
+def _model_rhs(model, params):
+    """The rhs closure of the full model, of the ESE matched to a state
+    where every term of its forcing is nonzero, or of the two stacked."""
+    initial = sc.SgState(5.0, -5.0, 320.0, 0.3)
+    return {"full": lambda: sc.full_rhs(params),
+            "ese": lambda: sc.ese_rhs_fn(params, sc.ese_from_full(initial, params)[1]),
+            "stacked": lambda: simulator.combined_full_ese_rhs(params, initial)[0]}[model]()
+
+
+@pytest.mark.parametrize("model, loads", [
+    ("full", {"remainder", "sin", "cos", "TWO_PI", "math"}),
+    ("ese", {"sin", "cos", "exp", "math"}),
+    ("stacked", {"remainder", "sin", "cos", "TWO_PI", "exp", "math"}),
+    ("called", {"math"}),
+], ids=["full", "ese", "stacked", "called"])
+def test_stage_functions_read_only_math_and_the_rhs_namespace(model, loads, params_n30):
     # The tableau is written into the code as literals, so the only globals
-    # a stage function loads are math and, inlined, the model's functions.
+    # a stage function loads are math and, inlined, the model's functions;
+    # only a model that reads the time binds t at each stage.
     import dis
 
-    model = sc.full_rhs(params_n30).model_source
-    loaded = [{ins.argval for ins in dis.get_instructions(simulator._stages_for(4, m))
-               if ins.opname == "LOAD_GLOBAL"} for m in (model, None)]
-    assert loaded == [{"remainder", "sin", "cos", "TWO_PI", "math"}, {"math"}]
+    source = None if model == "called" else _model_rhs(model, params_n30).model_source
+    stages = simulator._stages_for(4 if source is None else len(source.state), source)
+    assert {ins.argval for ins in dis.get_instructions(stages)
+            if ins.opname == "LOAD_GLOBAL"} == loads
+    assert ("t" in stages.__code__.co_varnames) == (model in ("ese", "stacked"))
 
 
 def test_step_state_matches_reference_bit_for_bit():
@@ -1207,34 +1224,44 @@ def _stage_outputs(stages, rhs, t, y, k1, h, rtol, atol):
     return _hex(y_new), [_hex(k) for k in K], _hex([err])
 
 
+# Each description's typical component magnitudes, and its angles.
+_SCALES = {"full": ([50.0, 50.0, 300.0, 3.0], [3]), "ese": ([3.0, 30.0, 0.01, 0.01], [0])}
+_SCALES["stacked"] = (_SCALES["full"][0] + _SCALES["ese"][0], [3, 4])
+
+
 @pytest.mark.parametrize("design", ["params_n30", "params_rs216"])
 def test_inlined_model_stages_match_reference_bit_for_bit(design, request):
-    # The model's expressions written into the stage code give every value,
-    # and every domain error, of the stages that call full_rhs.
-    rhs = sc.full_rhs(request.getfixturevalue(design))
-    stages = simulator._stages_for(4, rhs.model_source)
-    rng = np.random.default_rng([22, len(design)])
-    raised = non_finite = 0
-    for case in range(400):
-        # Ordinary states, states and steps large enough to overflow, and
-        # power angles that are huge, infinite or NaN, where remainder raises
-        # or the derivative is NaN.
-        kind = case % 5
-        scale = np.array([50.0, 50.0, 300.0, 3.0]) * (1.0, 1e150, 1.0, 1e300, 1.0)[kind]
-        y = (rng.normal(size=4) * scale).tolist()
-        if kind == 2:
-            y[3] = float(rng.choice([math.inf, -math.inf, math.nan]))
-        k1 = list(rhs(0.0, y)) if kind != 2 else (rng.normal(size=4) * 1e3).tolist()
-        if kind == 4:
-            k1[int(rng.integers(4))] = float(rng.choice([math.inf, -math.inf, math.nan]))
-        h = float(10.0 ** rng.uniform(-8, 0)) * (1e200 if kind == 3 else 1.0)
-        t = float(rng.uniform(0.0, 10.0))
-        rtol, atol = float(10.0 ** rng.uniform(-12, -3)), float(10.0 ** rng.uniform(-14, -6))
-        got = _stage_outputs(stages, rhs, t, y, k1, h, rtol, atol)
-        assert got == _stage_outputs(_reference_stages, rhs, t, y, k1, h, rtol, atol)
-        raised += got[0] is ValueError
-        non_finite += got[0] is not ValueError and not math.isfinite(float.fromhex(got[2][0]))
-    assert raised >= 50 and non_finite >= 30  # both failure kinds really ran
+    # The expressions of the full model, the ESE and the two stacked, written
+    # into the stage code, give every value, and every domain error, of the
+    # stages that call their closures.
+    params = request.getfixturevalue(design)
+    for model, (base, angles) in _SCALES.items():
+        rhs = _model_rhs(model, params)
+        n = len(base)
+        stages = simulator._stages_for(n, rhs.model_source)
+        rng = np.random.default_rng([22, len(design), len(model)])
+        raised = non_finite = 0
+        for case in range(400):
+            # Ordinary states, states and steps large enough to overflow,
+            # and angles that are huge, infinite or NaN, where remainder or
+            # sin raises or the derivative is NaN; every third time is huge,
+            # up to where omega_g * t overflows.
+            kind = case % 5
+            scale = np.array(base) * (1.0, 1e150, 1.0, 1e300, 1.0)[kind]
+            y = (rng.normal(size=n) * scale).tolist()
+            if kind == 2:
+                y[int(rng.choice(angles))] = float(rng.choice([math.inf, -math.inf, math.nan]))
+            k1 = list(rhs(0.0, y)) if kind != 2 else (rng.normal(size=n) * 1e3).tolist()
+            if kind == 4:
+                k1[int(rng.integers(n))] = float(rng.choice([math.inf, -math.inf, math.nan]))
+            h = float(10.0 ** rng.uniform(-8, 0)) * (1e200 if kind == 3 else 1.0)
+            t = float(rng.uniform(0.0, 10.0)) if case % 3 else float(10.0 ** rng.uniform(1, 306))
+            rtol, atol = float(10.0 ** rng.uniform(-12, -3)), float(10.0 ** rng.uniform(-14, -6))
+            got = _stage_outputs(stages, rhs, t, y, k1, h, rtol, atol)
+            assert got == _stage_outputs(_reference_stages, rhs, t, y, k1, h, rtol, atol), model
+            raised += got[0] is ValueError
+            non_finite += got[0] is not ValueError and not math.isfinite(float.fromhex(got[2][0]))
+        assert raised >= 50 and non_finite >= 30, model  # both failure kinds really ran
 
 
 @pytest.mark.parametrize("y0", [[5.0, -5.0, 320.0, 0.3], [0.0, 0.0, 0.0, 1e300],
