@@ -4,11 +4,12 @@ synchronous generator / synchronverter.
 The package models a constant-field-current machine on an infinite bus,
 finds and classifies its equilibria, evaluates a computable sufficient
 condition for almost global asymptotic stability, and cross-validates the
-certificate by direct simulation of the full fourth-order model, its
-exact swing-equation reduction, and the underlying forced pendulum.
+certificate by direct simulation of the full fourth-order model and its
+exact swing-equation reduction, whose normal form is the forced pendulum
+the certificate rests on.
 
-The package root re-exports the names the command line, tests, demos and
-benchmark use; everything else is imported from its module.
+The package root re-exports the names the command line, demos and
+benchmark read; everything else is imported from its module.
 """
 
 from .core import (
@@ -19,19 +20,16 @@ from .core import (
     derive_constants,
     emf,
     full_rhs,
-    storage_energy,
     wrap_angle,
 )
 from .design import (
     NominalSpec,
     apply_virtual_inductor,
-    field_flux,
     inverter_voltage_command,
     size_parameters,
 )
 from .equilibria import (
     Stability,
-    a0_closed_form,
     char_poly,
     linearize,
     solve_equilibria,
@@ -41,7 +39,6 @@ from .certificate import (
     check_certificate,
     exp_sin_moment,
     nscr,
-    p_bounds,
     velocity_band,
 )
 from .simulator import (
@@ -56,12 +53,8 @@ from .simulator import (
     simulate_full,
 )
 from .swing import (
-    PendulumParams,
     ese_from_full,
     ese_rhs_fn,
-    from_pendulum_coords,
-    pendulum_energy,
-    to_pendulum_coords,
 )
 
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ and with all equilibria hyperbolic the model is almost globally
 asymptotically stable.
 
 Each envelope is described once, as a table of sine pieces
-(``_pieces``); evaluation, the closed-form integrals and the periods all
-read that table.  One grid pass (``_certificate_map``) computes the band,
-P_l, P_u and nscr with array arithmetic; ``check_certificate``, ``nscr``
-and ``p_bounds`` all go through it.
+(``_pieces``); the closed-form integrals and the periods both read that
+table.  One grid pass (``_certificate_map``) computes the band, P_l, P_u
+and nscr with array arithmetic; ``check_certificate`` and ``nscr`` both go
+through it.
 
 A finite grid cannot literally check "for all d"; ``check_certificate``
 evaluates one fixed log-spaced grid (``certificate_grid``; no setting
@@ -163,32 +163,6 @@ def _pieces(omega_min, omega_max) -> tuple:
     return g, h
 
 
-def _evaluate(pieces, tau):
-    t = np.asarray(tau, dtype=float)
-    hi = pieces[-1][1]
-    if np.any(t < -_EDGE_EPS * hi) or np.any(t > hi * (1.0 + _EDGE_EPS)):
-        raise ValueError(f"tau outside [0, {hi}]")
-    *head, (_, _, omega, phase) = pieces
-    out = np.select(
-        [t < end for _, end, _, _ in head],
-        [np.sin(w * t + ph) for _, _, w, ph in head],
-        default=np.sin(omega * t + phase),
-    )
-    return float(out) if np.ndim(tau) == 0 else out
-
-
-def envelope_g(tau, omega_min: float, omega_max: float):
-    """Upper envelope of the rotating phase sine over one fast period
-    [0, 2*pi/omega_max], evaluated from the g table of ``_pieces``."""
-    return _evaluate(_pieces(omega_min, omega_max)[0], tau)
-
-
-def envelope_h(tau, omega_min: float, omega_max: float):
-    """Lower envelope of the rotating phase sine over one slow period
-    [0, 2*pi/omega_min], evaluated from the h table of ``_pieces``."""
-    return _evaluate(_pieces(omega_min, omega_max)[1], tau)
-
-
 def exp_sin_moment(a, omega, tau0, tau1, phase):
     """Closed form of Int_{tau0}^{tau1} e^{-a tau} sin(omega tau + phase) dtau.
 
@@ -242,18 +216,6 @@ def _certificate_map(dc: DerivedConstants, grid) -> tuple:
     P_l[ok], P_u[ok] = p_bounds_for_band(dc.p * dc.rho, w_min[ok], w_max[ok])
     values = dc.V_r * np.maximum(P_u - dc.P_inf, dc.P_inf - P_l)
     return values, P_l, P_u, w_min, w_max, ok
-
-
-def p_bounds(dc: DerivedConstants, d: float) -> tuple:
-    """(P_l^d, P_u^d): eventual bounds on the stator memory term P(s).
-
-    Falls back to the trivial bounds (0, 1) when the rate band for this d
-    is not applicable (omega_max_d > 2 omega_min_d, or omega_min_d <= 0).
-    As d -> 0 the band collapses onto rho*omega_g and both bounds converge
-    to P_inf.
-    """
-    _, P_l, P_u, _, _, _ = _certificate_map(dc, (d,))
-    return float(P_l[0]), float(P_u[0])
 
 
 def nscr(dc: DerivedConstants, d: float) -> float:
@@ -332,7 +294,8 @@ def check_certificate(params: SgParameters) -> CertificateReport:
     (0, inf) raises NumericalError.
     """
     dc = derive_constants(params)
-    slack = 4.0 * dc.Gamma / dc.alpha**2 if dc.alpha**2 else math.inf
+    alpha2 = dc.alpha * dc.alpha  # a float power would raise on overflow
+    slack = 4.0 * dc.Gamma / alpha2 if alpha2 else math.inf
     for name, value in (("alpha", dc.alpha), ("p*rho", dc.p * dc.rho), ("V_r", dc.V_r),
                         ("Gamma", dc.Gamma), ("4*Gamma/alpha**2", slack)):
         if not 0.0 < value < math.inf:  # NaN fails too

@@ -301,40 +301,10 @@ def full_rhs(params: SgParameters):
         params.m_if / params.J, params.D_p / params.J, params.T_m / params.J, params.omega_g))
 
 
-def residual_scale(params: SgParameters) -> np.ndarray:
-    """Per-component magnitude scale of the model right-hand side."""
-    return np.array(
-        [
-            params.V / params.L_s,
-            params.V / params.L_s,
-            params.T_m / params.J,
-            params.omega_g,
-        ]
-    )
-
-
 def scaled_residual(state: SgState, params: SgParameters) -> float:
-    """Norm of the model right-hand side at ``state``, scaled by
-    per-component magnitudes."""
+    """Norm of the model right-hand side at ``state``, each component scaled
+    by its magnitude (V/L_s, V/L_s, T_m/J, omega_g)."""
     r = np.asarray(full_rhs(params)(0.0, state.as_array().tolist()))
-    return float(np.linalg.norm(r / residual_scale(params)))
-
-
-def storage_energy(state: SgState, params: SgParameters) -> tuple:
-    """Stored energy W, its rate of change, and the dissipation ceiling C.
-
-    W = (L_s i_d^2 + L_s i_q^2 + J omega^2) / 2.  Completing squares on the
-    rate gives dW/dt <= C with C = V^2/(2 R_s) + T_m^2/(4 D_p) for every
-    state, which is what keeps trajectories bounded.
-    """
-    i_d, i_q, omega, delta = state.i_d, state.i_q, state.omega, state.delta
-    W = 0.5 * (params.L_s * (i_d**2 + i_q**2) + params.J * omega**2)
-    Wdot = (
-        -params.R_s * (i_d**2 + i_q**2)
-        - params.D_p * omega**2
-        + params.V * i_d * math.sin(delta)
-        + params.V * i_q * math.cos(delta)
-        + params.T_m * omega
-    )
-    C = params.V**2 / (2.0 * params.R_s) + params.T_m**2 / (4.0 * params.D_p)
-    return W, Wdot, C
+    scale = np.array([params.V / params.L_s, params.V / params.L_s,
+                      params.T_m / params.J, params.omega_g])
+    return float(np.linalg.norm(r / scale))

@@ -66,22 +66,15 @@ class NominalSpec:
 
 
 def _field_flux(V_rms: float, I_rms: float, omega_g: float, L_s: float) -> float:
-    # Unity-power-factor steady state: the EMF phasor is the terminal
-    # voltage plus the inductor drop in quadrature.
-    e_rms = math.hypot(V_rms, omega_g * L_s * I_rms)
-    return math.sqrt(3.0) * e_rms / omega_g
-
-
-def field_flux(spec: NominalSpec, L_s: float) -> float:
     """Field flux m*i_f (V*s) matching the grid at unity power factor.
 
-    e_rms = sqrt(V_rms^2 + (omega_g L_s I_rms)^2) and the per-phase EMF
-    amplitude sqrt(2) e_rms equals (m_if / sqrt(3/2)) omega_g; as L_s -> 0
-    this reduces to the grid-matched value sqrt(3) V_rms / omega_g.
+    The EMF phasor is the terminal voltage plus the inductor drop in
+    quadrature, e_rms = sqrt(V_rms^2 + (omega_g L_s I_rms)^2), and the
+    per-phase EMF amplitude sqrt(2) e_rms equals (m_if / sqrt(3/2)) omega_g;
+    as L_s -> 0 this reduces to the grid-matched value sqrt(3) V_rms / omega_g.
     """
-    if L_s <= 0.0:
-        raise ParameterError(f"L_s must be > 0, got {L_s!r}")
-    return _field_flux(spec.V_rms, spec.I_rms, spec.omega_g, L_s)
+    e_rms = math.hypot(V_rms, omega_g * L_s * I_rms)
+    return math.sqrt(3.0) * e_rms / omega_g
 
 
 def size_parameters(spec: NominalSpec) -> SgParameters:
@@ -90,7 +83,7 @@ def size_parameters(spec: NominalSpec) -> SgParameters:
 
     T_a = P_n / omega_g, D_p = 100 P_n / (d_p omega_g^2), T_m = T_a +
     D_p omega_g, J = 2 H P_n / omega_g^2; L_s and R_s from the percent
-    drops at nominal current; m_if from ``field_flux``.
+    drops at nominal current; m_if from ``_field_flux``.
     """
     omega_g = spec.omega_g
     T_a = spec.P_n / omega_g

@@ -470,17 +470,3 @@ def _basin_of(params: SgParameters, point: EquilibriumPoint) -> LocalBasin | Non
     except NumericalError:
         return None
     return LocalBasin(point, P, c)
-
-
-def a0_closed_form(params: SgParameters, delta_e: float) -> float:
-    """Constant characteristic coefficient at an equilibrium angle.
-
-    a0 = m_if V sqrt(p^2 + omega_g^2) / (J L_s) * sin(delta_e + phi); its
-    sign decides between the two equilibrium branches.
-    """
-    dc = derive_constants(params)
-    root = math.hypot(dc.p, params.omega_g)
-    return (
-        params.m_if * params.V * root / (params.J * params.L_s)
-        * math.sin(delta_e + dc.phi)
-    )

@@ -1,4 +1,4 @@
-"""Exact swing equation (ESE) and the generic forced pendulum.
+"""Exact swing equation (ESE) and its forced-pendulum normal form.
 
 Eliminating the stator currents from the fourth-order model leaves an
 integro-differential equation for the shifted angle
@@ -19,8 +19,8 @@ whose imaginary part equals the integral, so the ESE becomes a plain
 four-state ODE (eta, eta', Re w, Im w) -- O(1) memory, no stored history.
 ``ESE_MODEL`` describes its right-hand side once, the forcing f included,
 as ``core.RhsSource`` expression source: ``ese_rhs_fn`` builds its closure
-from it, the integrator writes it into its stages, and ``gamma_along`` and
-``reconstruct_iq`` evaluate its f.
+from it, the integrator writes it into its stages, and ``gamma_along``
+evaluates its f.
 There is a one-to-one correspondence between ESE solutions and full-model
 solutions with matching initial data.
 
@@ -60,22 +60,6 @@ class EseState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.eta, self.eta_dot, self.w_re, self.w_im])
-
-
-@dataclass(frozen=True)
-class PendulumParams:
-    """Forced pendulum psi'' + alpha psi' + sin(psi) = beta + gamma(t).
-
-    ``forcing`` is the time function gamma (None means zero).
-    """
-
-    alpha: float
-    beta: float
-    forcing: object = None
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
 
 
 def eta_from_delta(delta, dc: DerivedConstants):
@@ -132,72 +116,21 @@ def ese_rhs_fn(params: SgParameters, init_currents):
         eta_from_delta(delta0, dc), i_d0, i_q0, m / params.L_s, dc.i_v, delta0 + dc.phi))
 
 
-def _decaying_forcing(times, states, params: SgParameters, init_currents) -> tuple:
-    """(dc, states, e^{-p t} f(t)) along a sampled ESE trajectory, with f
-    read from ``ESE_MODEL``'s prelude and its constants set once."""
-    dc = derive_constants(params)
-    f = model_rhs(ESE_MODEL._replace(derivative=("forcing",)),
-                  ese_rhs_fn(params, init_currents).model_constants)
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    fvals = np.array([f(t, y)[0] for t, y in zip(times.tolist(), states.tolist())])
-    return dc, states, np.exp(-dc.p * times) * fvals
-
-
 def gamma_along(times, states, params: SgParameters, init_currents) -> tuple:
     """Pendulum forcing gamma and memory term P along a sampled ESE trajectory.
 
     ``states`` has rows (eta, eta_dot, w_re, w_im).  P(s) = p * Im w
     carries the convolution of the stator dynamics; along any trajectory
     |P| < 1 and, at steady rotor speed omega_g, P -> P_inf.
-    gamma = e^{-p t} f(t)/i_v + V_r (P_inf - P).
+    gamma = e^{-p t} f(t)/i_v + V_r (P_inf - P), with f read from
+    ``ESE_MODEL``'s prelude and its constants set once.
     """
-    dc, states, forced = _decaying_forcing(times, states, params, init_currents)
+    dc = derive_constants(params)
+    f = model_rhs(ESE_MODEL._replace(derivative=("forcing",)),
+                  ese_rhs_fn(params, init_currents).model_constants)
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    fvals = np.array([f(t, y)[0] for t, y in zip(times.tolist(), states.tolist())])
     P = dc.p * states[:, 3]
-    gamma = forced / dc.i_v + dc.V_r * (dc.P_inf - P)
+    gamma = np.exp(-dc.p * times) * fvals / dc.i_v + dc.V_r * (dc.P_inf - P)
     return gamma, P
-
-
-def reconstruct_iq(times, states, params: SgParameters, init_currents) -> np.ndarray:
-    """Quadrature stator current implied by a sampled ESE trajectory.
-
-    i_q = -i_v sin(eta) - (m_if p / L_s) Im w + e^{-p t} f(t); matches the
-    full-model i_q for matched initial data.
-    """
-    dc, states, forced = _decaying_forcing(times, states, params, init_currents)
-    return (
-        -dc.i_v * np.sin(states[:, 0])
-        - params.m_if * dc.p / params.L_s * states[:, 3]
-        + forced
-    )
-
-
-def pendulum_rhs_fn(pparams: PendulumParams):
-    """(psi', psi'') of the forced pendulum as an ``f(t, y)`` closure, y = (psi, psi')."""
-    alpha, beta, forcing = pparams.alpha, pparams.beta, pparams.forcing
-
-    def rhs(t, y):
-        psi, psi_dot = y
-        gamma = forcing(t) if forcing is not None else 0.0
-        return psi_dot, -alpha * psi_dot - math.sin(psi) + beta + gamma
-
-    return rhs
-
-
-def pendulum_energy(psi, psi_dot):
-    """E = psi'^2 / 2 + (1 - cos psi); nonnegative."""
-    return 0.5 * np.asarray(psi_dot) ** 2 + (1.0 - np.cos(psi))
-
-
-def to_pendulum_coords(state: SgState, dc: DerivedConstants) -> tuple:
-    """Normalised pendulum coordinates (psi, psi') for a full-model state.
-
-    psi = eta, the shifted angle, and psi' = rho (omega - omega_g), the
-    angle rate with respect to normalised time s = t / rho.
-    """
-    return eta_from_delta(state.delta, dc), dc.rho * (state.omega - dc.omega_g)
-
-
-def from_pendulum_coords(psi: float, psi_prime: float, dc: DerivedConstants) -> tuple:
-    """Invert ``to_pendulum_coords``; returns (delta, omega)."""
-    return delta_from_eta(psi, dc), psi_prime / dc.rho + dc.omega_g

@@ -13,12 +13,28 @@ from swingcert.certificate import (
     DEFAULT_GRID_FLOOR,
     DEFAULT_GRID_POINTS,
     REL_MARGIN_THRESHOLD,
+    _certificate_map,
+    _pieces,
     certificate_grid,
-    envelope_g,
-    envelope_h,
     p_bounds_for_band,
     velocity_band,
 )
+
+from oracles import piecewise_sine
+
+
+def envelope_g(tau, omega_min, omega_max):
+    return piecewise_sine(_pieces(omega_min, omega_max)[0], tau)
+
+
+def envelope_h(tau, omega_min, omega_max):
+    return piecewise_sine(_pieces(omega_min, omega_max)[1], tau)
+
+
+def p_bounds(dc, d):
+    """(P_l, P_u) at one d, from the certificate's own grid pass."""
+    _, P_l, P_u, *_ = _certificate_map(dc, (d,))
+    return float(P_l[0]), float(P_u[0])
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, depth=40):
@@ -186,20 +202,11 @@ def test_envelope_endpoints_and_crest():
 
 
 def test_envelope_continuity_at_breakpoints():
-    w_min, w_max = 2.0, 3.5
-    # Adjacent piece formulas evaluated at each breakpoint agree.
-    b1 = math.pi / (2 * w_max)
-    b2 = math.pi / (2 * w_min)
-    b3 = 3 * math.pi / (w_min + w_max)
-    assert abs(math.sin(w_max * b1) - 1.0) < 1e-12
-    assert abs(1.0 - math.sin(w_min * b2)) < 1e-12
-    assert abs(math.sin(w_min * b3) - math.sin(w_max * b3)) < 1e-12
-    c1 = math.pi / (w_min + w_max)
-    c2 = 3 * math.pi / (2 * w_max)
-    c3 = 3 * math.pi / (2 * w_min)
-    assert abs(math.sin(w_min * c1) - math.sin(w_max * c1)) < 1e-12
-    assert abs(math.sin(w_max * c2) + 1.0) < 1e-12
-    assert abs(-1.0 - math.sin(w_min * c3)) < 1e-12
+    # Adjacent pieces of each table agree where one ends and the next starts.
+    for table in _pieces(2.0, 3.5):
+        for (_, end, w0, ph0), (start, _, w1, ph1) in zip(table, table[1:]):
+            assert end == start
+            assert abs(math.sin(w0 * end + ph0) - math.sin(w1 * start + ph1)) < 1e-12
 
 
 def test_envelope_degenerate_band():
@@ -210,14 +217,11 @@ def test_envelope_degenerate_band():
 
 
 def test_envelope_domain_errors():
-    with pytest.raises(ValueError):
-        envelope_g(10.0, 2.0, 3.5)  # beyond 2*pi/omega_max
-    with pytest.raises(ValueError):
-        envelope_h(-0.5, 2.0, 3.5)
-    with pytest.raises(ValueError):
-        envelope_g(0.1, 1.0, 2.5)  # omega_max > 2*omega_min
-    with pytest.raises(ValueError):
-        envelope_g(0.1, -1.0, -0.5)
+    # The envelopes exist only for a positive band with omega_max <= 2 omega_min.
+    with pytest.raises(ValueError, match="band condition"):
+        p_bounds_for_band(1.0, 1.0, 2.5)
+    with pytest.raises(ValueError, match="0 < omega_min"):
+        p_bounds_for_band(1.0, -1.0, -0.5)
 
 
 def test_envelopes_bound_admissible_sines():
@@ -271,13 +275,13 @@ def test_p_bounds_fallback_on_band_violation(dc_n30):
     dc = sc.DerivedConstants(p=1.0, i_v=1.0, V_r=1.0, rho=1.0, P_inf=0.3,
                              alpha=0.4, beta=0.0, Gamma=1.3,
                              phi=math.atan2(1.0, 1.0), Lambda=0.0, omega_g=1.0)
-    P_l, P_u = sc.p_bounds(dc, 1.2)
+    P_l, P_u = p_bounds(dc, 1.2)
     assert (P_l, P_u) == (0.0, 1.0)
 
 
 def test_p_bounds_collapse_to_p_inf(dc_n30):
     for d, tol in [(1e-4, 5e-3), (1e-6, 5e-5)]:
-        P_l, P_u = sc.p_bounds(dc_n30, d)
+        P_l, P_u = p_bounds(dc_n30, d)
         assert abs(P_u - dc_n30.P_inf) < tol
         assert abs(dc_n30.P_inf - P_l) < tol
         assert P_l <= P_u
@@ -314,7 +318,7 @@ def test_nscr_fallback_value(dc_n30):
                              alpha=0.4, beta=0.0, Gamma=1.4 * 1.3,
                              phi=math.atan2(1.0, 1.0), Lambda=0.0, omega_g=1.0)
     d = 1.2  # band-violating for these constants
-    assert sc.p_bounds(dc, d) == (0.0, 1.0)
+    assert p_bounds(dc, d) == (0.0, 1.0)
     assert abs(sc.nscr(dc, d) - dc.V_r * (1.0 - dc.P_inf)) < 1e-14
 
 

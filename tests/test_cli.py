@@ -170,15 +170,15 @@ def test_extreme_parameters_exit_numerical(config, command, request, capsys):
     ("equilibria", "R_s=1e-308"), ("check", "R_s=1e-308"), ("simulate", "R_s=1e-308"),
     ("basin", "R_s=1e-308"), ("check", "m_if=1e308"), ("check", "V=1e-308"),
     ("check", "J=1e308"), ("equilibria", "T_m=1e308"), ("check", "D_p=1e-308"),
-    ("check", "D_p=1e-200"),
+    ("check", "D_p=1e-200"), ("check", "D_p=1e200"),
 ])
 def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
                                                             params_n30_config, capsys):
     # The characteristic coefficients come out NaN (J, R_s tiny), rho, V_r
     # or alpha leaves (0, inf), Lambda overflows (T_m huge), 1/alpha does
     # (D_p tiny) or the velocity band's slack 4 Gamma / alpha^2 does (alpha^2
-    # underflows): a numerical failure, not bad input or a "not certified"
-    # verdict.
+    # underflows or overflows): a numerical failure, not bad input or a "not
+    # certified" verdict.
     extra = {"simulate": ["--t-end", "0.01", "--samples", "3"],
              "basin": ["--samples", "2"]}.get(command, [])
     rc = cli.main([command, "--config", params_n30_config, "--set", setting, *extra])
@@ -186,6 +186,9 @@ def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("numerical failure: ")
     assert "Traceback" not in err
+    if setting.startswith("D_p=1e") and command == "check":
+        assert "4*Gamma/alpha**2" in err or "1/alpha" in err, err
+        assert "OverflowError" not in err
 
 
 def test_unknown_override_key(nominal_config, capsys):
@@ -471,6 +474,14 @@ def test_validate_reports_numerical_failure(params_n30_config, monkeypatch, caps
     rc = cli.main(["validate", "--config", params_n30_config, "--samples", "1"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("validation failed: max deviation ")
+
+
+@pytest.mark.parametrize("command", ["basin", "validate"])
+def test_negative_seed_exits_usage_naming_the_option(command, params_n30_config, capsys):
+    # numpy rejects a negative seed with a message that names no option.
+    rc = cli.main([command, "--config", params_n30_config, "--samples", "1", "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("command", ["check", "equilibria"])

@@ -17,6 +17,7 @@ from swingcert.equilibria import (
 )
 
 from basin_soundness import sampled_level, shell_rates, stable_point
+from oracles import a0_closed_form
 
 
 
@@ -160,7 +161,7 @@ def test_a0_closed_form(params_n30, params_n1, params_rs216, params_dp15):
     for params in (params_n30, params_n1, params_rs216, params_dp15):
         for pt in sc.solve_equilibria(params):
             a0 = pt.char_coeffs[3]
-            ref = sc.a0_closed_form(params, pt.state.delta)
+            ref = a0_closed_form(params, pt.state.delta)
             assert abs(a0 - ref) <= 1e-10 * abs(ref)
 
 

@@ -31,6 +31,8 @@ from swingcert.simulator import (
     verdict_to_dict,
 )
 
+from oracles import storage_energy
+
 
 def _scipy_rk45(rhs, y0, config):
     """Reference solution from scipy's RK45 on the same sample times."""
@@ -377,9 +379,9 @@ def test_periodic_verdict_equivariant_under_sheet_shift(params_rs216):
 def test_energy_rate_bounded_along_trajectory(params_n30):
     config = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, t_end=2.0, n_samples=2001)
     traj = sc.simulate_full(params_n30, sc.SgState(80.0, -60.0, 500.0, 2.0), config)
-    _, _, C = sc.storage_energy(sc.SgState(0, 0, 0, 0), params_n30)
+    _, _, C = storage_energy((0, 0, 0, 0), params_n30)
     for row in traj.states[::50]:
-        _, Wdot, _ = sc.storage_energy(sc.SgState(*row), params_n30)
+        _, Wdot, _ = storage_energy(row, params_n30)
         assert Wdot <= C * (1.0 + 1e-6)
 
 

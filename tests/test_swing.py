@@ -1,12 +1,11 @@
 import math
 
 import numpy as np
-import pytest
 from scipy.integrate import simpson
 
 import swingcert as sc
 from swingcert.simulator import IntegratorConfig, combined_full_ese_rhs, integrate
-from swingcert.swing import gamma_along, pendulum_rhs_fn, reconstruct_iq
+from swingcert.swing import eta_from_delta, gamma_along
 
 
 def _random_states(params, n, seed):
@@ -49,13 +48,19 @@ def test_full_ese_equivalence_near_rest(params_n30, equilibria_n30):
 
 
 def test_iq_reconstruction(params_n30):
+    # The ESE implies the full model's quadrature current:
+    # i_q = -i_v sin(eta) - (m_if / L_s) P + e^{-p t} f(t), with e^{-p t} f
+    # read back from gamma = e^{-p t} f / i_v + V_r (P_inf - P).
+    dc = sc.derive_constants(params_n30)
     state0 = sc.SgState(40.0, 40.0, 350.0, -1.0)
     rhs, y0 = combined_full_ese_rhs(params_n30, state0)
     traj = integrate(rhs, y0, IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13,
                                                t_end=2.0, n_samples=801))
     init = (state0.i_d, state0.i_q, state0.delta)
     iq_sim = traj.states[:, 1]
-    iq_rec = reconstruct_iq(traj.times, traj.states[:, 4:], params_n30, init)
+    gamma, P = gamma_along(traj.times, traj.states[:, 4:], params_n30, init)
+    forced = dc.i_v * (gamma - dc.V_r * (dc.P_inf - P))
+    iq_rec = -dc.i_v * np.sin(traj.states[:, 4]) - params_n30.m_if / params_n30.L_s * P + forced
     assert np.max(np.abs(iq_rec - iq_sim)) < 1e-5 * np.max(np.abs(iq_sim))
 
 
@@ -132,75 +137,57 @@ def test_memory_term_settles_to_p_inf(params_n30, equilibria_n30):
     assert abs(P_end - dc.P_inf) < 1e-6
 
 
-def test_pendulum_equilibrium(params_n30):
-    lam = 0.6
-    pp = sc.PendulumParams(alpha=1.0, beta=math.sin(lam))
-    psi_dot, psi_dd = pendulum_rhs_fn(pp)(0.0, (lam, 0.0))
-    assert psi_dot == 0.0
-    assert abs(psi_dd) < 1e-15
+def _pendulum_run(params, state, config):
+    """psi' = rho eta', psi, the pendulum forcing gamma and the constants
+    along an ESE run, in the normal form psi'' + alpha psi' + sin(psi) =
+    beta + gamma(s) with s = t / rho."""
+    dc = sc.derive_constants(params)
+    traj = sc.simulate_ese(params, state, config)
+    gamma, _ = gamma_along(traj.times, traj.states, params,
+                           (state.i_d, state.i_q, state.delta))
+    return traj, dc.rho * traj.states[:, 1], traj.states[:, 0], gamma, dc
 
 
-def test_pendulum_requires_positive_damping():
-    with pytest.raises(ValueError):
-        sc.PendulumParams(alpha=0.0, beta=0.1)
+def test_pendulum_equilibrium(params_n30, params_n1, params_rs216, params_dp15):
+    # Every equilibrium of the full model is a rest point of its pendulum
+    # normal form: sin(psi) = beta.
+    for params in (params_n30, params_n1, params_rs216, params_dp15):
+        dc = sc.derive_constants(params)
+        for pt in sc.solve_equilibria(params):
+            assert abs(math.sin(eta_from_delta(pt.state.delta, dc)) - dc.beta) < 1e-12
 
 
-def test_pendulum_velocity_bound():
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        alpha = rng.uniform(0.3, 2.0)
-        beta = rng.uniform(-0.8, 0.8)
-        d = rng.uniform(0.05, 0.5)
-        pp = sc.PendulumParams(alpha=alpha, beta=beta,
-                               forcing=lambda t, d=d: 0.99 * d * math.sin(t))
-        y0 = [rng.uniform(-math.pi, math.pi), rng.uniform(-3, 3)]
-        traj = integrate(pendulum_rhs_fn(pp), y0,
-                         IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=60.0,
-                                          n_samples=3001))
-        bound = abs(y0[1]) + (abs(beta) + d + 1.0) / alpha
-        assert np.max(np.abs(traj.states[:, 1])) < bound
+def test_pendulum_coords_at_equilibrium(params_n30, params_n1, params_rs216, params_dp15):
+    # The pendulum velocity psi' = rho (omega - omega_g) is exactly zero at
+    # every equilibrium.
+    for params in (params_n30, params_n1, params_rs216, params_dp15):
+        dc = sc.derive_constants(params)
+        for pt in sc.solve_equilibria(params):
+            assert dc.rho * (pt.state.omega - params.omega_g) == 0.0
 
 
-def test_pendulum_energy_derivative():
-    alpha, beta, d = 0.8, 0.2, 0.3
-    pp = sc.PendulumParams(alpha=alpha, beta=beta,
-                           forcing=lambda t: 0.99 * d * math.sin(t))
-    traj = integrate(pendulum_rhs_fn(pp), [1.0, 0.5],
-                     IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0,
-                                      n_samples=20001))
-    psi = traj.states[:, 0]
-    psi_dot = traj.states[:, 1]
-    E = sc.pendulum_energy(psi, psi_dot)
-    dt = traj.times[1] - traj.times[0]
-    fd = (E[2:] - E[:-2]) / (2 * dt)
-    gamma = 0.99 * d * np.sin(traj.times)
-    expected = -alpha * psi_dot**2 + (beta + gamma) * psi_dot
+def test_pendulum_velocity_bound(params_n30, params_rs216):
+    # The velocity trap of a damped forced pendulum: |psi'| never exceeds
+    # |psi'(0)| + (|beta| + sup|gamma| + 1) / alpha.
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=6.0, n_samples=3001)
+    for params in (params_n30, params_rs216):
+        for state in _random_states(params, 3, seed=77):
+            _, psi_dot, _, gamma, dc = _pendulum_run(params, state, config)
+            bound = abs(psi_dot[0]) + (abs(dc.beta) + np.max(np.abs(gamma)) + 1.0) / dc.alpha
+            assert np.max(np.abs(psi_dot)) < bound
+
+
+def test_pendulum_energy_derivative(params_n30):
+    # Along an ESE run, E = psi'^2/2 + 1 - cos(psi) changes at the rate the
+    # normal form gives: dE/ds = -alpha psi'^2 + (beta + gamma) psi'.
+    state = sc.SgState(5.0, -5.0, 320.0, 0.3)
+    config = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=0.5, n_samples=20001)
+    traj, psi_dot, psi, gamma, dc = _pendulum_run(params_n30, state, config)
+    E = 0.5 * psi_dot**2 + (1.0 - np.cos(psi))
+    ds = (traj.times[1] - traj.times[0]) / dc.rho
+    fd = (E[2:] - E[:-2]) / (2 * ds)
+    expected = -dc.alpha * psi_dot**2 + (dc.beta + gamma) * psi_dot
     assert np.max(np.abs(fd - expected[1:-1])) < 1e-4 * np.max(np.abs(expected))
-
-
-def test_pendulum_energy_values():
-    assert sc.pendulum_energy(0.0, 0.0) == 0.0
-    assert abs(sc.pendulum_energy(math.pi, 0.0) - 2.0) < 1e-15
-    rng = np.random.default_rng(78)
-    psi = rng.uniform(-10, 10, size=100)
-    psi_dot = rng.uniform(-5, 5, size=100)
-    assert np.all(sc.pendulum_energy(psi, psi_dot) >= 0.0)
-
-
-def test_pendulum_coordinate_round_trip(dc_n30, params_n30):
-    rng = np.random.default_rng(79)
-    for _ in range(25):
-        state = sc.SgState(0.0, 0.0, rng.uniform(0, 700), rng.uniform(-10, 10))
-        psi, psi_prime = sc.to_pendulum_coords(state, dc_n30)
-        delta, omega = sc.from_pendulum_coords(psi, psi_prime, dc_n30)
-        assert abs(delta - state.delta) < 1e-12
-        assert abs(omega - state.omega) < 1e-9 * max(1.0, abs(state.omega))
-
-
-def test_pendulum_coords_at_equilibrium(dc_n30, params_n30, equilibria_n30):
-    stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
-    psi, psi_prime = sc.to_pendulum_coords(stable.state, dc_n30)
-    assert psi_prime == 0.0
 
 
 def test_stable_rest_angle_balances_bias(params_n30, dc_n30, equilibria_n30):
