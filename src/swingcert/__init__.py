@@ -8,14 +8,12 @@ certificate by direct simulation of the full fourth-order model and its
 exact swing-equation reduction, whose normal form is the forced pendulum
 the certificate rests on.
 
-The package root re-exports the names the command line, demos and
-benchmark read; everything else is imported from its module.
+The package root re-exports exactly the names the demos and the
+benchmark read as ``swingcert.<name>``; the command line, the tests and
+everything else import from the defining module.
 """
 
 from .core import (
-    DerivedConstants,
-    ParameterError,
-    SgParameters,
     SgState,
     derive_constants,
     emf,
@@ -30,14 +28,11 @@ from .design import (
 )
 from .equilibria import (
     Stability,
-    char_poly,
-    linearize,
     solve_equilibria,
 )
 from .certificate import (
     certificate_csv,
     check_certificate,
-    exp_sin_moment,
     nscr,
     velocity_band,
 )

@@ -60,27 +60,26 @@ class VelocityBand:
     When the rest angles exist (|beta| + d < 1) they are psi1, psi2; when
     the damping also clears the capture threshold (alpha > 2 sin(|psi_i|/2))
     the refined envelope angles phi1, phi2 apply; otherwise the fallback
-    S_n = -1, S_p = 1 is used.  For a float d the fields are floats and an
-    undefined angle is None; for an array d they are arrays and an undefined
-    angle is NaN.  Always omega_n < omega_p and hence omega_min_d <
-    omega_max_d.
+    S_n = -1, S_p = 1 is used.  Every field is an array of the shape of d
+    (0-d for a float d), and an undefined angle is NaN.  Always omega_n <
+    omega_p and hence omega_min_d < omega_max_d.
     """
 
-    d: float
-    psi1: float | None
-    psi2: float | None
-    phi1: float | None
-    phi2: float | None
-    S_n: float
-    S_p: float
-    omega_n: float
-    omega_p: float
-    omega_min_d: float
-    omega_max_d: float
-    refined: bool
+    d: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    S_n: np.ndarray
+    S_p: np.ndarray
+    omega_n: np.ndarray
+    omega_p: np.ndarray
+    omega_min_d: np.ndarray
+    omega_max_d: np.ndarray
+    refined: np.ndarray
 
     @property
-    def band_ok(self) -> bool:
+    def band_ok(self) -> np.ndarray:
         """Envelope applicability: positive band with omega_max <= 2 omega_min."""
         return (self.omega_min_d > 0.0) & (self.omega_max_d <= 2.0 * self.omega_min_d)
 
@@ -108,16 +107,12 @@ def velocity_band(dc: DerivedConstants, d) -> VelocityBand:
     omega_n = (S_n + beta - d) / alpha
     omega_p = (S_p + beta + d) / alpha
     shift = dc.rho * dc.omega_g
-    fields = dict(
+    return VelocityBand(
         d=d, psi1=psi1, psi2=psi2, phi1=phi1, phi2=phi2, S_n=S_n, S_p=S_p,
         omega_n=omega_n, omega_p=omega_p,
         omega_min_d=omega_n + shift, omega_max_d=omega_p + shift,
         refined=refined,
     )
-    if d.ndim == 0:
-        fields = {key: None if math.isnan(value) else value.item()
-                  for key, value in fields.items()}
-    return VelocityBand(**fields)
 
 
 def _check_band(omega_min, omega_max):
@@ -290,13 +285,15 @@ def check_certificate(params: SgParameters) -> CertificateReport:
     Certified iff nscr(d) < d and the rate band applies at every grid
     point, all equilibria are hyperbolic, and the relative margin clears
     ``REL_MARGIN_THRESHOLD``.  A design whose own arithmetic takes alpha,
-    p*rho, V_r, Gamma or the band's largest slack 4 Gamma / alpha^2 out of
-    (0, inf) raises NumericalError.
+    p*rho, its square (the moments' denominator), V_r, Gamma or the band's
+    largest slack 4 Gamma / alpha^2 out of (0, inf) raises NumericalError.
     """
     dc = derive_constants(params)
     alpha2 = dc.alpha * dc.alpha  # a float power would raise on overflow
     slack = 4.0 * dc.Gamma / alpha2 if alpha2 else math.inf
-    for name, value in (("alpha", dc.alpha), ("p*rho", dc.p * dc.rho), ("V_r", dc.V_r),
+    p_rho = dc.p * dc.rho
+    for name, value in (("alpha", dc.alpha), ("p*rho", p_rho),
+                        ("(p*rho)**2", p_rho * p_rho), ("V_r", dc.V_r),
                         ("Gamma", dc.Gamma), ("4*Gamma/alpha**2", slack)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise NumericalError(f"{name} = {value!r} is not finite and > 0")

@@ -175,14 +175,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's own refusal of a negative seed names no option.
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+def _check_sampling(args) -> None:
+    # The library's and numpy's own refusals of these values name no option.
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def cmd_basin(args) -> int:
-    _check_seed(args.seed)
+    _check_sampling(args)
     params = params_from_config(load_config(args.config, args.set))
     stats = basin_sample(params, n=args.samples, seed=args.seed, t_end=args.t_end)
     _emit(_dump(stats.to_dict()), args.out)
@@ -219,9 +221,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    _check_seed(args.seed)
+    _check_sampling(args)
     params = params_from_config(load_config(args.config, args.set))
     box = default_basin_box(params)
     deviations = [cross_validate(params, sample_initial_state(box, args.seed, i))

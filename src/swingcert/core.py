@@ -300,11 +300,3 @@ def full_rhs(params: SgParameters):
         params.R_s / params.L_s, params.m_if / params.L_s, params.V / params.L_s,
         params.m_if / params.J, params.D_p / params.J, params.T_m / params.J, params.omega_g))
 
-
-def scaled_residual(state: SgState, params: SgParameters) -> float:
-    """Norm of the model right-hand side at ``state``, each component scaled
-    by its magnitude (V/L_s, V/L_s, T_m/J, omega_g)."""
-    r = np.asarray(full_rhs(params)(0.0, state.as_array().tolist()))
-    scale = np.array([params.V / params.L_s, params.V / params.L_s,
-                      params.T_m / params.J, params.omega_g])
-    return float(np.linalg.norm(r / scale))

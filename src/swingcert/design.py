@@ -19,6 +19,11 @@ import numpy as np
 from .core import ParameterError, SgParameters, record_from_dict, require_positive
 
 
+def _require_factor(n: float) -> None:
+    if not (math.isfinite(n) and n >= 1.0):
+        raise ParameterError(f"virtual-inductor factor n must be >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class NominalSpec:
     """Nominal ratings and sizing targets.
@@ -46,8 +51,7 @@ class NominalSpec:
 
     def __post_init__(self):
         require_positive(self, "spec field")
-        if self.n < 1.0:
-            raise ParameterError(f"virtual-inductor factor n must be >= 1, got {self.n!r}")
+        _require_factor(self.n)
 
     @property
     def V_rms(self) -> float:
@@ -111,8 +115,7 @@ def apply_virtual_inductor(params: SgParameters, n: float) -> SgParameters:
     and the dimensionless damping grows like sqrt(n) up to the (small)
     field-flux adjustment.
     """
-    if not (math.isfinite(n) and n >= 1.0):
-        raise ParameterError(f"virtual-inductor factor n must be >= 1, got {n!r}")
+    _require_factor(n)
     P_n = nominal_power(params)
     if P_n <= 0.0:
         raise ParameterError(
@@ -131,8 +134,7 @@ def inverter_voltage_command(v_abc, e_abc, n: float) -> np.ndarray:
     n = 1 passes the synchronous internal voltage straight through; as
     n grows the command approaches the grid voltage.
     """
-    if not (math.isfinite(n) and n >= 1.0):
-        raise ParameterError(f"virtual-inductor factor n must be >= 1, got {n!r}")
+    _require_factor(n)
     v = np.asarray(v_abc, dtype=float)
     e = np.asarray(e_abc, dtype=float)
     return ((n - 1.0) * v + e) / n

@@ -20,13 +20,11 @@ import numpy as np
 
 from .core import (
     NumericalError,
-    ParameterError,
     SgParameters,
     SgState,
     TWO_PI,
     derive_constants,
     full_rhs,
-    scaled_residual,
 )
 from .interval import ROUND, down, face_minimum, linear, magnitude, product, quadratic, up
 
@@ -35,9 +33,6 @@ _COS_CLAMP = 1e-12
 
 # Hyperbolicity band, relative to the spectral scale max|eigenvalue|.
 HYPERBOLICITY_REL_BAND = 1e-7
-
-# Residual ceiling (scaled) for a state to be accepted as an equilibrium.
-EQUILIBRIUM_RESIDUAL_TOL = 1e-6
 
 
 class Stability(str, Enum):
@@ -72,7 +67,9 @@ class EquilibriumPoint:
         }
 
 
-def _linearize_at(params: SgParameters, state: SgState) -> np.ndarray:
+def linearize(params: SgParameters, state: SgState) -> np.ndarray:
+    """Jacobian of the model at ``state`` (4x4 real matrix); at an
+    equilibrium it is the linearisation ``solve_equilibria`` classifies."""
     p = params.R_s / params.L_s
     return np.array(
         [
@@ -89,18 +86,6 @@ def _linearize_at(params: SgParameters, state: SgState) -> np.ndarray:
     )
 
 
-def linearize(params: SgParameters, eq: EquilibriumPoint | SgState) -> np.ndarray:
-    """Jacobian of the model at an equilibrium point (4x4 real matrix)."""
-    state = eq.state if isinstance(eq, EquilibriumPoint) else eq
-    res = scaled_residual(state, params)
-    if res > EQUILIBRIUM_RESIDUAL_TOL:
-        raise ParameterError(
-            f"state is not an equilibrium: scaled residual {res:.3e} exceeds "
-            f"{EQUILIBRIUM_RESIDUAL_TOL:.1e}"
-        )
-    return _linearize_at(params, state)
-
-
 # The principal minors of a 4x4 matrix, one (rows, columns) index pair per
 # minor size k: A[rows, cols] stacks the C(4, k) k-by-k minors in the order
 # of itertools.combinations.
@@ -113,17 +98,20 @@ def char_poly(matrix) -> tuple:
 
     Computed from sums of principal minors, one ``det`` call per minor size
     over the stacked minors, each sum taken in ``combinations`` order, so
-    a0 equals det(A) exactly as evaluated by the same routine.
+    a0 equals det(A) exactly as evaluated by the same routine.  A
+    coefficient may come out non-finite without a warning;
+    ``quartic_eigenvalues`` reports it.
     """
     A = np.asarray(matrix, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {A.shape}")
     minor_sums = []
-    for rows, cols in _MINOR_INDEX:
-        total = 0.0
-        for det in np.linalg.det(A[rows, cols]).tolist():
-            total += det
-        minor_sums.append(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols in _MINOR_INDEX:
+            total = 0.0
+            for det in np.linalg.det(A[rows, cols]).tolist():
+                total += det
+            minor_sums.append(total)
     e1, e2, e3, e4 = minor_sums
     return (-e1, e2, -e3, e4)
 
@@ -243,7 +231,7 @@ def solve_equilibria(params: SgParameters) -> list:
             + params.V * math.sin(delta_e) / params.R_s
         )
         state = SgState(i_d_e, i_q_e, params.omega_g, delta_e)
-        coeffs = char_poly(_linearize_at(params, state))
+        coeffs = char_poly(linearize(params, state))
         verdict, eig = classify_char_poly(coeffs)
         points.append(
             EquilibriumPoint(
@@ -339,8 +327,8 @@ def local_basin(params: SgParameters, eq: EquilibriumPoint) -> tuple:
     """
     if eq.classification is not Stability.STABLE:
         raise ValueError("a local basin needs a stable equilibrium")
-    A = linearize(params, eq)
     s = eq.state
+    A = linearize(params, s)
     cur = max(1.0, abs(s.i_d), abs(s.i_q))
     scales = np.array([cur, cur, max(1.0, abs(s.omega)), 1.0])
     outer = np.outer(scales, scales)

@@ -27,7 +27,7 @@ import numpy as np
 
 import swingcert as sc
 from swingcert.core import TWO_PI
-from swingcert.equilibria import Stability, local_basin
+from swingcert.equilibria import Stability, linearize, local_basin
 
 CHUNK = 100_000
 
@@ -39,7 +39,7 @@ def stable_point(params):
 
 def decay_ratio_squared(params, point, P, u) -> np.ndarray:
     """``(q(u) / K(u))^2`` for the unit rows of ``u`` (0 where q <= 0)."""
-    A = sc.linearize(params, point)
+    A = linearize(params, point.state)
     Q = -(A.T @ P + P @ A)
     L = np.linalg.cholesky(P)
     x = np.linalg.solve(L.T, u.T).T  # x = L^-T u

@@ -22,6 +22,18 @@ def a0_closed_form(params, delta_e: float) -> float:
     return params.m_if * params.V * root / (params.J * params.L_s) * math.sin(delta_e + phi)
 
 
+def scaled_residual(state, params) -> float:
+    """Norm of the model's four equations at ``state``, written out here,
+    each divided by its magnitude (V, V, T_m, omega_g): zero at an exact
+    equilibrium."""
+    i_d, i_q, w, d = state.i_d, state.i_q, state.omega, state.delta
+    R, L, V = params.R_s, params.L_s, params.V
+    return math.hypot((-R * i_d + w * L * i_q + V * math.sin(d)) / V,
+                      (-w * L * i_d - R * i_q - params.m_if * w + V * math.cos(d)) / V,
+                      (params.m_if * i_q - params.D_p * w + params.T_m) / params.T_m,
+                      (w - params.omega_g) / params.omega_g)
+
+
 def storage_energy(y, params) -> tuple:
     """Stored energy W, its rate along ``full_rhs``, and the ceiling C.
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import swingcert as sc
+from swingcert.core import DerivedConstants
 from swingcert.certificate import (
     DEFAULT_GRID_FLOOR,
     DEFAULT_GRID_POINTS,
@@ -16,6 +17,7 @@ from swingcert.certificate import (
     _certificate_map,
     _pieces,
     certificate_grid,
+    exp_sin_moment,
     p_bounds_for_band,
     velocity_band,
 )
@@ -87,7 +89,7 @@ def test_rest_angles_example(dc_n30):
 
 @pytest.mark.parametrize("beta,d", [(0.6, 0.4), (0.0, 1.0), (-0.7, 0.35), (1.1, 0.01)])
 def test_rest_angles_undefined(beta, d, dc_n30):
-    assert _band_rest_angles(dc_n30, beta, d) == (None, None)
+    assert np.all(np.isnan(_band_rest_angles(dc_n30, beta, d)))
 
 
 # velocity_band --------------------------------------------------------------
@@ -171,18 +173,15 @@ def test_velocity_band_array_equals_scalar_calls(design, request):
         assert band.omega_max_d[k] == pytest.approx(w_max, rel=1e-12)
         point = velocity_band(dc, float(d))
         for f in dataclasses.fields(point):
-            value = getattr(point, f.name)
-            if value is None:
-                assert np.isnan(getattr(band, f.name)[k])
-            else:
-                assert type(value) is (bool if f.name == "refined" else float)
-                assert value == getattr(band, f.name)[k]
-        assert point.band_ok is bool(band.band_ok[k])
+            value, expected = getattr(point, f.name), getattr(band, f.name)[k]
+            assert value.shape == ()
+            assert value == expected or (np.isnan(value) and np.isnan(expected))
+        assert point.band_ok == band.band_ok[k]
 
 
 def test_velocity_band_fallback_is_exact_when_assumption_fails():
     # alpha far below the capture threshold: S values must be exactly -1, 1.
-    dc = sc.DerivedConstants(p=1.0, i_v=1.0, V_r=1.0, rho=1.0, P_inf=0.2,
+    dc = DerivedConstants(p=1.0, i_v=1.0, V_r=1.0, rho=1.0, P_inf=0.2,
                              alpha=0.05, beta=0.3, Gamma=1.2,
                              phi=math.atan2(1.0, 1.0), Lambda=-0.3, omega_g=1.0)
     for d in (0.05, 0.2, 0.6, 0.69):
@@ -240,18 +239,18 @@ def test_envelopes_bound_admissible_sines():
 
 def test_exp_sin_moment_constant_piece():
     a, t0, t1 = 1.7, 0.2, 2.4
-    got = sc.exp_sin_moment(a, 0.0, t0, t1, phase=math.pi / 2)
+    got = exp_sin_moment(a, 0.0, t0, t1, phase=math.pi / 2)
     expected = (math.exp(-a * t0) - math.exp(-a * t1)) / a
     assert abs(got - expected) < 1e-14
 
 
 def test_exp_sin_moment_empty_interval():
-    assert sc.exp_sin_moment(2.0, 3.0, 1.1, 1.1, 0.0) == 0.0
+    assert exp_sin_moment(2.0, 3.0, 1.1, 1.1, 0.0) == 0.0
 
 
 def test_exp_sin_moment_requires_positive_decay():
     with pytest.raises(ValueError):
-        sc.exp_sin_moment(0.0, 1.0, 0.0, 1.0, 0.0)
+        exp_sin_moment(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_exp_sin_moment_against_adaptive_simpson():
@@ -262,7 +261,7 @@ def test_exp_sin_moment_against_adaptive_simpson():
         t0 = rng.uniform(0.0, 2.0)
         t1 = t0 + rng.uniform(0.0, 3.0)
         phase = rng.uniform(-math.pi, math.pi)
-        got = sc.exp_sin_moment(a, w, t0, t1, phase=phase)
+        got = exp_sin_moment(a, w, t0, t1, phase=phase)
         ref = adaptive_simpson(lambda x: math.exp(-a * x) * math.sin(w * x + phase),
                                t0, t1)
         assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))
@@ -272,7 +271,7 @@ def test_exp_sin_moment_against_adaptive_simpson():
 
 def test_p_bounds_fallback_on_band_violation(dc_n30):
     # Construct constants whose band is violated for moderate d.
-    dc = sc.DerivedConstants(p=1.0, i_v=1.0, V_r=1.0, rho=1.0, P_inf=0.3,
+    dc = DerivedConstants(p=1.0, i_v=1.0, V_r=1.0, rho=1.0, P_inf=0.3,
                              alpha=0.4, beta=0.0, Gamma=1.3,
                              phi=math.atan2(1.0, 1.0), Lambda=0.0, omega_g=1.0)
     P_l, P_u = p_bounds(dc, 1.2)
@@ -314,7 +313,7 @@ def test_p_bounds_match_quadrature_oracle():
 # nscr and the certificate ---------------------------------------------------
 
 def test_nscr_fallback_value(dc_n30):
-    dc = sc.DerivedConstants(p=1.0, i_v=1.0, V_r=1.4, rho=1.0, P_inf=0.3,
+    dc = DerivedConstants(p=1.0, i_v=1.0, V_r=1.4, rho=1.0, P_inf=0.3,
                              alpha=0.4, beta=0.0, Gamma=1.4 * 1.3,
                              phi=math.atan2(1.0, 1.0), Lambda=0.0, omega_g=1.0)
     d = 1.2  # band-violating for these constants

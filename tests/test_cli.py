@@ -186,6 +186,8 @@ def test_valid_values_whose_arithmetic_fails_exit_numerical(command, setting,
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("numerical failure: ")
     assert "Traceback" not in err
+    if setting == "R_s=1e-308" and command == "check":
+        assert "(p*rho)**2" in err, err
     if setting.startswith("D_p=1e") and command == "check":
         assert "4*Gamma/alpha**2" in err or "1/alpha" in err, err
         assert "OverflowError" not in err
@@ -482,6 +484,16 @@ def test_negative_seed_exits_usage_naming_the_option(command, params_n30_config,
     rc = cli.main([command, "--config", params_n30_config, "--samples", "1", "--seed", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", ["basin", "validate"])
+def test_nonpositive_samples_exits_usage_naming_the_option(command, samples,
+                                                           params_n30_config, capsys):
+    # basin_sample rejects n < 1 with a message that names no option.
+    rc = cli.main([command, "--config", params_n30_config, "--samples", samples])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize("command", ["check", "equilibria"])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import swingcert as sc
-from swingcert.core import TWO_PI, scaled_residual
+from swingcert.core import TWO_PI, ParameterError, SgParameters
 
 from conftest import LINE_V, OMEGA_G, agrees_with_printed
-from oracles import storage_energy
+from oracles import scaled_residual, storage_energy
 
 
 def _valid_kwargs():
@@ -21,36 +21,36 @@ def _valid_kwargs():
 def test_parameter_validation_names_field(field, bad):
     kwargs = _valid_kwargs()
     kwargs[field] = bad
-    with pytest.raises(sc.ParameterError, match=field):
-        sc.SgParameters(**kwargs)
+    with pytest.raises(ParameterError, match=field):
+        SgParameters(**kwargs)
 
 
 def test_parameter_dict_round_trip():
-    params = sc.SgParameters(**_valid_kwargs())
-    again = sc.SgParameters.from_dict(json.loads(json.dumps(params.to_dict())))
+    params = SgParameters(**_valid_kwargs())
+    again = SgParameters.from_dict(json.loads(json.dumps(params.to_dict())))
     assert again == params
 
 
 def test_parameter_dict_rejects_unknown_and_missing():
-    params = sc.SgParameters(**_valid_kwargs())
+    params = SgParameters(**_valid_kwargs())
     data = params.to_dict()
     data["bogus"] = 1.0
-    with pytest.raises(sc.ParameterError, match="bogus"):
-        sc.SgParameters.from_dict(data)
+    with pytest.raises(ParameterError, match="bogus"):
+        SgParameters.from_dict(data)
     del data["bogus"]
     del data["L_s"]
-    with pytest.raises(sc.ParameterError, match="L_s"):
-        sc.SgParameters.from_dict(data)
+    with pytest.raises(ParameterError, match="L_s"):
+        SgParameters.from_dict(data)
 
 
 def test_parameter_dict_values_must_be_numbers():
-    data = sc.SgParameters(**_valid_kwargs()).to_dict()
+    data = SgParameters(**_valid_kwargs()).to_dict()
     # A string that float() parses is a number.
-    assert sc.SgParameters.from_dict({**data, "J": str(data["J"])}) == \
-        sc.SgParameters.from_dict(data)
+    assert SgParameters.from_dict({**data, "J": str(data["J"])}) == \
+        SgParameters.from_dict(data)
     for value in (None, False, [1.0], {"J": 1.0}, "1.0 kg", 10**400):
-        with pytest.raises(sc.ParameterError, match="'J' must be a number"):
-            sc.SgParameters.from_dict({**data, "J": value})
+        with pytest.raises(ParameterError, match="'J' must be a number"):
+            SgParameters.from_dict({**data, "J": value})
 
 
 def test_derived_constants_500kw_n30(params_n30):
@@ -79,7 +79,7 @@ def test_p_inf_vanishes_with_resistance(params_n30):
 def test_lambda_equals_minus_beta_for_random_params():
     rng = np.random.default_rng(42)
     for _ in range(50):
-        params = sc.SgParameters(
+        params = SgParameters(
             J=rng.uniform(0.5, 100), D_p=rng.uniform(1, 500),
             T_m=rng.uniform(100, 1e5), m_if=rng.uniform(1, 100),
             L_s=rng.uniform(1e-3, 2.0), R_s=rng.uniform(0.01, 50),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swingcert as sc
+from swingcert.core import ParameterError
 
 from conftest import LINE_V, OMEGA_G, agrees_with_printed
 
@@ -69,7 +70,7 @@ def test_field_flux_cases(spec_500kw):
     limiting = sc.size_parameters(tiny).m_if
     expected = math.sqrt(3.0) * spec_500kw.V_rms / spec_500kw.omega_g
     assert abs(limiting - expected) < 1e-6 * expected
-    with pytest.raises(sc.ParameterError):
+    with pytest.raises(ParameterError):
         sc.NominalSpec(**{**spec_500kw.to_dict(), "L_drop_pct": 0.0})
 
 
@@ -111,14 +112,14 @@ def test_virtual_inductor_scales_damping(params_n1):
 
 
 def test_virtual_inductor_rejects_small_n(params_n1):
-    with pytest.raises(sc.ParameterError):
+    with pytest.raises(ParameterError):
         sc.apply_virtual_inductor(params_n1, 0.5)
 
 
 def test_virtual_inductor_rejects_non_positive_nominal_power(params_n1):
     # T_m = D_p*omega_g/2 implies P_n = (T_m - D_p*omega_g)*omega_g < 0.
     params = params_n1.replace(T_m=0.5 * params_n1.D_p * params_n1.omega_g)
-    with pytest.raises(sc.ParameterError, match="non-positive nominal power"):
+    with pytest.raises(ParameterError, match="non-positive nominal power"):
         sc.apply_virtual_inductor(params, 30.0)
 
 
@@ -142,21 +143,21 @@ def test_inverter_command_fixed_point():
 
 
 def test_inverter_command_rejects_small_n():
-    with pytest.raises(sc.ParameterError):
+    with pytest.raises(ParameterError):
         sc.inverter_voltage_command([0.0] * 3, [0.0] * 3, 0.9)
 
 
 def test_nominal_spec_validation():
-    with pytest.raises(sc.ParameterError, match="P_n"):
+    with pytest.raises(ParameterError, match="P_n"):
         sc.NominalSpec(P_n=0.0, V=LINE_V, omega_g=OMEGA_G)
-    with pytest.raises(sc.ParameterError, match="n"):
+    with pytest.raises(ParameterError, match="n"):
         sc.NominalSpec(P_n=1e5, V=LINE_V, omega_g=OMEGA_G, n=0.5)
 
 
 def test_nominal_spec_dict_round_trip(spec_500kw):
     again = sc.NominalSpec.from_dict(spec_500kw.to_dict())
     assert again == spec_500kw
-    with pytest.raises(sc.ParameterError, match="bogus"):
+    with pytest.raises(ParameterError, match="bogus"):
         sc.NominalSpec.from_dict({**spec_500kw.to_dict(), "bogus": 1.0})
-    with pytest.raises(sc.ParameterError, match="V"):
+    with pytest.raises(ParameterError, match="V"):
         sc.NominalSpec.from_dict({"P_n": 1e5, "omega_g": OMEGA_G})

@@ -6,18 +6,19 @@ import pytest
 
 import swingcert as sc
 from swingcert import equilibria, interval
-from swingcert.core import TWO_PI, NumericalError, scaled_residual
+from swingcert.core import TWO_PI, NumericalError
 from swingcert.equilibria import (
     Stability,
     char_poly,
     classify_char_poly,
+    linearize,
     local_basin,
     quartic_eigenvalues,
     routh_hurwitz_unstable_count,
 )
 
 from basin_soundness import sampled_level, shell_rates, stable_point
-from oracles import a0_closed_form
+from oracles import a0_closed_form, scaled_residual
 
 
 
@@ -66,14 +67,14 @@ def test_two_equilibria_for_500kw(params_n30, equilibria_n30):
 
 def test_linearize_bottom_row(params_n30, equilibria_n30):
     for pt in equilibria_n30:
-        A = sc.linearize(params_n30, pt)
+        A = linearize(params_n30, pt.state)
         assert np.all(A[3] == np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_linearize_trace(params_n30, equilibria_n30):
     p = params_n30.R_s / params_n30.L_s
     for pt in equilibria_n30:
-        A = sc.linearize(params_n30, pt)
+        A = linearize(params_n30, pt.state)
         expected = -2.0 * p - params_n30.D_p / params_n30.J
         assert abs(np.trace(A) - expected) < 1e-9 * abs(expected)
 
@@ -82,7 +83,7 @@ def test_linearize_matches_finite_differences(params_n30, equilibria_n30):
     rhs = sc.full_rhs(params_n30)
     scales = np.array([50.0, 50.0, 300.0, 1.0])
     for pt in equilibria_n30:
-        A = sc.linearize(params_n30, pt)
+        A = linearize(params_n30, pt.state)
         x0 = pt.state.as_array()
         J_fd = np.empty((4, 4))
         for j in range(4):
@@ -94,25 +95,20 @@ def test_linearize_matches_finite_differences(params_n30, equilibria_n30):
         assert np.max(np.abs(A - J_fd)) < 1e-6 * scale
 
 
-def test_linearize_rejects_non_equilibrium(params_n30):
-    with pytest.raises(sc.ParameterError, match="not an equilibrium"):
-        sc.linearize(params_n30, sc.SgState(100.0, 100.0, 200.0, 1.0))
-
-
 def test_char_poly_zero_matrix():
-    assert sc.char_poly(np.zeros((4, 4))) == (0.0, 0.0, 0.0, 0.0)
+    assert char_poly(np.zeros((4, 4))) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_char_poly_rejects_a_matrix_that_is_not_4x4():
     with pytest.raises(ValueError, match="4x4"):
-        sc.char_poly(np.eye(3))
+        char_poly(np.eye(3))
 
 
 def test_char_poly_constant_term_is_determinant():
     rng = np.random.default_rng(21)
     for _ in range(25):
         A = rng.normal(size=(4, 4))
-        a0 = sc.char_poly(A)[3]
+        a0 = char_poly(A)[3]
         assert abs(a0 - np.linalg.det(A)) < 1e-9 * max(1.0, abs(np.linalg.det(A)))
 
 
@@ -120,7 +116,7 @@ def test_char_poly_matches_numpy():
     rng = np.random.default_rng(22)
     for _ in range(25):
         A = rng.normal(size=(4, 4))
-        coeffs = np.asarray(sc.char_poly(A))
+        coeffs = np.asarray(char_poly(A))
         ref = np.poly(A)[1:]
         assert np.max(np.abs(coeffs - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -146,7 +142,7 @@ def test_char_poly_equals_per_minor_loop_bit_for_bit(params_n1, params_n30, para
                 for _ in range(2000)]
     matrices += [np.ones((4, 4)), np.diag([1.0, 0.0, -2.0, 3.0])]
     for params in (params_n1, params_n30, params_rs216, params_dp15):
-        matrices += [sc.linearize(params, pt) for pt in sc.solve_equilibria(params)]
+        matrices += [linearize(params, pt.state) for pt in sc.solve_equilibria(params)]
     for A in matrices:
         assert [c.hex() for c in char_poly(A)] == [c.hex() for c in _per_minor_char_poly(A)]
 
@@ -179,7 +175,7 @@ def test_classification_dp15_both_unstable(params_dp15):
 
 def test_classify_matches_eigvals(params_n30, equilibria_n30):
     for pt in equilibria_n30:
-        A = sc.linearize(params_n30, pt)
+        A = linearize(params_n30, pt.state)
         ref = np.sort_complex(np.linalg.eigvals(A))
         got = np.sort_complex(np.array(pt.eigenvalues))
         assert np.max(np.abs(ref - got)) < 1e-6 * np.max(np.abs(ref))
@@ -229,13 +225,13 @@ def test_classification_invariant_under_sheet_shift(params_n30, equilibria_n30):
     for pt in equilibria_n30:
         shifted = sc.SgState(pt.state.i_d, pt.state.i_q, pt.state.omega,
                              pt.state.delta + TWO_PI)
-        verdict, eig = classify_char_poly(char_poly(sc.linearize(params_n30, shifted)))
+        verdict, eig = classify_char_poly(char_poly(linearize(params_n30, shifted)))
         assert verdict is pt.classification
         assert np.max(np.abs(np.array(eig) - np.array(pt.eigenvalues))) < 1e-7 * max(
             abs(z) for z in pt.eigenvalues
         )
-        A = sc.linearize(params_n30, shifted)
-        assert np.allclose(A, sc.linearize(params_n30, pt), rtol=1e-12, atol=1e-12)
+        A = linearize(params_n30, shifted)
+        assert np.allclose(A, linearize(params_n30, pt.state), rtol=1e-12, atol=1e-12)
 
 
 def test_classify_matrix_nonhyperbolic_band():
@@ -367,7 +363,7 @@ def test_decay_ratio_meets_sampled_minimum(delta_weight, params_n30):
     # alone sets the minimum), against min |u| q(u)/K(u) over 10**5
     # directions: never above it, and within the settle share below it.
     point, P, _, _ = _proof(params_n30)
-    A = sc.linearize(params_n30, point)
+    A = linearize(params_n30, point.state)
     T = np.linalg.inv(np.linalg.cholesky(P))
     W = P @ T.T
     M = T @ -(A.T @ P + P @ A) @ T.T

@@ -6,7 +6,9 @@ included), a demo or the benchmark.  The package root's re-exports do not
 count, and neither do tests, so a helper only its own tests reach fails
 here.  Every ``sc.<name>`` that a demo or the benchmark reads must resolve
 on ``import swingcert``; the benchmark's untraced run never reaches some of
-them, so nothing else would notice a dropped re-export.
+them, so nothing else would notice a dropped re-export.  Conversely, every
+name the package root re-exports must be one that a demo or the benchmark
+reads as ``sc.<name>``.
 """
 
 import ast
@@ -66,3 +68,13 @@ def test_demo_and_benchmark_package_reads_resolve():
                     break
                 target = getattr(target, attr)
     assert not missing, missing
+
+
+def test_every_root_export_is_read_by_a_demo_or_the_benchmark():
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = {chain[0] for path in CALLERS if path.parent != SRC
+            for chain in _package_reads(path)}
+    unread = sorted(exported - read)
+    assert not unread, f"root re-exports no demo or benchmark reads: {unread}"
