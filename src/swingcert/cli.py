@@ -164,6 +164,7 @@ def _parse_initial(text, params) -> SgState:
 
 
 def cmd_simulate(args) -> int:
+    _check_sampling(args.samples, least=2)
     params = params_from_config(load_config(args.config, args.set))
     initial = _parse_initial(args.initial, params)
     config = IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
@@ -175,16 +176,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_sampling(args) -> None:
+def _check_sampling(samples: int, least: int = 1, seed: int = 0) -> None:
     # The library's and numpy's own refusals of these values name no option.
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if samples < least:
+        raise UsageError(f"--samples must be >= {least}, got {samples}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def cmd_basin(args) -> int:
-    _check_sampling(args)
+    _check_sampling(args.samples, seed=args.seed)
     params = params_from_config(load_config(args.config, args.set))
     stats = basin_sample(params, n=args.samples, seed=args.seed, t_end=args.t_end)
     _emit(_dump(stats.to_dict()), args.out)
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _check_sampling(args)
+    _check_sampling(args.samples, seed=args.seed)
     params = params_from_config(load_config(args.config, args.set))
     box = default_basin_box(params)
     deviations = [cross_validate(params, sample_initial_state(box, args.seed, i))

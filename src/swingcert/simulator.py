@@ -5,10 +5,11 @@ per-step hook and an rhs-call budget, and one classifier that reads a run
 as a stream of segments (integrator steps or stored samples): converged
 to the stable equilibrium (modulo 2*pi, the integer sheet recorded),
 decided only by its proven local basin, which also ends basin runs early;
-periodic, once Newton on the return map of a fixed Poincare section of
-the power angle finds an attracting fixed point that the run approaches,
-which ends slipping basin runs early; or undecided.  All operations are
-deterministic given their inputs and seeds.
+periodic, once the run's crossings of a fixed Poincare section of the
+power angle approach an attracting fixed point of its return map, the
+design's pole-slip orbit (found once per design, from standstill) or one
+Newton finds, which ends slipping basin runs early; or undecided.  All
+operations are deterministic given their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -100,14 +101,17 @@ class PeriodicOrbit:
     return map (``Classifier``).
 
     ``fixed_point`` is that point (i_d, i_q, omega), ``residual`` its
-    |P(x*) - x*| in the run's error norm and ``multipliers`` the moduli of
-    the eigenvalues of P's Jacobian, largest first; ``period``,
-    ``mean_omega`` and ``omega_below_grid`` (largest omega of the turn below
-    the grid's) come from the turn that verified it.  ``crossing`` is the
-    number of section crossings the run had made when it was decided, and
-    ``t_decided`` the time of that crossing in an early-stopped run, None
-    for a run classified at its horizon; ``decided_by`` tells the two
-    apart as "section" and "horizon".
+    |P(x*) - x*| in the error norm of the run that verified it and
+    ``multipliers`` the moduli of the eigenvalues of P's Jacobian, largest
+    first; ``period``, ``mean_omega`` and ``omega_below_grid`` (largest
+    omega of the turn below the grid's) come from the turn that verified
+    it.  A run that approaches the design's pole-slip orbit
+    (``_design_orbit``) carries that orbit's record, found by the run from
+    standstill at the same tolerances; any other carries its own Newton's.
+    ``crossing`` is the number of section crossings the run had made when
+    it was decided, and ``t_decided`` the time of that crossing in an
+    early-stopped run, None for a run classified at its horizon;
+    ``decided_by`` tells the two apart as "section" and "horizon".
     """
 
     period: float
@@ -554,6 +558,16 @@ _RESIDUAL_NORMS = 10.0
 _TURN_SLACK = 2.0
 _REACH_STEPS = 100.0
 
+# A crossing step that lands near the design's pole-slip orbit is decided
+# against it without a turn (``_hit``).  A return map that contracts by mu
+# toward x* has |x_k - x*| <= mu/(1 - mu) |x_k - x_{k-1}| in a norm in
+# which it contracts, one close to its eigenvectors' coordinates; the
+# error norm is not that norm, so the bound is widened by this factor.  On
+# the slipping designs of tests/periodic_soundness.py the ratio of the two
+# sides reads at most 1.85 where a step hits, and 2.9 and 4.2 at the two
+# steps that miss.
+_NORM_SLACK = 2.0
+
 
 def _distance(u, v, x, rtol, atol) -> float:
     """|u - v| in the integrator's error norm at x: the RMS of u - v scaled
@@ -673,6 +687,49 @@ def _attempt(turn, base, image, interval, rtol, atol):
     return x, period, top, residual, moduli
 
 
+def _hit(orbit: PeriodicOrbit, base, image, rtol, atol) -> bool:
+    """Whether the crossing ``base`` and its image ``image`` approach the
+    fixed point x* of ``orbit``: x* lies within ``_REACH_STEPS`` crossing
+    steps |image - base| of ``base`` and ``image`` is closer to it than
+    ``base`` is, the checks ``_attempt`` makes of the point it finds (in the
+    same norms), and |image - x*| is at most ``_NORM_SLACK`` mu/(1 - mu)
+    crossing steps, both in the error norm at x*, for the orbit's largest
+    multiplier mu."""
+    x, mu = orbit.fixed_point, orbit.multipliers[0]
+    if _distance(x, base, base, rtol, atol) > _REACH_STEPS * _distance(image, base, base,
+                                                                      rtol, atol):
+        return False
+    gap = _distance(image, x, x, rtol, atol)
+    return (gap < _distance(base, x, x, rtol, atol)
+            and gap <= _NORM_SLACK * mu / (1.0 - mu) * _distance(image, base, x, rtol, atol))
+
+
+@lru_cache(maxsize=32)
+def _design_orbit(params: SgParameters, equilibria: tuple, rel_tol: float,
+                  abs_tol: float) -> PeriodicOrbit | None:
+    """The falling pole-slip orbit of the design ``params`` at these
+    tolerances: the periodic verdict of the run from standstill (0, 0, 0,
+    0) over ``default_horizon``, stopped at its decision, whose fixed point
+    its own Newton finds (``_attempt``).  None when that verdict is not
+    periodic or the run fails to integrate.  ``equilibria`` is the tuple
+    of the design's equilibria.  The orbit depends on nothing but these
+    arguments; it is built by the first run that asks for it and then
+    served from a cache, as ``stable_basin`` is.
+    """
+    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, n_samples=2,
+                              t_end=default_horizon(params, equilibria))
+    rhs = full_rhs(params)
+    # A classifier given its rhs asks for no orbit, so this run is decided
+    # by Newton alone.
+    clf = Classifier(params, equilibria, 0.0, True, rhs, rel_tol, abs_tol)
+    try:
+        traj = integrate(rhs, [0.0] * 4, config, stop=clf.segment)
+    except StiffnessError:
+        return None
+    verdict = clf.finish(traj.final_state.tolist())
+    return verdict if isinstance(verdict, PeriodicOrbit) else None
+
+
 class Classifier:
     """The trajectory classifier: one pass over a run's segments.
 
@@ -683,9 +740,11 @@ class Classifier:
 
     1. the final state lies in the stable equilibrium's proven local basin
        (invariant and attracting, so no tolerance is involved);
-    2. a fixed point of the return map P: (i_d, i_q, omega) -> (i_d, i_q,
-       omega) of the Poincare section delta = ``section_angle(equilibria)``
-       (mod 2*pi), located by Newton (``_attempt``) and verified by a turn;
+    2. an attracting fixed point of the return map P: (i_d, i_q, omega) ->
+       (i_d, i_q, omega) of the Poincare section delta =
+       ``section_angle(equilibria)`` (mod 2*pi) that the run approaches:
+       the design's pole-slip orbit (``_design_orbit``, ``_hit``), or one
+       located by Newton (``_attempt``) and verified by a turn;
     3. Undecided, naming the basin outcome and the check that failed last.
 
     The crossings are where delta first falls below a level below delta0
@@ -693,13 +752,18 @@ class Classifier:
     oscillation gives at most a few.  Once three crossings x_{k-2},
     x_{k-1}, x_k are known and the step x_k - x_{k-1} has contracted
     (shorter than the one before and below ``_STEP_GATE`` of the state),
-    an attempt runs Newton from x_{k-1}, whose image P(x_{k-1}) is x_k; a
+    an attempt takes x_{k-1} and its image P(x_{k-1}), which is x_k; a
     stored trajectory's crossings are linear interpolants, so there a turn
-    recomputes that image.  Each turn is a nested run of ``rhs``
-    (``full_rhs(params)`` by default) at ``rel_tol``/``abs_tol``, the run's
-    own settings, from sheet 0.  A failed attempt leaves the run going and
-    the next contracted crossing tries again; the first fixed point found
-    is the verdict, decided at crossing number k.
+    recomputes that image.  Each turn is a nested run of ``rhs`` at
+    ``rel_tol``/``abs_tol``, the run's own settings, from sheet 0.  With
+    ``rhs`` None the turns run ``full_rhs(params)``, and the attempt first
+    tests the step against the design's pole-slip orbit at the run's
+    tolerances, built on the first attempt that asks for it: a hit
+    (``_hit``) takes the orbit's record and costs no turn.  Otherwise, and
+    always for a classifier given its own ``rhs``, whose orbits need not be
+    the design's, the attempt runs Newton from x_{k-1}.  A failed attempt
+    leaves the run going and the next contracted crossing tries again; the
+    first fixed point found is the verdict, decided at crossing number k.
 
     With ``stop``, ``segment`` ends the run once a segment end lies in the
     local basin or an attempt finds the fixed point, and the verdict
@@ -720,6 +784,7 @@ class Classifier:
         contains = basin.contains if stop and basin is not None else None
         omega_g = params.omega_g
         delta_s = section_angle(equilibria)
+        design = (params, tuple(equilibria), rel_tol, abs_tol) if rhs is None else None
         turn = _turn_fn(full_rhs(params) if rhs is None else rhs, delta_s, rel_tol, abs_tol,
                         None if basin is None else basin.contains)
         # The top level is placed at the first segment, so a run whose first
@@ -727,7 +792,7 @@ class Classifier:
         sheet = level = None
         times, states = deque(maxlen=3), deque(maxlen=3)
         count = 0  # section crossings so far
-        found = None  # (crossing number, _attempt's fixed point) once one succeeds
+        found = None  # (crossing number, PeriodicOrbit record) once an attempt succeeds
         failure = None  # why the last crossing gave no fixed point
         stopped = []  # the time at which the run was decided and stopped
 
@@ -746,11 +811,20 @@ class Classifier:
                     failure = f"a turn from the crossing {out}"
                     return
                 image = out[1]
+            orbit = None if design is None else _design_orbit(*design)
+            if orbit is not None and _hit(orbit, x1, image, rel_tol, abs_tol):
+                found = (count, orbit)
+                return
             out = _attempt(turn, x1, image, interval, rel_tol, abs_tol)
             if isinstance(out, str):
                 failure = out
-            else:
-                found = (count, out)
+                return
+            # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
+            x, period, top, residual, moduli = out
+            found = (count, PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
+                                          omega_below_grid=bool(top < omega_g),
+                                          fixed_point=tuple(x), residual=residual,
+                                          multipliers=tuple(moduli)))
 
         def segment(t, h, y_old, K, y) -> bool:
             nonlocal sheet, level, count
@@ -794,13 +868,8 @@ class Classifier:
                 return ConvergedToEquilibrium(equilibrium=basin.point, sheet=turns,
                                               t_decided=t_decided)
             if found is not None:
-                # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
-                crossing, (x, period, top, residual, moduli) = found
-                return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
-                                     omega_below_grid=bool(top < omega_g),
-                                     t_decided=t_decided, fixed_point=tuple(x),
-                                     residual=residual, multipliers=tuple(moduli),
-                                     crossing=crossing)
+                crossing, orbit = found
+                return replace(orbit, t_decided=t_decided, crossing=crossing)
             outcome = ("no proven local basin" if basin is None else
                        "final state outside the proven local basin of the branch "
                        f"{basin.point.branch} equilibrium")
@@ -817,7 +886,8 @@ def detect_convergence(traj: Trajectory, equilibria, params: SgParameters, tol=N
     intervals between its samples, up to the last.  A final state in the
     proven local basin decides the run without reading the others.  There
     is no run rhs, so the return-map turns integrate ``full_rhs(params)``
-    at ``IntegratorConfig``'s default tolerances.  ``tol`` is accepted and
+    at ``IntegratorConfig``'s default tolerances, and the design's
+    pole-slip orbit is the one found at those tolerances.  ``tol`` is accepted and
     ignored: no verdict rests on a tolerance.
     """
     final = traj.states[-1].tolist()
@@ -896,10 +966,9 @@ def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
     """Full-model run of ``initial`` with its verdict: the run feeds the
     ``Classifier`` from its step hook (and with ``stop`` ends at its early
     verdict)."""
-    rhs = full_rhs(params)
-    clf = Classifier(params, equilibria, initial.delta, stop, rhs, config.rel_tol,
-                     config.abs_tol)
-    traj = integrate(rhs, initial.as_array(), config, stop=clf.segment)
+    clf = Classifier(params, equilibria, initial.delta, stop, rel_tol=config.rel_tol,
+                     abs_tol=config.abs_tol)
+    traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())
     return traj
 
@@ -908,8 +977,9 @@ def classify_initial_state(params, initial, equilibria, config):
     """Simulate one initial state and classify the outcome.
 
     The ``Classifier`` reads each step of the run and stops it as soon as
-    it enters the proven local basin or Newton on the section's return map
-    finds the attracting fixed point it approaches; the verdict then
+    it enters the proven local basin or its section crossings approach an
+    attracting fixed point of the return map, the design's pole-slip orbit
+    or one Newton finds; the verdict then
     carries ``t_decided``.  A run that reaches
     ``config.t_end`` is classified there.  No verdict reads the samples.
     """
@@ -925,8 +995,9 @@ def basin_sample(params: SgParameters, n: int, seed: int, box=None,
     which states are classified.  Each run (``classify_initial_state``,
     over ``t_end``, by default ``default_horizon``) stops when it enters
     the stable equilibrium's proven local basin, built at most once, or
-    when the section's return map has a verified fixed point that it
-    approaches, and keeps only its two endpoint samples.  Each verdict
+    when it approaches a verified fixed point of the section's return map,
+    the design's pole-slip orbit (also built at most once) or its own
+    Newton's, and keeps only its two endpoint samples.  Each verdict
     adds to its ``tally`` count and to its ``decided_by`` count, which
     every decided run has, so those counts sum to n - undecided.
     """

@@ -1,13 +1,14 @@
-"""Sweep of the periodic verdict that Newton on the section's return map gives.
+"""Sweep of the periodic verdict that the section's return map gives: the
+design's pole-slip orbit, found once from standstill, or Newton's own.
 
 For each run the sweep makes it twice, with the settings ``basin_sample``
 uses (``default_horizon``, rel_tol 1e-6, abs_tol 1e-8):
 
 - early: ``classify_initial_state``, which stops at the first verified
   fixed point or on entering the proven local basin;
-- full: the same run over the whole horizon, its steps fed to the
-  ``Classifier`` without stopping and watched for the proven local basin
-  at every step end.
+- full: the same run over the whole horizon, its steps fed to a
+  ``Classifier`` built as ``classify_initial_state`` builds it, without
+  stopping, and watched for the proven local basin at every step end.
 
 A violation is an early verdict of another kind than the full one, an
 early periodic verdict that differs from the full one in anything but
@@ -80,8 +81,8 @@ def full_horizon(params, equilibria, initial, config):
     """The verdict of the run over its whole horizon, and the first step end
     in the proven local basin (None when it never enters)."""
     rhs = sc.full_rhs(params)
-    clf = simulator.Classifier(params, equilibria, initial.delta, False, rhs,
-                               config.rel_tol, config.abs_tol)
+    clf = simulator.Classifier(params, equilibria, initial.delta, False,
+                               rel_tol=config.rel_tol, abs_tol=config.abs_tol)
     basin = stable_basin(params, equilibria)
     entered = []
 

@@ -487,13 +487,15 @@ def test_negative_seed_exits_usage_naming_the_option(command, params_n30_config,
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-@pytest.mark.parametrize("command", ["basin", "validate"])
+@pytest.mark.parametrize("command", ["basin", "validate", "simulate"])
 def test_nonpositive_samples_exits_usage_naming_the_option(command, samples,
                                                            params_n30_config, capsys):
-    # basin_sample rejects n < 1 with a message that names no option.
+    # basin_sample rejects n < 1, and IntegratorConfig fewer than two output
+    # samples, with messages that name no option.
+    least = 2 if command == "simulate" else 1
     rc = cli.main([command, "--config", params_n30_config, "--samples", samples])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
+    assert capsys.readouterr().err == f"error: --samples must be >= {least}, got {samples}\n"
 
 
 @pytest.mark.parametrize("command", ["check", "equilibria"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -768,9 +769,99 @@ def test_converged_verdicts_independent_of_the_periodic_rule(design, request, mo
     assert all(with_rule[k]["kind"] == "periodic" for k in range(30) if k not in converged)
 
 
+# The design's pole-slip orbit ------------------------------------------------
+
+def _basin_config(params, equilibria):
+    return IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, n_samples=2,
+                            t_end=default_horizon(params, equilibria))
+
+
+def _without_run(verdict):
+    return dataclasses.replace(verdict, crossing=None, t_decided=None)
+
+
+def test_design_orbit_does_not_depend_on_which_run_builds_it(params_rs216):
+    # Seed-7 states 1 and 2 slip; whichever is classified first builds the
+    # orbit, from standstill, so both orders give the same records.
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = _basin_config(params_rs216, equilibria)
+    box = default_basin_box(params_rs216)
+    states = [sample_initial_state(box, 7, i) for i in (1, 2)]
+    runs = []
+    for order in (states, states[::-1]):
+        simulator._design_orbit.cache_clear()
+        runs.append({s: verdict_to_dict(classify_initial_state(params_rs216, s, equilibria,
+                                                               config))
+                     for s in order})
+    assert runs[0] == runs[1]
+    assert [runs[0][s]["kind"] for s in states] == ["periodic", "periodic"]
+
+
+def test_hit_carries_the_standstill_record(params_rs216):
+    equilibria = sc.solve_equilibria(params_rs216)
+    config = _basin_config(params_rs216, equilibria)
+    orbit = simulator._design_orbit(params_rs216, tuple(equilibria), 1e-6, 1e-8)
+    still = classify_initial_state(params_rs216, sc.SgState(0.0, 0.0, 0.0, 0.0), equilibria,
+                                   config)
+    assert isinstance(orbit, PeriodicOrbit) and still == orbit
+    box = default_basin_box(params_rs216)
+    slipping = classify_initial_state(params_rs216, sample_initial_state(box, 7, 2), equilibria,
+                                      config)
+    assert slipping.crossing != orbit.crossing and slipping.t_decided != orbit.t_decided
+    assert _without_run(slipping) == _without_run(orbit)
+
+
+def test_a_missed_orbit_falls_back_to_newton(monkeypatch):
+    # State 13 of the H_seconds=5 variant's sweep is the one of its 80 runs
+    # whose step misses the orbit at a contracted crossing (by 2.9
+    # mu/(1 - mu) steps): Newton runs there and fails, and the next
+    # crossing hits.
+    from periodic_soundness import designs
+
+    name, params, states = designs()[3]
+    assert name.endswith("H_seconds=5 R_drop_pct=1.0")
+    equilibria = sc.solve_equilibria(params)
+    config = _basin_config(params, equilibria)
+    orbit = simulator._design_orbit(params, tuple(equilibria), 1e-6, 1e-8)
+    attempts, attempt = [], simulator._attempt
+    monkeypatch.setattr(simulator, "_attempt",
+                        lambda *args: attempts.append(attempt(*args)) or attempts[-1])
+    verdict = classify_initial_state(params, states[13], equilibria, config)
+    assert attempts == ["a Newton turn missed the next level within 0.0961 s"]
+    assert _without_run(verdict) == _without_run(orbit) and verdict.crossing == 7
+
+
+def test_converging_runs_build_no_orbit(params_n30):
+    # No run of the certified design reaches a contracted crossing, so none
+    # pays for the standstill run.
+    simulator._design_orbit.cache_clear()
+    sc.basin_sample(params_n30, n=10, seed=3)
+    assert simulator._design_orbit.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("mu, base, image, hit", [
+    # mu/(1 - mu) = 1, so |image - x*| may be up to 2 crossing steps.
+    (0.5, 2.5, 1.5, True),
+    (0.5, 1.0, 0.5, True),
+    (0.5, 3.5, 2.5, False),  # 2.5 steps from x*
+    (0.5, -1.0, 2.0, False),  # moving away from x*
+    # mu/(1 - mu) = 999: only the reach of 100 steps binds.
+    (0.999, 99.0, 98.0, True),
+    (0.999, 150.0, 149.0, False),
+])
+def test_hit_needs_reach_approach_and_contraction(mu, base, image, hit):
+    # An orbit at x* = (1, 2, 3); the crossing and its image lie off x* in
+    # i_d by ``base`` and ``image`` crossing steps of 1e-5.
+    orbit = PeriodicOrbit(period=0.16, mean_omega=0.0, omega_below_grid=True,
+                          fixed_point=(1.0, 2.0, 3.0), residual=1.0,
+                          multipliers=(mu, 0.1, 0.01))
+    assert simulator._hit(orbit, [1.0 + 1e-5 * base, 2.0, 3.0], [1.0 + 1e-5 * image, 2.0, 3.0],
+                          1e-6, 1e-8) is hit
+
+
 def test_periodic_soundness_sweep_on_a_small_sample():
-    # The push-only CI sweep (tests/periodic_soundness.py) on the first
-    # state of each rotor-speed slice of seed 1.
+    # The CI sweep (tests/periodic_soundness.py) on the first state of each
+    # rotor-speed slice of seed 1.
     from periodic_soundness import designs, full_horizon, violation
 
     _, params, states = designs()[0]
@@ -1319,13 +1410,14 @@ def test_import_generates_no_stage_function():
 
 
 def test_import_builds_no_basin():
-    # The local basin is proven by the first run that needs it, so
-    # importing the package proves nothing.
+    # The local basin is proven, and the pole-slip orbit found, by the first
+    # run that needs it, so importing the package runs neither.
     src = os.path.dirname(os.path.dirname(sc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import swingcert, swingcert.cli; "
-            "print(swingcert.equilibria._basin_of.cache_info().currsize)")
+            "print(swingcert.equilibria._basin_of.cache_info().currsize, "
+            "swingcert.simulator._design_orbit.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
