@@ -164,7 +164,7 @@ def _parse_initial(text, params) -> SgState:
 
 
 def cmd_simulate(args) -> int:
-    _check_sampling(args.samples, least=2)
+    _check_sampling(args.samples, least=2, t_end=args.t_end)
     params = params_from_config(load_config(args.config, args.set))
     initial = _parse_initial(args.initial, params)
     config = IntegratorConfig(t_end=args.t_end, n_samples=args.samples)
@@ -176,16 +176,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_sampling(samples: int, least: int = 1, seed: int = 0) -> None:
+def _check_sampling(samples: int, least: int = 1, seed: int = 0,
+                    t_end: float | None = None) -> None:
     # The library's and numpy's own refusals of these values name no option.
     if samples < least:
         raise UsageError(f"--samples must be >= {least}, got {samples}")
     if seed < 0:
         raise UsageError(f"--seed must be >= 0, got {seed}")
+    if t_end is not None and not (t_end > 0 and np.isfinite(t_end)):  # NaN fails too
+        raise UsageError(f"--t-end must be finite and > 0, got {t_end}")
 
 
 def cmd_basin(args) -> int:
-    _check_sampling(args.samples, seed=args.seed)
+    _check_sampling(args.samples, seed=args.seed, t_end=args.t_end)
     params = params_from_config(load_config(args.config, args.set))
     stats = basin_sample(params, n=args.samples, seed=args.seed, t_end=args.t_end)
     _emit(_dump(stats.to_dict()), args.out)

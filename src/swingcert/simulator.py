@@ -8,8 +8,9 @@ decided only by its proven local basin, which also ends basin runs early;
 periodic, once the run's crossings of a fixed Poincare section of the
 power angle approach an attracting fixed point of its return map, the
 design's pole-slip orbit (found once per design, from standstill) or one
-Newton finds, which ends slipping basin runs early; or undecided.  All
-operations are deterministic given their inputs and seeds.
+Newton finds, both accepted by one check, which ends slipping basin runs
+early; or undecided.  One helper finds the crossings of a run and of each
+Newton turn.  All operations are deterministic given their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -516,27 +517,55 @@ def section_angle(equilibria) -> float:
     return 0.0
 
 
-def _top_sheet(delta_s: float, delta0: float) -> int:
-    """Sheet k of the highest section level delta_s + 2*pi*k below delta0.
+class _Section:
+    """One run's crossings of the Poincare section delta = delta_s (mod
+    2*pi), where delta first falls to a level delta_s + 2*pi*k below delta0
+    and every earlier segment end; with ``_delta_fraction``, the only code
+    that decides what a crossing is and where it lies.  ``cross(t, h,
+    y_old, K, y)`` reads a segment: () when delta stays above the next
+    level, else the (time, (i_d, i_q, omega)) of each level passed, on the
+    step's DP5 interpolant, or linear between stored samples when K is
+    None; past five levels, only the last five.  ``count`` counts them all.
+    A power angle of magnitude 2**55 or more, where levels a turn apart
+    coincide, raises ValueError as delta0 (at the first segment, so that a
+    failed first step is reported first) and StiffnessError at a segment
+    end."""
 
-    Raises ValueError where floats are 2*pi or more apart (|delta0| >=
-    2**55), since levels a turn apart are no longer distinct there.
-    """
-    if not math.ulp(delta0) < TWO_PI:  # NaN and inf fail too
-        raise ValueError(f"initial power angle {delta0!r} is too large to place "
-                         "section levels a turn apart")
-    return math.ceil((delta0 - delta_s) / TWO_PI) - 1
+    def __init__(self, delta_s: float, delta0: float):
+        self.delta_s, self.delta0, self.count = delta_s, delta0, 0
+        self.level = math.nan  # stays NaN, above no delta, for the first segment to report
+        if math.ulp(delta0) < TWO_PI:
+            self._place(math.ceil((delta0 - delta_s) / TWO_PI) - 1)
 
+    def _place(self, sheet: int) -> None:
+        self.sheet, self.level = sheet, self.delta_s + TWO_PI * sheet
 
-def _crossing(h, y_old, K, y, level):
-    """Fraction of a segment at which delta falls to ``level``, and the
-    (i_d, i_q, omega) there: on the step's DP5 interpolant when K holds its
-    stage derivatives, linear between two stored samples when K is None."""
-    if K is None:
-        x = (y_old[3] - level) / (y_old[3] - y[3])
-        return x, [a + x * (b - a) for a, b in zip(y_old[:3], y[:3])]
-    x = _delta_fraction(h, y_old, K, level)
-    return x, _step_state(h, y_old, K, x)[:3]
+    def cross(self, t, h, y_old, K, y):
+        if y[3] > self.level:
+            return ()
+        if math.isnan(self.level):  # delta0 is NaN, infinite or 2**55 or more
+            raise ValueError(f"initial power angle {self.delta0!r} is too large to place "
+                             "section levels a turn apart")
+        if not math.ulp(y[3]) < TWO_PI:
+            raise StiffnessError(f"power angle {y[3]!r} at t={t + h!r} is too large "
+                                 "to place section levels a turn apart", t=t + h,
+                                 state=np.array(y, dtype=float))
+        skip = int((self.level - y[3]) / TWO_PI) - 4
+        if skip > 0:
+            self.count += skip
+            self._place(self.sheet - skip)
+        passed = []
+        while y[3] <= self.level:
+            if K is None:
+                x = (y_old[3] - self.level) / (y_old[3] - y[3])
+                state = [a + x * (b - a) for a, b in zip(y_old[:3], y[:3])]
+            else:
+                x = _delta_fraction(h, y_old, K, self.level)
+                state = _step_state(h, y_old, K, x)[:3]
+            passed.append((t + x * h, state))
+            self.count += 1
+            self._place(self.sheet - 1)
+        return passed
 
 
 # Newton on the return map of the section (``Classifier``, ``_attempt``).
@@ -579,15 +608,14 @@ def _distance(u, v, x, rtol, atol) -> float:
 def _turn_fn(rhs, delta_s, rtol, atol, contains):
     """``turn(x, t_max)``: the return map P of the section delta = delta_s at
     x = (i_d, i_q, omega), one nested ``integrate`` of ``rhs`` from (x,
-    delta_s) until delta first falls to delta_s - 2*pi, located on the DP5
-    interpolant.  Returns (time, P(x), largest omega over the turn), or a
-    str naming why the turn failed: it entered the local basin
+    delta_s) to its first crossing (``_Section``), where delta falls to
+    delta_s - 2*pi.  Returns (time, P(x), largest omega over the turn), or
+    a str naming why the turn failed: it entered the local basin
     (``contains``, None without one), missed the level by ``t_max`` or
     failed to integrate.
     """
-    level = delta_s - TWO_PI
-
     def turn(x, t_max):
+        cross = _Section(delta_s, delta_s).cross
         found = []
         top = x[2]
 
@@ -596,12 +624,13 @@ def _turn_fn(rhs, delta_s, rtol, atol, contains):
             if contains is not None and contains(y):
                 found.append("entered the local basin")
                 return True
-            if y[3] > level:
+            passed = cross(t, h, y_old, K, y)
+            if not passed:
                 if y[2] > top:
                     top = y[2]
                 return False
-            frac, image = _crossing(h, y_old, K, y, level)
-            found.append((t + frac * h, image, max(top, image[2])))
+            time, image = passed[0]
+            found.append((time, image, max(top, image[2])))
             return True
 
         config = IntegratorConfig(rel_tol=rtol, abs_tol=atol, t_end=t_max, n_samples=2)
@@ -624,15 +653,12 @@ def _attempt(turn, base, image, interval, rtol, atol):
     the residual is halved, and an accepted one refines F' by Broyden's
     update from its secant, so no further Jacobian turns are needed
     (Dennis & Schnabel, *Numerical Methods for Unconstrained Optimization
-    and Nonlinear Equations*, Sec. 8.1).  Returns (x*, period, largest omega,
-    residual, multiplier moduli) for a fixed point whose residual is at
-    most ``_RESIDUAL_NORMS`` error norms, which lies within ``_REACH_STEPS``
-    crossing steps |image - base| of ``base`` (both distances in the error
-    norm at ``base``), whose refined Jacobian's multipliers are all inside
-    the unit circle, and which ``image`` is closer to than ``base`` is; the
-    period and largest omega are those of the turn from x*.  Otherwise a
-    str naming the check that failed, in that order; a singular F' fails
-    the attempt too.
+    and Nonlinear Equations*, Sec. 8.1).  Returns (x*, period, largest
+    omega, residual, multiplier moduli) for a fixed point whose residual is
+    at most ``_RESIDUAL_NORMS`` error norms and which the step from ``base``
+    to ``image`` approaches (``_approached``), with the refined Jacobian's
+    multipliers and the turn from x*'s period and largest omega.  Otherwise
+    a str naming the failed check, a singular F' included.
     """
     t_max = _TURN_SLACK * interval
     slope = np.empty((3, 3))  # F'(base) = P'(base) - I
@@ -674,34 +700,38 @@ def _attempt(turn, base, image, interval, rtol, atol):
         x, f, residual, verified, why = x_try, f_try, r_try, out, None
         if residual <= _RESIDUAL_NORMS:
             break
+    moduli = sorted(np.abs(np.linalg.eigvals(slope + np.eye(3))).tolist(), reverse=True)
+    period, _, top = verified
+    return _approached(x, moduli, base, image, rtol, atol) or (x, period, top, residual, moduli)
+
+
+def _approached(x, moduli, base, image, rtol, atol) -> str | None:
+    """None when the step from the crossing ``base`` to its image ``image``
+    approaches the fixed point ``x`` with multiplier moduli ``moduli``
+    (largest first), else the first failed check: x lies within
+    ``_REACH_STEPS`` crossing steps |image - base| of ``base`` (error norm
+    at ``base``), every multiplier is inside the unit circle, and ``image``
+    is closer to x than ``base`` is (error norm at x)."""
     reach = _distance(x, base, base, rtol, atol)
     if reach > _REACH_STEPS * _distance(image, base, base, rtol, atol):
         return (f"fixed point {reach:.3g} error norms from the crossing, beyond "
                 f"{_REACH_STEPS:g} crossing steps")
-    moduli = sorted(np.abs(np.linalg.eigvals(slope + np.eye(3))).tolist(), reverse=True)
     if not moduli[0] < 1.0:
         return f"return-map multiplier |mu| = {moduli[0]:.3g} >= 1"
     if not _distance(image, x, x, rtol, atol) < _distance(base, x, x, rtol, atol):
         return "section crossings not approaching the fixed point"
-    period, _, top = verified
-    return x, period, top, residual, moduli
 
 
 def _hit(orbit: PeriodicOrbit, base, image, rtol, atol) -> bool:
     """Whether the crossing ``base`` and its image ``image`` approach the
-    fixed point x* of ``orbit``: x* lies within ``_REACH_STEPS`` crossing
-    steps |image - base| of ``base`` and ``image`` is closer to it than
-    ``base`` is, the checks ``_attempt`` makes of the point it finds (in the
-    same norms), and |image - x*| is at most ``_NORM_SLACK`` mu/(1 - mu)
-    crossing steps, both in the error norm at x*, for the orbit's largest
-    multiplier mu."""
+    fixed point x* of ``orbit`` as ``_attempt`` requires of the point it
+    finds (``_approached``), and |image - x*| is at most ``_NORM_SLACK``
+    mu/(1 - mu) crossing steps, both in the error norm at x*, for the
+    orbit's largest multiplier mu."""
     x, mu = orbit.fixed_point, orbit.multipliers[0]
-    if _distance(x, base, base, rtol, atol) > _REACH_STEPS * _distance(image, base, base,
-                                                                      rtol, atol):
-        return False
-    gap = _distance(image, x, x, rtol, atol)
-    return (gap < _distance(base, x, x, rtol, atol)
-            and gap <= _NORM_SLACK * mu / (1.0 - mu) * _distance(image, base, x, rtol, atol))
+    return (_approached(x, orbit.multipliers, base, image, rtol, atol) is None
+            and _distance(image, x, x, rtol, atol)
+            <= _NORM_SLACK * mu / (1.0 - mu) * _distance(image, base, x, rtol, atol))
 
 
 @lru_cache(maxsize=32)
@@ -718,15 +748,12 @@ def _design_orbit(params: SgParameters, equilibria: tuple, rel_tol: float,
     """
     config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, n_samples=2,
                               t_end=default_horizon(params, equilibria))
-    rhs = full_rhs(params)
-    # A classifier given its rhs asks for no orbit, so this run is decided
-    # by Newton alone.
-    clf = Classifier(params, equilibria, 0.0, True, rhs, rel_tol, abs_tol)
+    # Given its rhs, the classifier asks for no orbit: Newton alone decides.
     try:
-        traj = integrate(rhs, [0.0] * 4, config, stop=clf.segment)
+        verdict = _classified(params, SgState(0.0, 0.0, 0.0, 0.0), equilibria, config,
+                              stop=True, rhs=full_rhs(params)).verdict
     except StiffnessError:
         return None
-    verdict = clf.finish(traj.final_state.tolist())
     return verdict if isinstance(verdict, PeriodicOrbit) else None
 
 
@@ -734,9 +761,10 @@ class Classifier:
     """The trajectory classifier: one pass over a run's segments.
 
     ``segment(t, h, y_old, K, y)`` reads the segment from time t to t + h,
-    state y_old to y; it is the integrator's stop hook, and a stored
-    trajectory is fed the intervals between its samples with K None
-    (``_crossing``).  ``finish(y_final)`` gives the verdict, in this order:
+    state y_old to y, and its section crossings (``_Section``); it is the
+    integrator's stop hook, and a stored trajectory is fed the intervals
+    between its samples with K None.  ``finish(y_final)`` gives the
+    verdict, in this order:
 
     1. the final state lies in the stable equilibrium's proven local basin
        (invariant and attracting, so no tolerance is involved);
@@ -747,32 +775,27 @@ class Classifier:
        located by Newton (``_attempt``) and verified by a turn;
     3. Undecided, naming the basin outcome and the check that failed last.
 
-    The crossings are where delta first falls below a level below delta0
-    and every earlier segment end, one per sheet, so a decaying
-    oscillation gives at most a few.  Once three crossings x_{k-2},
-    x_{k-1}, x_k are known and the step x_k - x_{k-1} has contracted
-    (shorter than the one before and below ``_STEP_GATE`` of the state),
-    an attempt takes x_{k-1} and its image P(x_{k-1}), which is x_k; a
-    stored trajectory's crossings are linear interpolants, so there a turn
-    recomputes that image.  Each turn is a nested run of ``rhs`` at
-    ``rel_tol``/``abs_tol``, the run's own settings, from sheet 0.  With
-    ``rhs`` None the turns run ``full_rhs(params)``, and the attempt first
-    tests the step against the design's pole-slip orbit at the run's
-    tolerances, built on the first attempt that asks for it: a hit
-    (``_hit``) takes the orbit's record and costs no turn.  Otherwise, and
-    always for a classifier given its own ``rhs``, whose orbits need not be
-    the design's, the attempt runs Newton from x_{k-1}.  A failed attempt
-    leaves the run going and the next contracted crossing tries again; the
-    first fixed point found is the verdict, decided at crossing number k.
+    Once three crossings x_{k-2}, x_{k-1}, x_k are known and the step x_k -
+    x_{k-1} has contracted (shorter than the one before and below
+    ``_STEP_GATE`` of the state), an attempt takes x_{k-1} and its image
+    P(x_{k-1}), which is x_k; a stored trajectory's crossings are linear
+    interpolants, so there a turn recomputes that image.  Each turn is a
+    nested run of ``rhs`` at ``rel_tol``/``abs_tol``, the run's own
+    settings, from sheet 0.  With ``rhs`` None the turns run
+    ``full_rhs(params)``, and the attempt first tests the step against the
+    design's pole-slip orbit at the run's tolerances, built on the first
+    attempt that asks for it: a hit (``_hit``) takes the orbit's record and
+    costs no turn.  Otherwise, and always for a classifier given its own
+    ``rhs``, whose orbits need not be the design's, the attempt runs Newton
+    from x_{k-1}.  A failed attempt leaves the run going and the next
+    contracted crossing tries again; the first fixed point found is the
+    verdict, decided at crossing number k.
 
     With ``stop``, ``segment`` ends the run once a segment end lies in the
     local basin or an attempt finds the fixed point, and the verdict
     carries that time as ``t_decided``.  Memory stays bounded: the last
-    three crossings.  So does time: a segment locates at most its last
-    three crossings and makes at most one attempt, and a power angle of
-    magnitude 2**55 or more, where section levels a turn apart coincide,
-    raises ValueError as delta0 (at the first segment) and StiffnessError
-    at a segment end.
+    three crossings.  So does time: a segment makes at most one attempt,
+    and ``_Section`` bounds the work of locating its crossings.
     """
 
     def __init__(self, params: SgParameters, equilibria, delta0: float, stop: bool,
@@ -787,77 +810,50 @@ class Classifier:
         design = (params, tuple(equilibria), rel_tol, abs_tol) if rhs is None else None
         turn = _turn_fn(full_rhs(params) if rhs is None else rhs, delta_s, rel_tol, abs_tol,
                         None if basin is None else basin.contains)
-        # The top level is placed at the first segment, so a run whose first
-        # step fails reports that failure rather than a bad delta0.
-        sheet = level = None
-        times, states = deque(maxlen=3), deque(maxlen=3)
-        count = 0  # section crossings so far
-        found = None  # (crossing number, PeriodicOrbit record) once an attempt succeeds
-        failure = None  # why the last crossing gave no fixed point
+        section = _Section(delta_s, delta0)
+        cross = section.cross
+        crossings = deque(maxlen=3)  # the last three (time, (i_d, i_q, omega))
+        result = None  # the last attempt's PeriodicOrbit (crossing set) or failure
         stopped = []  # the time at which the run was decided and stopped
 
-        def attempt(stored: bool) -> None:
-            nonlocal found, failure
-            (x0, x1, x2), interval = states, times[2] - times[1]
+        def attempt(stored: bool) -> PeriodicOrbit | str:
+            (_, x0), (t1, x1), (t2, x2) = crossings
             step = _distance(x2, x1, x2, rel_tol, abs_tol)
             if not (step < _distance(x1, x0, x2, rel_tol, abs_tol)
                     and step * rel_tol < _STEP_GATE):
-                failure = "steps not contracting"
-                return
+                return "steps not contracting"
             image = x2
             if stored:
-                out = turn(x1, _TURN_SLACK * interval)
+                out = turn(x1, _TURN_SLACK * (t2 - t1))
                 if isinstance(out, str):
-                    failure = f"a turn from the crossing {out}"
-                    return
+                    return f"a turn from the crossing {out}"
                 image = out[1]
             orbit = None if design is None else _design_orbit(*design)
             if orbit is not None and _hit(orbit, x1, image, rel_tol, abs_tol):
-                found = (count, orbit)
-                return
-            out = _attempt(turn, x1, image, interval, rel_tol, abs_tol)
+                return replace(orbit, crossing=section.count)
+            out = _attempt(turn, x1, image, t2 - t1, rel_tol, abs_tol)
             if isinstance(out, str):
-                failure = out
-                return
+                return out
             # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
             x, period, top, residual, moduli = out
-            found = (count, PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
-                                          omega_below_grid=bool(top < omega_g),
-                                          fixed_point=tuple(x), residual=residual,
-                                          multipliers=tuple(moduli)))
+            return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
+                                 omega_below_grid=bool(top < omega_g), fixed_point=tuple(x),
+                                 residual=residual, multipliers=tuple(moduli),
+                                 crossing=section.count)
 
         def segment(t, h, y_old, K, y) -> bool:
-            nonlocal sheet, level, count
-            if sheet is None:
-                sheet = _top_sheet(delta_s, delta0)
-                level = delta_s + TWO_PI * sheet
+            nonlocal result
             if contains is not None and contains(y):
                 stopped.append(t + h)
                 return True
-            if y[3] > level:
+            passed = cross(t, h, y_old, K, y)
+            if not passed:
                 return False
-            if not math.ulp(y[3]) < TWO_PI:
-                raise StiffnessError(f"power angle {y[3]!r} at t={t + h!r} is too large "
-                                     "to place section levels a turn apart", t=t + h,
-                                     state=np.array(y, dtype=float))
-            # Only the last three crossings are kept, so a segment that
-            # falls through more levels skips the earlier ones.
-            skip = int((level - y[3]) / TWO_PI) - 4
-            if skip > 0:
-                sheet -= skip
-                level = delta_s + TWO_PI * sheet
-                count += skip
-            while y[3] <= level:
-                x, crossing = _crossing(h, y_old, K, y, level)
-                times.append(t + x * h)
-                states.append(crossing)
-                count += 1
-                sheet -= 1
-                level = delta_s + TWO_PI * sheet
-            if found is None and len(times) == 3:
-                attempt(K is None)
-                if stop and found is not None:
-                    stopped.append(times[-1])
+            crossings.extend(passed)
+            if not isinstance(result, PeriodicOrbit) and len(crossings) == 3:
+                result = attempt(K is None)
+                if stop and isinstance(result, PeriodicOrbit):
+                    stopped.append(crossings[-1][0])
                     return True
             return False
 
@@ -867,14 +863,13 @@ class Classifier:
                 turns = int(round((y_final[3] - basin.point.state.delta) / TWO_PI))
                 return ConvergedToEquilibrium(equilibrium=basin.point, sheet=turns,
                                               t_decided=t_decided)
-            if found is not None:
-                crossing, orbit = found
-                return replace(orbit, t_decided=t_decided, crossing=crossing)
+            if isinstance(result, PeriodicOrbit):
+                return replace(result, t_decided=t_decided)
             outcome = ("no proven local basin" if basin is None else
                        "final state outside the proven local basin of the branch "
                        f"{basin.point.branch} equilibrium")
-            return Undecided(reason=f"{outcome}; {count} section crossings, "
-                                    f"{failure or 'fewer than 3'}")
+            return Undecided(reason=f"{outcome}; {section.count} section crossings, "
+                                    f"{result or 'fewer than 3'}")
 
         self.segment = segment
         self.finish = finish
@@ -962,13 +957,14 @@ def sample_initial_state(box, seed: int, index: int) -> SgState:
     return SgState(*draws)
 
 
-def _classified(params, initial, equilibria, config, stop: bool) -> Trajectory:
+def _classified(params, initial, equilibria, config, stop: bool, rhs=None) -> Trajectory:
     """Full-model run of ``initial`` with its verdict: the run feeds the
     ``Classifier`` from its step hook (and with ``stop`` ends at its early
-    verdict)."""
-    clf = Classifier(params, equilibria, initial.delta, stop, rel_tol=config.rel_tol,
-                     abs_tol=config.abs_tol)
-    traj = integrate(full_rhs(params), initial.as_array(), config, stop=clf.segment)
+    verdict); handed the run's ``rhs`` too, the classifier asks for no orbit."""
+    clf = Classifier(params, equilibria, initial.delta, stop, rhs, config.rel_tol,
+                     config.abs_tol)
+    traj = integrate(full_rhs(params) if rhs is None else rhs, initial.as_array(), config,
+                     stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())
     return traj
 

@@ -1,9 +1,12 @@
 """Print every seeded basin run's verdict and its Dormand-Prince attempts.
 
 The runs are ``classify_initial_state`` at ``basin_sample``'s settings
-(``default_horizon``, rel_tol 1e-6, abs_tol 1e-8, two samples) on two
-designs: the n=30 design of ``demos/configs/500kw_n30_nominal.json`` and
-the doubled-resistor design (``500kw_nominal.json`` with R_drop_pct=1.0).
+(``default_horizon``, rel_tol 1e-6, abs_tol 1e-8, two samples) on three
+designs: the n=30 design of ``demos/configs/500kw_n30_nominal.json``, the
+doubled-resistor design (``500kw_nominal.json`` with R_drop_pct=1.0) and a
+design that slips above grid speed (``500kw_n30_nominal.json`` with the
+five values set below), most of whose runs the classifier leaves
+undecided, so that their failure texts are compared too.
 The initial states are five per rotor-speed slice of the default box for
 seeds 1 and 917, drawn as ``periodic_soundness.py`` draws them.  Each line
 gives the design, the seed, the slice and the index, the verdict as
@@ -30,7 +33,11 @@ from periodic_soundness import SLICES, sliced_states
 SEEDS = (1, 917)
 PER_SLICE = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DESIGNS = (("500kw_n30_nominal.json", None), ("500kw_nominal.json", ["R_drop_pct=1.0"]))
+DESIGNS = (("500kw_n30_nominal.json", None), ("500kw_nominal.json", ["R_drop_pct=1.0"]),
+           ("500kw_n30_nominal.json", ["d_p=3.6111001397540425", "H_seconds=5.311301638583686",
+                                       "L_drop_pct=4.164564213216835",
+                                       "R_drop_pct=0.37053174114036197",
+                                       "n=36.07121210881287"]))
 
 
 def main() -> None:

@@ -297,12 +297,15 @@ def test_simulate_initial_parsing(params_n30_config, tmp_path, capsys):
     (["validate", "--samples", "0"], "--samples must be >= 1"),
     (["simulate", "--initial", "nan,0,314,0"], "non-finite component"),
     (["simulate", "--initial", "0,0,inf,0"], "non-finite component"),
-    (["simulate", "--t-end", "nan"], "t_end must be finite and > 0"),
-    (["basin", "--t-end", "nan", "--samples", "1"], "t_end must be finite and > 0"),
+    (["simulate", "--t-end", "nan"], "--t-end must be finite and > 0, got nan"),
+    (["basin", "--t-end", "nan", "--samples", "1"], "--t-end must be finite and > 0, got nan"),
     (["simulate", "--initial", "0,0,314,1e50", "--t-end", "1", "--samples", "3"],
      "too large to place section levels"),
     (["simulate", "--initial", "0,0,x,0"], "--initial has a non-numeric component: '0,0,x,0'"),
     (["check", "--set", "J"], "--set expects key=value, got 'J'"),
+    *[([command, "--t-end", t_end, "--samples", "2"],
+       f"--t-end must be finite and > 0, got {float(t_end)}")
+      for command in ("simulate", "basin") for t_end in ("0", "-1", "inf")],
 ])
 def test_bad_input_exits_usage(argv, message, params_n30_config, tmp_path, capsys):
     rc = cli.main(argv[:1] + ["--config", params_n30_config, "--out",

@@ -1100,21 +1100,48 @@ def test_segment_through_many_levels_keeps_the_last_crossings(params_n30):
                               "steps not contracting")
 
 
-@pytest.mark.parametrize("as_array", [False, True])
-def test_section_crossings_located_on_interpolant(as_array, params_n30):
-    # delta' = -c / (1 + b c cos delta) reaches delta at the time
-    # t(delta) = (delta0 - delta) / c + b (sin delta0 - sin delta), so it
-    # falls by 2 pi every 2 pi / c seconds, and (i_d, i_q, omega) decay onto
-    # (1, 2, 3) at the rates lam: the return map of delta = 0 (mod 2 pi) is
-    # linear, with fixed point (1, 2, 3) and multipliers exp(-lam 2 pi / c).
-    c, b, delta0 = TWO_PI / 0.16, 0.5 / (TWO_PI / 0.16), 1.0
-    centre, lam, y0 = np.array([1.0, 2.0, 3.0]), np.array([5.0, 10.0, 20.0]), \
-        [1.02, 1.98, 3.01, delta0]
+# delta' = -c / (1 + b c cos delta) reaches delta at the time
+# t(delta) = (delta0 - delta) / c + b (sin delta0 - sin delta), so it falls
+# by 2 pi every 2 pi / c = 0.16 seconds, and (i_d, i_q, omega) decay onto
+# (1, 2, 3) at the rates lam: the return map of delta = 0 (mod 2 pi) is
+# linear, with fixed point (1, 2, 3) and multipliers exp(-lam 2 pi / c).
+_ANALYTIC_C = TWO_PI / 0.16
+_ANALYTIC_B = 0.5 / _ANALYTIC_C
+_ANALYTIC_CENTRE, _ANALYTIC_LAM = np.array([1.0, 2.0, 3.0]), np.array([5.0, 10.0, 20.0])
+
+
+def _analytic_rhs(as_array=False):
+    c, b, centre, lam = _ANALYTIC_C, _ANALYTIC_B, _ANALYTIC_CENTRE, _ANALYTIC_LAM
 
     def rhs(t, y):
         d = (*(-lam * (np.array(y[:3]) - centre)).tolist(),
              -c / (1.0 + b * c * math.cos(y[3])))
         return np.array(d) if as_array else d
+
+    return rhs
+
+
+@pytest.mark.parametrize("omega", [3.01, 2.99])
+def test_turn_returns_the_map_at_the_next_level_down(omega):
+    # From (x, 0) the analytic system's delta first falls to -2 pi after
+    # 0.16 s, where x has decayed onto (1, 2, 3) by exp(-lam 0.16).  Omega
+    # falls from 3.01, so its largest value is the start's, and rises from
+    # 2.99, so its largest is the image's.
+    x = [1.02, 1.98, omega]
+    turn = simulator._turn_fn(_analytic_rhs(), 0.0, 1e-10, 1e-12, None)
+    period, image, top = turn(x, 1.0)
+    assert period == pytest.approx(0.16, rel=1e-9)
+    assert image == pytest.approx((_ANALYTIC_CENTRE + (np.array(x) - _ANALYTIC_CENTRE)
+                                   * np.exp(-_ANALYTIC_LAM * 0.16)).tolist(), abs=1e-9)
+    assert top == (omega if omega > 3.0 else image[2])
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_section_crossings_located_on_interpolant(as_array, params_n30):
+    # The analytic system above, from delta0 = 1.
+    c, b, delta0 = _ANALYTIC_C, _ANALYTIC_B, 1.0
+    centre, lam, y0 = _ANALYTIC_CENTRE, _ANALYTIC_LAM, [1.02, 1.98, 3.01, delta0]
+    rhs = _analytic_rhs(as_array)
 
     def time_of(delta, start=delta0):  # from delta = start
         return (start - delta) / c + b * (math.sin(start) - math.sin(delta))
