@@ -68,14 +68,15 @@ class EquilibriumPoint:
 
 
 def linearize(params: SgParameters, state: SgState) -> np.ndarray:
-    """Jacobian of the model at ``state`` (4x4 real matrix); at an
-    equilibrium it is the linearisation ``solve_equilibria`` classifies."""
+    """Jacobian of the model at ``state`` (4x4 real matrix), any state
+    included; at an equilibrium, where omega = omega_g, it is the
+    linearisation ``solve_equilibria`` classifies."""
     p = params.R_s / params.L_s
     return np.array(
         [
-            [-p, params.omega_g, state.i_q, params.V * math.cos(state.delta) / params.L_s],
+            [-p, state.omega, state.i_q, params.V * math.cos(state.delta) / params.L_s],
             [
-                -params.omega_g,
+                -state.omega,
                 -p,
                 -state.i_d - params.m_if / params.L_s,
                 -params.V * math.sin(state.delta) / params.L_s,

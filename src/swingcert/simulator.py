@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    FULL_MODEL,
     NumericalError,
     SgParameters,
     RHS_NAMESPACE,
@@ -35,10 +36,7 @@ from .core import (
 )
 from .csvtext import csv_rows
 from .equilibria import EquilibriumPoint, Stability, solve_equilibria, stable_basin
-from .swing import EseState, delta_from_eta, ese_from_full, ese_rhs_fn
-
-FULL_COLUMNS = tuple(f.name for f in fields(SgState))
-ESE_COLUMNS = tuple(f.name for f in fields(EseState))
+from .swing import delta_from_eta, ese_from_full, ese_rhs_fn
 
 
 class StiffnessError(NumericalError):
@@ -109,19 +107,21 @@ class PeriodicOrbit:
     it.  A run that approaches the design's pole-slip orbit
     (``_design_orbit``) carries that orbit's record, found by the run from
     standstill at the same tolerances; any other carries its own Newton's.
-    ``crossing`` is the number of section crossings the run had made when
-    it was decided, and ``t_decided`` the time of that crossing in an
-    early-stopped run, None for a run classified at its horizon;
-    ``decided_by`` tells the two apart as "section" and "horizon".
+    ``_attempt`` builds both, with every field but the last two; the run's
+    classifier sets those.  ``crossing`` is the number of section crossings
+    the run had made when it was decided, and ``t_decided`` the time of
+    that crossing in an early-stopped run, None for a run classified at
+    its horizon; ``decided_by`` tells the two apart as "section" and
+    "horizon".
     """
 
     period: float
     mean_omega: float
     omega_below_grid: bool
+    fixed_point: tuple
+    residual: float
+    multipliers: tuple
     t_decided: float | None = None
-    fixed_point: tuple | None = None
-    residual: float | None = None
-    multipliers: tuple | None = None
     crossing: int | None = None
 
     kind = "periodic"
@@ -160,6 +160,7 @@ def verdict_to_dict(verdict) -> dict:
 class Trajectory:
     """Sampled solution: strictly increasing times, one state per row.
 
+    ``columns`` names the state components, by default the full model's.
     ``stopped`` is set when a stop rule ended the run early; the last row
     is then the state at which it fired.  ``verdict`` stays "not
     classified" until a classifier sets it.
@@ -168,7 +169,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     verdict: object = Undecided(reason="not classified")
-    columns: tuple = FULL_COLUMNS
+    columns: tuple = FULL_MODEL.state
     stopped: bool = False
 
     def column(self, name: str) -> np.ndarray:
@@ -360,8 +361,7 @@ def _delta_fraction(h, y_old, K, level) -> float:
     return hi
 
 
-def integrate(rhs, initial, config: IntegratorConfig,
-              columns: tuple = FULL_COLUMNS, stop=None) -> Trajectory:
+def integrate(rhs, initial, config: IntegratorConfig, stop=None) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` from t=0 to config.t_end by adaptive
     Dormand-Prince 5(4).
 
@@ -410,7 +410,9 @@ def integrate(rhs, initial, config: IntegratorConfig,
     of that description has the model's expressions written in, with the
     same values and domain errors as calls.  Any other callable, a wrapper
     around such a closure included, is called at every stage, unless it
-    copies those attributes (as ``functools.wraps`` does).
+    copies those attributes (as ``functools.wraps`` does).  The
+    trajectory's ``columns`` are the description's state names, and the
+    full model's for an rhs without one.
     """
     y0 = np.asarray(initial, dtype=float)
     t_eval = np.linspace(0.0, config.t_end, config.n_samples)
@@ -432,7 +434,8 @@ def integrate(rhs, initial, config: IntegratorConfig,
     if len(f) != len(y):
         raise ValueError(f"rhs returned a derivative of length {len(f)} "
                          f"for a state of length {len(y)}")
-    stages = _stages_for(len(y), getattr(rhs, "model_source", None))
+    model = getattr(rhs, "model_source", None)
+    stages = _stages_for(len(y), model)
 
     n_samples = len(samples)
     out = array("d")  # the sampled states, row after row
@@ -486,8 +489,8 @@ def integrate(rhs, initial, config: IntegratorConfig,
     if stopped:
         times = np.append(times, t)
         states = np.vstack([states, np.asarray(y, dtype=float)])
-    return Trajectory(times=times, states=states, columns=columns,
-                      stopped=stopped)
+    return Trajectory(times=times, states=states, stopped=stopped,
+                      columns=FULL_MODEL.state if model is None else model.state)
 
 
 def simulate_full(params: SgParameters, initial: SgState,
@@ -502,7 +505,7 @@ def simulate_ese(params: SgParameters, initial: SgState,
     """ESE trajectory matched to a full-model initial state."""
     ese0, init_currents = ese_from_full(initial, params)
     rhs = ese_rhs_fn(params, init_currents)
-    return integrate(rhs, ese0.as_array(), config, columns=ESE_COLUMNS)
+    return integrate(rhs, ese0.as_array(), config)
 
 
 # Classification ------------------------------------------------------------
@@ -519,23 +522,21 @@ def section_angle(equilibria) -> float:
 
 class _Section:
     """One run's crossings of the Poincare section delta = delta_s (mod
-    2*pi), where delta first falls to a level delta_s + 2*pi*k below delta0
-    and every earlier segment end; with ``_delta_fraction``, the only code
-    that decides what a crossing is and where it lies.  ``cross(t, h,
-    y_old, K, y)`` reads a segment: () when delta stays above the next
-    level, else the (time, (i_d, i_q, omega)) of each level passed, on the
-    step's DP5 interpolant, or linear between stored samples when K is
-    None; past five levels, only the last five.  ``count`` counts them all.
-    A power angle of magnitude 2**55 or more, where levels a turn apart
-    coincide, raises ValueError as delta0 (at the first segment, so that a
-    failed first step is reported first) and StiffnessError at a segment
-    end."""
+    2*pi), where delta first falls to a level delta_s + 2*pi*k below the
+    start of the first segment read (the run's delta0) and every later
+    segment end; with ``_delta_fraction``, the only code that decides what
+    a crossing is and where it lies.  ``cross(t, h, y_old, K, y)`` reads a
+    segment: () when delta stays above the next level, else the (time,
+    (i_d, i_q, omega)) of each level passed, on the step's DP5
+    interpolant, or linear between stored samples when K is None; past
+    five levels, only the last five.  ``count`` counts them all.  A power
+    angle of magnitude 2**55 or more, where levels a turn apart coincide,
+    raises ValueError as delta0 (at the first segment, so that a failed
+    first step is reported first) and StiffnessError at a segment end."""
 
-    def __init__(self, delta_s: float, delta0: float):
-        self.delta_s, self.delta0, self.count = delta_s, delta0, 0
-        self.level = math.nan  # stays NaN, above no delta, for the first segment to report
-        if math.ulp(delta0) < TWO_PI:
-            self._place(math.ceil((delta0 - delta_s) / TWO_PI) - 1)
+    def __init__(self, delta_s: float):
+        self.delta_s, self.count = delta_s, 0
+        self.level = math.nan  # above no delta, until the first segment places it
 
     def _place(self, sheet: int) -> None:
         self.sheet, self.level = sheet, self.delta_s + TWO_PI * sheet
@@ -543,9 +544,13 @@ class _Section:
     def cross(self, t, h, y_old, K, y):
         if y[3] > self.level:
             return ()
-        if math.isnan(self.level):  # delta0 is NaN, infinite or 2**55 or more
-            raise ValueError(f"initial power angle {self.delta0!r} is too large to place "
-                             "section levels a turn apart")
+        if math.isnan(self.level):  # the first segment; y_old[3] is delta0
+            if not math.ulp(y_old[3]) < TWO_PI:  # NaN, infinite or 2**55 or more
+                raise ValueError(f"initial power angle {y_old[3]!r} is too large to place "
+                                 "section levels a turn apart")
+            self._place(math.ceil((y_old[3] - self.delta_s) / TWO_PI) - 1)
+            if y[3] > self.level:
+                return ()
         if not math.ulp(y[3]) < TWO_PI:
             raise StiffnessError(f"power angle {y[3]!r} at t={t + h!r} is too large "
                                  "to place section levels a turn apart", t=t + h,
@@ -615,7 +620,7 @@ def _turn_fn(rhs, delta_s, rtol, atol, contains):
     failed to integrate.
     """
     def turn(x, t_max):
-        cross = _Section(delta_s, delta_s).cross
+        cross = _Section(delta_s).cross
         found = []
         top = x[2]
 
@@ -643,9 +648,10 @@ def _turn_fn(rhs, delta_s, rtol, atol, contains):
     return turn
 
 
-def _attempt(turn, base, image, interval, rtol, atol):
+def _attempt(turn, base, image, interval, rtol, atol, omega_g):
     """Newton on P(x) = x from the crossing ``base``, whose image P(base)
-    is ``image``, ``interval`` seconds later.
+    is ``image``, ``interval`` seconds later, on a grid of frequency
+    ``omega_g``.
 
     The Jacobian of P comes from forward differences of three turns (steps
     of sqrt(rtol) relative) against ``image``.  Each Newton step on
@@ -653,12 +659,12 @@ def _attempt(turn, base, image, interval, rtol, atol):
     the residual is halved, and an accepted one refines F' by Broyden's
     update from its secant, so no further Jacobian turns are needed
     (Dennis & Schnabel, *Numerical Methods for Unconstrained Optimization
-    and Nonlinear Equations*, Sec. 8.1).  Returns (x*, period, largest
-    omega, residual, multiplier moduli) for a fixed point whose residual is
-    at most ``_RESIDUAL_NORMS`` error norms and which the step from ``base``
-    to ``image`` approaches (``_approached``), with the refined Jacobian's
-    multipliers and the turn from x*'s period and largest omega.  Otherwise
-    a str naming the failed check, a singular F' included.
+    and Nonlinear Equations*, Sec. 8.1).  Returns the ``PeriodicOrbit``
+    of a fixed point x* whose residual is at most ``_RESIDUAL_NORMS`` error
+    norms and which the step from ``base`` to ``image`` approaches
+    (``_approached``): the refined Jacobian's multipliers, and the period
+    and largest omega of the turn from x*, with no ``crossing`` yet.
+    Otherwise a str naming the failed check, a singular F' included.
     """
     t_max = _TURN_SLACK * interval
     slope = np.empty((3, 3))  # F'(base) = P'(base) - I
@@ -702,7 +708,11 @@ def _attempt(turn, base, image, interval, rtol, atol):
             break
     moduli = sorted(np.abs(np.linalg.eigvals(slope + np.eye(3))).tolist(), reverse=True)
     period, _, top = verified
-    return _approached(x, moduli, base, image, rtol, atol) or (x, period, top, residual, moduli)
+    # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
+    return _approached(x, moduli, base, image, rtol, atol) or PeriodicOrbit(
+        period=period, mean_omega=omega_g - TWO_PI / period,
+        omega_below_grid=bool(top < omega_g), fixed_point=tuple(x), residual=residual,
+        multipliers=tuple(moduli))
 
 
 def _approached(x, moduli, base, image, rtol, atol) -> str | None:
@@ -763,8 +773,9 @@ class Classifier:
     ``segment(t, h, y_old, K, y)`` reads the segment from time t to t + h,
     state y_old to y, and its section crossings (``_Section``); it is the
     integrator's stop hook, and a stored trajectory is fed the intervals
-    between its samples with K None.  ``finish(y_final)`` gives the
-    verdict, in this order:
+    between its samples with K None.  The run itself fixes where the
+    section's levels lie: the first segment read starts at its delta0.
+    ``finish(y_final)`` gives the verdict, in this order:
 
     1. the final state lies in the stable equilibrium's proven local basin
        (invariant and attracting, so no tolerance is involved);
@@ -787,9 +798,10 @@ class Classifier:
     attempt that asks for it: a hit (``_hit``) takes the orbit's record and
     costs no turn.  Otherwise, and always for a classifier given its own
     ``rhs``, whose orbits need not be the design's, the attempt runs Newton
-    from x_{k-1}.  A failed attempt leaves the run going and the next
-    contracted crossing tries again; the first fixed point found is the
-    verdict, decided at crossing number k.
+    from x_{k-1}, which builds its own record.  A failed attempt leaves the
+    run going and the next contracted crossing tries again; the first
+    fixed point found is the verdict, its record stamped with the crossing
+    number k at which it was decided.
 
     With ``stop``, ``segment`` ends the run once a segment end lies in the
     local basin or an attempt finds the fixed point, and the verdict
@@ -798,19 +810,18 @@ class Classifier:
     and ``_Section`` bounds the work of locating its crossings.
     """
 
-    def __init__(self, params: SgParameters, equilibria, delta0: float, stop: bool,
-                 rhs=None, rel_tol: float = IntegratorConfig.rel_tol,
+    def __init__(self, params: SgParameters, equilibria, stop: bool, rhs=None,
+                 rel_tol: float = IntegratorConfig.rel_tol,
                  abs_tol: float = IntegratorConfig.abs_tol):
         # The closures keep no reference to self, so a finished run's
         # state is freed at once rather than by the cycle collector.
         basin = stable_basin(params, equilibria)
         contains = basin.contains if stop and basin is not None else None
-        omega_g = params.omega_g
         delta_s = section_angle(equilibria)
         design = (params, tuple(equilibria), rel_tol, abs_tol) if rhs is None else None
         turn = _turn_fn(full_rhs(params) if rhs is None else rhs, delta_s, rel_tol, abs_tol,
                         None if basin is None else basin.contains)
-        section = _Section(delta_s, delta0)
+        section = _Section(delta_s)
         cross = section.cross
         crossings = deque(maxlen=3)  # the last three (time, (i_d, i_q, omega))
         result = None  # the last attempt's PeriodicOrbit (crossing set) or failure
@@ -829,17 +840,9 @@ class Classifier:
                     return f"a turn from the crossing {out}"
                 image = out[1]
             orbit = None if design is None else _design_orbit(*design)
-            if orbit is not None and _hit(orbit, x1, image, rel_tol, abs_tol):
-                return replace(orbit, crossing=section.count)
-            out = _attempt(turn, x1, image, t2 - t1, rel_tol, abs_tol)
-            if isinstance(out, str):
-                return out
-            # delta falls by 2*pi per turn and d(delta)/dt = omega - omega_g.
-            x, period, top, residual, moduli = out
-            return PeriodicOrbit(period=period, mean_omega=omega_g - TWO_PI / period,
-                                 omega_below_grid=bool(top < omega_g), fixed_point=tuple(x),
-                                 residual=residual, multipliers=tuple(moduli),
-                                 crossing=section.count)
+            if orbit is None or not _hit(orbit, x1, image, rel_tol, abs_tol):
+                orbit = _attempt(turn, x1, image, t2 - t1, rel_tol, abs_tol, params.omega_g)
+            return orbit if isinstance(orbit, str) else replace(orbit, crossing=section.count)
 
         def segment(t, h, y_old, K, y) -> bool:
             nonlocal result
@@ -886,7 +889,7 @@ def detect_convergence(traj: Trajectory, equilibria, params: SgParameters, tol=N
     ignored: no verdict rests on a tolerance.
     """
     final = traj.states[-1].tolist()
-    clf = Classifier(params, equilibria, float(traj.states[0, 3]), False)
+    clf = Classifier(params, equilibria, False)
     basin = stable_basin(params, equilibria)
     if basin is None or not basin.contains(final):
         times, rows = traj.times.tolist(), traj.states.tolist()
@@ -961,8 +964,7 @@ def _classified(params, initial, equilibria, config, stop: bool, rhs=None) -> Tr
     """Full-model run of ``initial`` with its verdict: the run feeds the
     ``Classifier`` from its step hook (and with ``stop`` ends at its early
     verdict); handed the run's ``rhs`` too, the classifier asks for no orbit."""
-    clf = Classifier(params, equilibria, initial.delta, stop, rhs, config.rel_tol,
-                     config.abs_tol)
+    clf = Classifier(params, equilibria, stop, rhs, config.rel_tol, config.abs_tol)
     traj = integrate(full_rhs(params) if rhs is None else rhs, initial.as_array(), config,
                      stop=clf.segment)
     traj.verdict = clf.finish(traj.final_state.tolist())
@@ -1039,7 +1041,7 @@ def cross_validate(params: SgParameters, initial: SgState,
     """
     rhs, y0 = combined_full_ese_rhs(params, initial)
     config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=t_end)
-    traj = integrate(rhs, y0, config, columns=FULL_COLUMNS + ESE_COLUMNS)
+    traj = integrate(rhs, y0, config)
     delta_ese = delta_from_eta(traj.states[:, 4], derive_constants(params))
     return float(np.max(np.abs(traj.states[:, 3] - delta_ese)))
 

@@ -81,8 +81,8 @@ def full_horizon(params, equilibria, initial, config):
     """The verdict of the run over its whole horizon, and the first step end
     in the proven local basin (None when it never enters)."""
     rhs = sc.full_rhs(params)
-    clf = simulator.Classifier(params, equilibria, initial.delta, False,
-                               rel_tol=config.rel_tol, abs_tol=config.abs_tol)
+    clf = simulator.Classifier(params, equilibria, False, rel_tol=config.rel_tol,
+                               abs_tol=config.abs_tol)
     basin = stable_basin(params, equilibria)
     entered = []
 

@@ -95,6 +95,25 @@ def test_linearize_matches_finite_differences(params_n30, equilibria_n30):
         assert np.max(np.abs(A - J_fd)) < 1e-6 * scale
 
 
+@pytest.mark.parametrize("state", [(5.0, -5.0, 320.0, 0.3), (80.0, -60.0, 500.0, 2.0),
+                                   (0.0, 0.0, 0.0, 0.0)])
+def test_linearize_matches_finite_differences_off_equilibrium(state, params_n30):
+    # Away from an equilibrium omega is not omega_g, so the entries (0, 1)
+    # and (1, 0), d(di_d/dt)/d(i_q) = omega and d(di_q/dt)/d(i_d) = -omega,
+    # read the state's omega.
+    rhs = sc.full_rhs(params_n30)
+    x0 = np.array(state)
+    A = linearize(params_n30, sc.SgState(*state))
+    J_fd = np.empty((4, 4))
+    for j, scale in enumerate((50.0, 50.0, 300.0, 1.0)):
+        e = np.zeros(4)
+        e[j] = 1e-6 * scale
+        J_fd[:, j] = (np.subtract(rhs(0.0, (x0 + e).tolist()), rhs(0.0, (x0 - e).tolist()))
+                      / (2 * e[j]))
+    assert (A[0, 1], A[1, 0]) == (state[2], -state[2])
+    assert np.max(np.abs(A - J_fd)) < 1e-6 * np.max(np.abs(A))
+
+
 def test_char_poly_zero_matrix():
     assert char_poly(np.zeros((4, 4))) == (0.0, 0.0, 0.0, 0.0)
 

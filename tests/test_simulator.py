@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import swingcert as sc
 from swingcert import simulator
-from swingcert.core import TWO_PI
+from swingcert.core import FULL_MODEL, TWO_PI
 from swingcert.equilibria import stable_basin
 from swingcert.simulator import (
     ConvergedToEquilibrium,
@@ -31,6 +31,7 @@ from swingcert.simulator import (
     trajectory_csv,
     verdict_to_dict,
 )
+from swingcert.swing import ESE_MODEL
 
 from oracles import storage_energy
 
@@ -355,7 +356,7 @@ def test_converged_trajectory_yields_no_orbit(params_n30, equilibria_n30):
     # Without the stable point there is no basin, so only the section is
     # left, and a decaying oscillation is no orbit.
     unstable = [pt for pt in equilibria_n30 if pt.classification.value != "stable"]
-    rule = simulator.Classifier(params_n30, unstable, near.delta, False)
+    rule = simulator.Classifier(params_n30, unstable, False)
     rows, times = traj.states.tolist(), traj.times.tolist()
     for k in range(1, len(rows)):
         rule.segment(times[k - 1], times[k] - times[k - 1], rows[k - 1], None, rows[k])
@@ -413,6 +414,23 @@ def test_trajectory_csv_round_trip(params_n30, equilibria_n30):
     assert np.array_equal(parsed[:, 1:], traj.states)
 
 
+def test_trajectory_columns_come_from_the_model_description(params_n30):
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=0.1, n_samples=3)
+    initial = sc.SgState(5.0, -5.0, 320.0, 0.3)
+    full = sc.simulate_full(params_n30, initial, config)
+    ese = sc.simulate_ese(params_n30, initial, config)
+    rhs, y0 = simulator.combined_full_ese_rhs(params_n30, initial)
+    stacked = integrate(rhs, y0, config)
+    full_rhs = sc.full_rhs(params_n30)
+    called = integrate(lambda t, y: full_rhs(t, y), initial.as_array(), config)
+    assert full.columns == FULL_MODEL.state == ("i_d", "i_q", "omega", "delta")
+    assert ese.columns == ESE_MODEL.state == ("eta", "eta_dot", "w_re", "w_im")
+    assert stacked.columns == FULL_MODEL.state + ESE_MODEL.state
+    assert called.columns == FULL_MODEL.state
+    assert stacked.states.shape == (3, len(stacked.columns))
+    assert trajectory_csv(ese).startswith("t,eta,eta_dot,w_re,w_im\n")
+
+
 def _reference_trajectory_csv(traj):
     """Row-by-row formatting of every numpy scalar, as a reference."""
     lines = ["t," + ",".join(traj.columns)]
@@ -441,10 +459,11 @@ def test_verdict_serialisation(equilibria_n30):
     assert d["kind"] == "converged"
     assert d["sheet"] == -1
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
-                                      omega_below_grid=True))
+                                      omega_below_grid=True, fixed_point=(1.0, 2.0, 3.0),
+                                      residual=0.5, multipliers=(0.35, 0.01, 0.0)))
     assert d == {"kind": "periodic", "period": 0.16, "mean_omega": 275.0,
-                 "omega_below_grid": True, "t_decided": None, "fixed_point": None,
-                 "residual": None, "multipliers": None, "crossing": None}
+                 "omega_below_grid": True, "t_decided": None, "fixed_point": (1.0, 2.0, 3.0),
+                 "residual": 0.5, "multipliers": (0.35, 0.01, 0.0), "crossing": None}
     d = verdict_to_dict(PeriodicOrbit(period=0.16, mean_omega=275.0,
                                       omega_below_grid=True, t_decided=2.5,
                                       fixed_point=(1.0, 2.0, 3.0), residual=0.5,
@@ -461,7 +480,8 @@ def test_verdict_serialisation(equilibria_n30):
 
 def test_verdict_types_carry_their_tally_and_rule(equilibria_n30):
     stable = [pt for pt in equilibria_n30 if pt.classification.value == "stable"][0]
-    orbit = dict(period=0.16, mean_omega=275.0, omega_below_grid=True)
+    orbit = dict(period=0.16, mean_omega=275.0, omega_below_grid=True,
+                 fixed_point=(1.0, 2.0, 3.0), residual=0.5, multipliers=(0.35, 0.01, 0.0))
     verdicts = [ConvergedToEquilibrium(stable, sheet=0), PeriodicOrbit(**orbit),
                 PeriodicOrbit(**orbit, t_decided=2.5), Undecided(reason="4 section crossings")]
     assert [(v.tally, v.decided_by) for v in verdicts] == [
@@ -898,7 +918,7 @@ def test_attempt_names_the_check_that_failed(A, failure):
     base = [1.0, 2.1, 3.0]
     turn = _affine_turn(A)
     image = [1.0, 2.1, 3.0] if isinstance(A, str) else turn(base, 1.0)[1]
-    assert simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8) == failure
+    assert simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8, 100.0) == failure
 
 
 def test_attempt_rejects_a_fixed_point_far_from_the_crossing():
@@ -910,7 +930,8 @@ def test_attempt_rejects_a_fixed_point_far_from_the_crossing():
         return 0.16, [x[0] + 0.1, x[1], x[2]], x[2]
 
     base = [1.0, 2.0, 3.0]
-    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8)
+    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8,
+                                 100.0)
     assert failure.startswith("fixed point ") and failure.endswith(
         " error norms from the crossing, beyond 100 crossing steps")
     assert float(failure.split()[2]) > 1e15
@@ -925,18 +946,22 @@ def test_attempt_reports_a_singular_jacobian():
         return 0.16, [x[0] + 0.5, x[1], x[2]], x[2]
 
     base = [0.0, 0.0, 0.0]
-    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8)
+    failure = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8,
+                                 100.0)
     assert failure == "singular return-map Jacobian"
 
 
 def test_attempt_finds_the_fixed_point_of_a_contraction():
     turn = _affine_turn(np.diag([0.3, 0.2, 0.1]))
     base = [1.1, 2.1, 2.9]
-    x, period, top, residual, moduli = simulator._attempt(turn, base, turn(base, 1.0)[1],
-                                                          0.16, 1e-6, 1e-8)
-    assert x == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
-    assert period == 0.16 and top == x[2] and residual <= simulator._RESIDUAL_NORMS
-    assert moduli == pytest.approx([0.3, 0.2, 0.1], abs=1e-6)
+    # The stand-in turn's largest omega is its start's, x*'s 3.0, and delta
+    # falls by 2 pi in 0.16 s below a grid at 100 rad/s.
+    orbit = simulator._attempt(turn, base, turn(base, 1.0)[1], 0.16, 1e-6, 1e-8, 100.0)
+    assert orbit.fixed_point == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+    assert orbit.period == 0.16 and orbit.residual <= simulator._RESIDUAL_NORMS
+    assert orbit.mean_omega == 100.0 - TWO_PI / 0.16 and orbit.omega_below_grid is True
+    assert orbit.multipliers == pytest.approx([0.3, 0.2, 0.1], abs=1e-6)
+    assert (orbit.t_decided, orbit.crossing) == (None, None)
 
 
 def _newton_turns(newton):
@@ -958,7 +983,7 @@ def test_attempt_halves_the_step_of_a_failed_newton_turn():
     turn, seen = _newton_turns(lambda x, k: "missed the next level within 0.32 s")
     base = [1.1, 2.1, 2.9]
     image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
-    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8, 100.0)
     assert failure == "a Newton turn missed the next level within 0.32 s"
     steps = [np.subtract(x, base) for x in seen[3:]]
     assert len(steps) == simulator._NEWTON_TURNS
@@ -972,7 +997,7 @@ def test_attempt_reports_no_newton_convergence():
     turn, seen = _newton_turns(lambda x, k: (0.16, [x[0] + 1e3, x[1], x[2]], x[2]))
     base = [1.1, 2.1, 2.9]
     image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
-    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8, 100.0)
     assert failure.startswith("no Newton convergence (residual ")
     assert failure.endswith(" error norms)") and float(failure.split()[4]) > 1e8
     assert len(seen) == 3 + simulator._NEWTON_TURNS
@@ -985,7 +1010,7 @@ def test_attempt_reports_the_residual_after_the_last_newton_turn():
     image = _affine_turn(np.diag([0.3, 0.2, 0.1]))(base, 1.0)[1]
     f0 = np.subtract(image, base)
     turn, seen = _newton_turns(lambda x, k: (0.16, np.add(x, 0.5 ** k * f0).tolist(), x[2]))
-    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8)
+    failure = simulator._attempt(turn, base, image, 0.16, 1e-6, 1e-8, 100.0)
     assert failure.startswith("return-map residual ")
     assert failure.endswith(" error norms after 6 Newton turns, above 10")
     assert float(failure.split()[2]) > simulator._RESIDUAL_NORMS
@@ -1100,6 +1125,35 @@ def test_segment_through_many_levels_keeps_the_last_crossings(params_n30):
                               "steps not contracting")
 
 
+def test_section_levels_are_placed_by_the_first_segment(params_n30, monkeypatch):
+    # A stored run whose delta first rises two turns above its start, 0.5,
+    # and then falls five, one turn per sample.  Without equilibria the
+    # section is delta = 0 (mod 2 pi), so the levels lie at 0, -2 pi, ...
+    # below the start and the run crosses three of them, at the fraction
+    # 0.5 / (2 pi) of its fifth, sixth and seventh intervals.  Levels placed
+    # again at a later segment, below the top at 0.5 + 4 pi, would count
+    # the levels 4 pi and 2 pi too.
+    deltas = 0.5 + TWO_PI * np.array([0.0, 1.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0])
+    traj = Trajectory(times=np.arange(8.0),
+                      states=np.column_stack([np.ones(8), np.full(8, 2.0), np.full(8, 3.0),
+                                              deltas]))
+    times = []
+    cross = simulator._Section.cross
+
+    def recorded(self, *segment):
+        passed = cross(self, *segment)
+        times.extend(time for time, _ in passed)
+        return passed
+
+    monkeypatch.setattr(simulator._Section, "cross", recorded)
+    verdict = sc.detect_convergence(traj, [], params=params_n30)
+    assert verdict.reason == ("no proven local basin; 3 section crossings, "
+                              "steps not contracting")
+    expected = [k + (deltas[k] - level) / (deltas[k] - deltas[k + 1])
+                for k, level in zip((4, 5, 6), (0.0, -TWO_PI, -2 * TWO_PI))]
+    assert times == expected
+
+
 # delta' = -c / (1 + b c cos delta) reaches delta at the time
 # t(delta) = (delta0 - delta) / c + b (sin delta0 - sin delta), so it falls
 # by 2 pi every 2 pi / c = 0.16 seconds, and (i_d, i_q, omega) decay onto
@@ -1158,7 +1212,7 @@ def test_section_crossings_located_on_interpolant(as_array, params_n30):
             centre + (np.array(y_old[:3]) - centre) * np.exp(-lam * 0.3 * h), abs=1e-6)
     # No equilibria: the section is delta = 0 and there is no basin.  Its
     # k-th crossing is the level -2 pi (k - 1).
-    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], delta0, True, rhs,
+    rule = simulator.Classifier(params_n30.replace(omega_g=100.0), [], True, rhs,
                                 config.rel_tol, config.abs_tol)
     traj = integrate(rhs, y0, config, stop=rule.segment)
     assert traj.stopped
